@@ -305,7 +305,7 @@ fn main() {
     let large = large_scale_suite(tier_vertices, warm_queries);
     for m in &large {
         println!(
-            "{:>16} n={} L={} edges={}  d={} s={}  gen {:>8.3}s  preprocess {:>8.3}s  cold {:>8.3}s  {:>7.2} q/s  [{:?}] index {} B  scratch {} B  rss {} B  alloc-peak {} B",
+            "{:>16} n={} L={} edges={}  d={} s={}  gen {:>8.3}s  preprocess {:>8.3}s (warm {:>8.6}s)  cold {:>8.3}s  {:>7.2} q/s  [{:?}] index {} B  scratch {} B  rss {} B  alloc-peak {} B",
             m.dataset,
             m.vertices,
             m.layers,
@@ -314,6 +314,7 @@ fn main() {
             m.s,
             m.generate_secs,
             m.preprocess_secs,
+            m.warm_preprocess_secs,
             m.cold_query_secs,
             m.throughput_qps(),
             m.index_path,

@@ -399,6 +399,8 @@ fn print_result(name: &str, g: &MultiLayerGraph, result: &dccs::DccsResult) {
     println!("dCC calls       : {}", result.stats.dcc_calls);
     println!("subtrees pruned : {}", result.stats.subtrees_pruned);
     println!("vertices deleted: {}", result.stats.vertices_deleted);
+    println!("fixpoint rounds : {}", result.stats.fixpoint_rounds);
+    println!("preprocess memo : {}", if result.stats.preprocess_memo_hit { "hit" } else { "miss" });
     if let Some(path) = result.stats.index_path {
         println!("index path      : {path:?}");
     }

@@ -94,8 +94,7 @@ pub fn bottom_up_dccs_on(
     let start = Instant::now();
     let mut stats = SearchStats { algorithm: Some(Algorithm::BottomUp), ..SearchStats::default() };
 
-    let pre = ctx.preprocess_on(pool, g, params, opts);
-    stats.vertices_deleted = pre.vertices_deleted;
+    let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
     stats.phase.preprocess = start.elapsed();
 
     let mut topk = TopKDiversified::new(g.num_vertices(), params.k);

@@ -48,6 +48,7 @@
 use crate::config::{DccsOptions, DccsParams};
 use crate::limits::QueryMonitor;
 use crate::preprocess::{initial_layer_cores_on, preprocess_from_monitored, Preprocessed};
+use crate::result::SearchStats;
 use coreness::PeelWorkspace;
 use mlgraph::{CompressedSubgraph, DenseSubgraph, Layer, MultiLayerGraph, Vertex, VertexSet};
 use std::collections::{HashMap, VecDeque};
@@ -273,39 +274,55 @@ fn graph_key(g: &MultiLayerGraph) -> (usize, usize, usize, usize) {
 /// the cap keeps a pathological sweep from accumulating them without bound.
 const SHARED_PLAN_CAP: usize = 32;
 
+/// Key of one memoized vertex-deletion fixpoint: `(d, s, vertex_deletion)`,
+/// the only query inputs [`crate::preprocess`] reads besides the graph.
+type FixpointKey = (u32, usize, bool);
+
+/// A map of once-filled cells: the map lock covers only cell lookup, and
+/// each cell's [`OnceLock`] serializes its own computation, so the map is
+/// never held across one.
+type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
+
 /// The **shared immutable tier** of session state: everything about a graph
 /// that is expensive to derive, deterministic, and reusable by any number of
-/// concurrent queries — today the per-`d` initial layer cores (the peel of
-/// every layer at threshold `d`, the `d`-only-dependent first step of
-/// preprocessing) and the dense-vs-CSR cost-model decisions per candidate
-/// universe.
+/// concurrent queries:
+///
+/// * the per-`d` initial layer cores (the peel of every layer at threshold
+///   `d`, the `d`-only-dependent first step of preprocessing);
+/// * the per-`(d, s, vertex_deletion)` **converged** vertex-deletion
+///   fixpoint ([`Preprocessed`]), so a warm query repeating a `(d, s)` pays
+///   only the search;
+/// * the dense-vs-CSR cost-model decisions per candidate universe.
 ///
 /// One instance is bound to one graph (identity-checked with the same
 /// best-effort key as the context-local caches) and published behind an
 /// `Arc` — typically inside a [`crate::service::GraphSnapshot`] — so N
 /// worker contexts answering N queries share one copy of the preprocessing
-/// work instead of each recomputing it. Entries are built **once under a
-/// once-style guard**: concurrent first queries for the same `d` block on
-/// one computation ([`OnceLock::get_or_init`]), and a computation that
-/// panics (e.g. under fault injection) leaves the cell empty, so a poisoned
-/// query never voids the tier for its siblings — the next query simply
-/// recomputes.
+/// work instead of each recomputing it. A standalone [`SearchContext`]
+/// gets a private tier on first use, so every caller memoizes through this
+/// one type. Entries are built **once under a once-style guard**:
+/// concurrent first queries for the same key block on one computation
+/// ([`OnceLock::get_or_init`]), and a computation that panics (e.g. under
+/// fault injection) leaves the cell empty, so a poisoned query never voids
+/// the tier for its siblings — the next query simply recomputes.
 ///
-/// Bit-identity is preserved by construction: both memoized quantities are
-/// deterministic pure functions of the graph (layer peels are
-/// thread-invariant, and [`plan_index_with`] is a pure cost model), so a
-/// context with the tier installed returns exactly what it would have
-/// computed locally.
+/// Bit-identity is preserved by construction: every memoized quantity is a
+/// deterministic pure function of the graph and its key (layer peels and
+/// fixpoint rounds are thread-invariant, and [`plan_index_with`] is a pure
+/// cost model), so a context with the tier installed returns exactly what
+/// it would have computed locally. A limited query whose fixpoint stopped
+/// early holds a less-pruned superset, not that function's value, so it is
+/// never stored.
 #[derive(Debug)]
 pub struct SharedSearchState {
     /// Identity guard (same contract as the context-local caches): contexts
     /// consult the tier only while this matches their graph.
     graph_key: (usize, usize, usize, usize),
-    /// Per-`d` initial layer cores. The map lock covers only cell lookup;
-    /// the per-`d` [`OnceLock`] serializes the actual peel so the map is
-    /// never held across a computation.
-    #[allow(clippy::type_complexity)]
-    layer_cores: Mutex<HashMap<u32, Arc<OnceLock<Arc<Vec<VertexSet>>>>>>,
+    /// Per-`d` initial layer cores.
+    layer_cores: OnceMap<u32, Vec<VertexSet>>,
+    /// Converged vertex-deletion fixpoints. Dropped, not repaired, at a
+    /// mutation commit: the next epoch's tier starts without them.
+    fixpoints: OnceMap<FixpointKey, Preprocessed>,
     /// Memoized [`plan_index_with`] decisions keyed by exact universe
     /// equality (deliberately not a hash: a collision could flip
     /// `stats.index_path`, which *is* part of stats equality).
@@ -316,20 +333,17 @@ impl SharedSearchState {
     /// A fresh shared tier bound to `g`. Nothing is computed eagerly; every
     /// entry is filled on first use by whichever query needs it.
     pub fn for_graph(g: &MultiLayerGraph) -> Arc<Self> {
-        Arc::new(SharedSearchState {
-            graph_key: graph_key(g),
-            layer_cores: Mutex::new(HashMap::new()),
-            plans: Mutex::new(Vec::new()),
-        })
+        SharedSearchState::preloaded(g, Vec::new())
     }
 
     /// A tier bound to `g` whose per-`d` layer-core cells arrive already
     /// filled — the mutation-commit path
     /// ([`crate::QueryService::commit`]) repairs the previous epoch's
     /// entries against the edge delta instead of letting the next epoch's
-    /// queries recompute them from scratch. Plans start empty: the
-    /// cost-model memo is keyed on candidate universes, which the delta can
-    /// change arbitrarily, and recomputing a plan is cheap.
+    /// queries recompute them from scratch. Fixpoints and plans start
+    /// empty: both depend on the whole graph, which the delta can change
+    /// arbitrarily, and each is recomputed on first use from the repaired
+    /// cores.
     pub(crate) fn preloaded(g: &MultiLayerGraph, entries: Vec<(u32, Vec<VertexSet>)>) -> Arc<Self> {
         let map = entries
             .into_iter()
@@ -342,6 +356,7 @@ impl SharedSearchState {
         Arc::new(SharedSearchState {
             graph_key: graph_key(g),
             layer_cores: Mutex::new(map),
+            fixpoints: Mutex::new(HashMap::new()),
             plans: Mutex::new(Vec::new()),
         })
     }
@@ -370,6 +385,13 @@ impl SharedSearchState {
         lock(&self.layer_cores).len()
     }
 
+    /// Number of distinct `(d, s, vertex_deletion)` keys whose converged
+    /// fixpoint has a cell (filled or in flight) — the fixpoint analogue of
+    /// [`SharedSearchState::memoized_ds`].
+    pub fn memoized_fixpoints(&self) -> usize {
+        lock(&self.fixpoints).len()
+    }
+
     /// The initial layer cores for `d`, computing them via `compute` if no
     /// query has needed this `d` yet. Concurrent first callers block on one
     /// computation; a panicking `compute` leaves the cell empty for the
@@ -381,6 +403,44 @@ impl SharedSearchState {
     ) -> Arc<Vec<VertexSet>> {
         let cell = lock(&self.layer_cores).entry(d).or_default().clone();
         cell.get_or_init(|| Arc::new(compute())).clone()
+    }
+
+    /// The preprocessing for `key`, and whether it came out of the memo.
+    /// `compute` runs the fixpoint and reports whether it converged.
+    ///
+    /// An unlimited caller (`limited == false`) fills the cell under its
+    /// once-guard, exactly like [`SharedSearchState::layer_cores`]: its
+    /// fixpoint always converges. A limited caller may stop early, so it
+    /// only *reads* a filled cell; on a miss it computes outside the guard
+    /// and stores the result only if the fixpoint converged.
+    pub(crate) fn fixpoint(
+        &self,
+        key: FixpointKey,
+        limited: bool,
+        compute: impl FnOnce() -> (Preprocessed, bool),
+    ) -> (Arc<Preprocessed>, bool) {
+        if limited {
+            let filled = lock(&self.fixpoints).get(&key).and_then(|cell| cell.get().cloned());
+            if let Some(pre) = filled {
+                return (pre, true);
+            }
+            let (pre, converged) = compute();
+            let pre = Arc::new(pre);
+            if converged {
+                let cell = lock(&self.fixpoints).entry(key).or_default().clone();
+                let _ = cell.set(pre.clone());
+            }
+            return (pre, false);
+        }
+        let cell = lock(&self.fixpoints).entry(key).or_default().clone();
+        let mut hit = true;
+        let pre = cell.get_or_init(|| {
+            hit = false;
+            let (pre, converged) = compute();
+            debug_assert!(converged, "an unmonitored fixpoint always converges");
+            Arc::new(pre)
+        });
+        (pre.clone(), hit)
     }
 
     /// The cost-model decision for `universe` under `choice`, memoized.
@@ -430,19 +490,11 @@ pub struct SearchContext {
     index_choice: IndexChoice,
     dense_cache: Option<DenseCacheEntry>,
     compressed_cache: Option<CompressedCacheEntry>,
-    /// Per-layer d-cores over the full vertex set, keyed by `d` — the
-    /// `d`-only-dependent first step of preprocessing. An `s`/`k` sweep at
-    /// fixed `d` re-peels no layer; a `d` sweep that revisits a value hits
-    /// too. Guarded by the same graph-identity key as the dense cache.
-    /// Values are `Arc`'d so a memo filled from the shared tier aliases the
-    /// tier's copy instead of duplicating it per context.
-    layer_core_memo: HashMap<u32, Arc<Vec<VertexSet>>>,
-    memo_graph_key: Option<(usize, usize, usize, usize)>,
-    /// The shared immutable tier this context consults before computing
-    /// layer cores or index plans locally ([`SharedSearchState`]); `None`
-    /// for standalone contexts, installed by sessions and the query
-    /// service. Purely an optimization — results are bit-identical with or
-    /// without it.
+    /// The tier memoizing this context's layer cores, fixpoints and index
+    /// plans ([`SharedSearchState`]): installed by sessions and the query
+    /// service, or created privately the first time a standalone context
+    /// preprocesses a graph no installed tier is bound to. Purely an
+    /// optimization — results are bit-identical with or without it.
     shared: Option<Arc<SharedSearchState>>,
     /// Driver-thread peel scratch (workers own their own, see [`with_pool`]).
     pub(crate) ws: PeelWorkspace,
@@ -468,8 +520,6 @@ impl SearchContext {
             index_choice: IndexChoice::Auto,
             dense_cache: None,
             compressed_cache: None,
-            layer_core_memo: HashMap::new(),
-            memo_graph_key: None,
             shared: None,
             ws: PeelWorkspace::new(),
             cover: VertexSet::new(0),
@@ -512,22 +562,23 @@ impl SearchContext {
         self.index_choice = choice;
     }
 
-    /// Runs the Section IV-C preprocessing through the context's per-layer
-    /// d-core memo: the initial full-universe d-cores (the only step that
-    /// depends on `d` alone) are computed once per distinct `d` and reused
-    /// across every later query on the same graph, so an `s` or `k` sweep at
-    /// fixed `d` never re-peels the layers. With more than one thread both
-    /// the memo fill and every round of the vertex-deletion fixpoint run
-    /// the layers as fork-join batches over the executor crew. The result
-    /// is bit-identical to [`crate::preprocess::preprocess`] — the memo and
-    /// the batches only skip or parallelize recomputing deterministic
-    /// intermediates.
+    /// Runs the Section IV-C preprocessing through the context's
+    /// [`SharedSearchState`]: the initial full-universe d-cores (the only
+    /// step that depends on `d` alone) are computed once per distinct `d`,
+    /// and the converged vertex-deletion fixpoint once per `(d, s,
+    /// vertex_deletion)`, then reused by every later query on the same
+    /// graph — a warm query repeating a `(d, s)` is a refcount bump, and an
+    /// `s` sweep at fixed `d` re-runs only the fixpoint. With more than one
+    /// thread the layer peels of both steps run as fork-join batches over
+    /// the executor crew. The result is bit-identical to
+    /// [`crate::preprocess::preprocess`] — the memo and the batches only
+    /// skip or parallelize recomputing deterministic values.
     pub fn preprocess(
         &mut self,
         g: &MultiLayerGraph,
         params: &DccsParams,
         opts: &DccsOptions,
-    ) -> Preprocessed {
+    ) -> Arc<Preprocessed> {
         with_pool(self.threads, |pool| self.preprocess_on(pool, g, params, opts))
     }
 
@@ -541,33 +592,53 @@ impl SearchContext {
         g: &MultiLayerGraph,
         params: &DccsParams,
         opts: &DccsOptions,
-    ) -> Preprocessed {
-        let key = graph_key(g);
-        if self.memo_graph_key != Some(key) {
-            self.layer_core_memo.clear();
-            self.memo_graph_key = Some(key);
-        }
-        if !self.layer_core_memo.contains_key(&params.d) {
-            let shared = self.shared.clone();
-            let cores = match shared.as_deref().filter(|tier| tier.graph_key == key) {
-                Some(tier) => {
-                    let ws = &mut self.ws;
-                    tier.layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool))
-                }
-                None => Arc::new(initial_layer_cores_on(g, params.d, &mut self.ws, pool)),
-            };
-            self.layer_core_memo.insert(params.d, cores);
-        }
-        let initial = self.layer_core_memo[&params.d].as_ref().clone();
-        preprocess_from_monitored(
-            g,
-            params,
-            opts,
-            &mut self.ws,
-            initial,
-            pool,
-            self.monitor.as_deref(),
-        )
+    ) -> Arc<Preprocessed> {
+        self.preprocess_memo(pool, g, params, opts).0
+    }
+
+    /// [`SearchContext::preprocess_on`] for the algorithms: also records
+    /// the deletion counters and whether the memo answered in `stats`.
+    pub(crate) fn preprocess_into(
+        &mut self,
+        pool: &PoolRef<'_>,
+        g: &MultiLayerGraph,
+        params: &DccsParams,
+        opts: &DccsOptions,
+        stats: &mut SearchStats,
+    ) -> Arc<Preprocessed> {
+        let (pre, hit) = self.preprocess_memo(pool, g, params, opts);
+        stats.vertices_deleted = pre.vertices_deleted;
+        stats.fixpoint_rounds = pre.fixpoint_rounds;
+        stats.preprocess_memo_hit = hit;
+        pre
+    }
+
+    /// The memoized preprocessing and whether it was a memo hit. A limited
+    /// query (one with a monitor installed) may stop the fixpoint early;
+    /// the tier then keeps the unconverged result out of the memo.
+    fn preprocess_memo(
+        &mut self,
+        pool: &PoolRef<'_>,
+        g: &MultiLayerGraph,
+        params: &DccsParams,
+        opts: &DccsOptions,
+    ) -> (Arc<Preprocessed>, bool) {
+        let tier = match &self.shared {
+            Some(tier) if tier.bound_to(g) => tier.clone(),
+            _ => {
+                let tier = SharedSearchState::for_graph(g);
+                self.shared = Some(tier.clone());
+                tier
+            }
+        };
+        let monitor = self.monitor.as_deref();
+        let ws = &mut self.ws;
+        let key = (params.d, params.s, opts.vertex_deletion);
+        tier.fixpoint(key, monitor.is_some(), || {
+            let initial =
+                tier.layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool));
+            preprocess_from_monitored(g, params, opts, ws, initial.to_vec(), pool, monitor)
+        })
     }
 
     /// Runs the cost model for `universe` and, when the dense path wins,
@@ -584,13 +655,13 @@ impl SearchContext {
         (index.plan, index.dense)
     }
 
-    /// Drops the cached dense/compressed indexes and the per-layer d-core
-    /// memo (e.g. before pointing the context at a different graph).
+    /// Drops the cached dense/compressed indexes and the installed
+    /// [`SharedSearchState`] with its preprocessing memo (e.g. before
+    /// pointing the context at a different graph).
     pub fn clear_cache(&mut self) {
         self.dense_cache = None;
         self.compressed_cache = None;
-        self.layer_core_memo.clear();
-        self.memo_graph_key = None;
+        self.shared = None;
     }
 
     /// Split borrow of the `InitTopK` scratch: the driver workspace, the
@@ -613,10 +684,11 @@ impl SearchContext {
     }
 
     /// Installs (or removes) the shared immutable tier this context
-    /// consults before computing layer cores or index plans locally. The
+    /// consults before computing layer cores, fixpoints or index plans. The
     /// tier is identity-checked against the queried graph on every consult,
     /// so installing a tier built for a different graph is inert rather
-    /// than wrong.
+    /// than wrong: preprocessing replaces it with a private tier for the
+    /// queried graph.
     pub fn set_shared(&mut self, shared: Option<Arc<SharedSearchState>>) {
         self.shared = shared;
     }

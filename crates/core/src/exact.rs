@@ -68,8 +68,7 @@ pub fn exact_dccs_on(
     params.validate(g.num_layers())?;
     let start = Instant::now();
     let mut stats = SearchStats { algorithm: Some(Algorithm::Exact), ..SearchStats::default() };
-    let pre = ctx.preprocess_on(pool, g, params, opts);
-    stats.vertices_deleted = pre.vertices_deleted;
+    let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
     stats.phase.preprocess = start.elapsed();
 
     let search_start = Instant::now();

@@ -173,6 +173,11 @@ fn fire(site: &str) {
 mod tests {
     use super::*;
 
+    /// Sites no engine code checks: a unit test running a query beside
+    /// these tests can never absorb (or trip over) their armed shots.
+    const TEST_SITE: &str = "test.site";
+    const OTHER_TEST_SITE: &str = "test.other";
+
     // These tests mutate process-global state; keep them serialized.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
@@ -196,32 +201,32 @@ mod tests {
     #[test]
     fn armed_panic_fires_once_then_disarms() {
         let _guard = lock();
-        arm(site::SELECT, FaultMode::Panic, 1);
-        let caught = std::panic::catch_unwind(|| check(site::SELECT));
+        arm(TEST_SITE, FaultMode::Panic, 1);
+        let caught = std::panic::catch_unwind(|| check(TEST_SITE));
         assert!(caught.is_err(), "armed site must panic");
         // Disarmed after one shot; a second check is inert.
-        check(site::SELECT);
+        check(TEST_SITE);
         disarm();
     }
 
     #[test]
     fn mismatched_site_does_not_fire() {
         let _guard = lock();
-        arm(site::BU_EVAL, FaultMode::Panic, 1);
-        check(site::TD_EVAL); // must not panic
+        arm(TEST_SITE, FaultMode::Panic, 1);
+        check(OTHER_TEST_SITE); // must not panic
         disarm();
-        check(site::BU_EVAL); // disarmed: must not panic either
+        check(TEST_SITE); // disarmed: must not panic either
     }
 
     #[test]
     fn delay_mode_sleeps_without_panicking() {
         let _guard = lock();
-        arm(site::GRAPH_COMMIT, FaultMode::Delay(Duration::from_millis(5)), 2);
+        arm(TEST_SITE, FaultMode::Delay(Duration::from_millis(5)), 2);
         let t0 = std::time::Instant::now();
-        check(site::GRAPH_COMMIT);
-        check(site::GRAPH_COMMIT);
+        check(TEST_SITE);
+        check(TEST_SITE);
         assert!(t0.elapsed() >= Duration::from_millis(10));
-        check(site::GRAPH_COMMIT); // third check: disarmed
+        check(TEST_SITE); // third check: disarmed
         disarm();
     }
 }

@@ -73,8 +73,7 @@ pub fn greedy_dccs_on(
     let start = Instant::now();
     let mut stats = SearchStats { algorithm: Some(Algorithm::Greedy), ..SearchStats::default() };
 
-    let pre = ctx.preprocess_on(pool, g, params, opts);
-    stats.vertices_deleted = pre.vertices_deleted;
+    let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
     stats.phase.preprocess = start.elapsed();
 
     // Lines 2–7 of Fig. 2: the full candidate set F_{d,s}(G).

@@ -18,9 +18,9 @@
 //! The primary entry point is [`DccsSession`]: construct it once per graph
 //! and run every query — or whole parameter sweeps — through it. The
 //! session owns the reusable engine state (peel scratch, the dense-index
-//! cache, a per-`d` layer-core memo), returns typed [`DccsError`]s instead
-//! of panicking, and picks the right algorithm per query with
-//! [`Algorithm::Auto`]:
+//! cache, the per-`d` layer-core and per-`(d, s)` fixpoint memos), returns
+//! typed [`DccsError`]s instead of panicking, and picks the right algorithm
+//! per query with [`Algorithm::Auto`]:
 //!
 //! ```
 //! use mlgraph::MultiLayerGraphBuilder;

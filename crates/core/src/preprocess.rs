@@ -44,6 +44,9 @@ pub struct Preprocessed {
     pub support: Vec<u32>,
     /// Number of vertices removed by vertex deletion.
     pub vertices_deleted: usize,
+    /// Number of vertex-deletion rounds that removed vertices and re-peeled
+    /// the layers (0 when nothing was deleted or deletion is off).
+    pub fixpoint_rounds: usize,
 }
 
 impl Preprocessed {
@@ -80,9 +83,11 @@ pub fn preprocess(g: &MultiLayerGraph, params: &DccsParams, opts: &DccsOptions) 
 
 /// The per-layer d-cores over the **full** vertex set — the first step of
 /// [`preprocess`], and the only one that depends on `d` alone (vertex
-/// deletion additionally depends on `s`). [`crate::engine::SearchContext`]
-/// memoizes this per `d`, so parameter sweeps at fixed `d` never re-peel
-/// the layers.
+/// deletion additionally depends on `s`). The shared tier
+/// ([`crate::engine::SharedSearchState`]) memoizes this per `d`, and the
+/// converged fixpoint built on it per `(d, s, vertex_deletion)`: a warm
+/// query repeating a `(d, s)` skips preprocessing entirely, and one at a
+/// new `s` but a known `d` re-runs only the fixpoint.
 pub fn initial_layer_cores(g: &MultiLayerGraph, d: u32, ws: &mut PeelWorkspace) -> Vec<VertexSet> {
     initial_layer_cores_threaded(g, d, ws, 1)
 }
@@ -177,15 +182,17 @@ pub fn preprocess_from_on(
     layer_cores: Vec<VertexSet>,
     pool: &PoolRef<'_>,
 ) -> Preprocessed {
-    preprocess_from_monitored(g, params, opts, ws, layer_cores, pool, None)
+    preprocess_from_monitored(g, params, opts, ws, layer_cores, pool, None).0
 }
 
 /// [`preprocess_from_on`] with a limit monitor checked once per fixpoint
-/// round. An early exit is always safe here: stopping the fixpoint before
-/// convergence leaves `active` a (less-pruned) **superset** of the
-/// converged universe, which every downstream search accepts as valid
-/// input — preprocessing only ever shrinks the problem, it never decides
-/// results.
+/// round; the flag reports whether the fixpoint converged. An early exit
+/// is always safe here: stopping the fixpoint before convergence leaves
+/// `active` a (less-pruned) **superset** of the converged universe, which
+/// every downstream search accepts as valid input — preprocessing only
+/// ever shrinks the problem, it never decides results. Only a converged
+/// result is the pure function of `(g, d, s, vertex_deletion)` that
+/// [`crate::engine::SharedSearchState`] may memoize.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn preprocess_from_monitored(
     g: &MultiLayerGraph,
@@ -195,55 +202,39 @@ pub(crate) fn preprocess_from_monitored(
     mut layer_cores: Vec<VertexSet>,
     pool: &PoolRef<'_>,
     monitor: Option<&QueryMonitor>,
-) -> Preprocessed {
+) -> (Preprocessed, bool) {
     let n = g.num_vertices();
     let mut active = g.full_vertex_set();
     let mut support = compute_support(n, &layer_cores, &active);
 
-    let mut deleted = 0usize;
-    if opts.vertex_deletion {
-        if pool.workers() == 0 || g.num_layers() <= 1 {
-            loop {
-                fault::check(site::PREPROCESS_ROUND);
-                if monitor.is_some_and(|m| m.check().is_some()) {
-                    break;
-                }
-                let victims: Vec<u32> =
-                    active.iter().filter(|&v| (support[v as usize] as usize) < params.s).collect();
-                if victims.is_empty() {
-                    break;
-                }
-                for &v in &victims {
-                    active.remove(v);
-                    deleted += 1;
-                }
-                // Re-peel every layer core into its existing set: the
-                // fixpoint loop allocates nothing after the first iteration.
+    let mut rounds = 0usize;
+    let sequential = pool.workers() == 0 || g.num_layers() <= 1;
+    let converged = !opts.vertex_deletion
+        || loop {
+            fault::check(site::PREPROCESS_ROUND);
+            if monitor.is_some_and(|m| m.check().is_some()) {
+                break false;
+            }
+            let victims: Vec<u32> =
+                active.iter().filter(|&v| (support[v as usize] as usize) < params.s).collect();
+            if victims.is_empty() {
+                break true;
+            }
+            for &v in &victims {
+                active.remove(v);
+            }
+            rounds += 1;
+            if sequential {
+                // Re-peel every layer core into its existing set: the fixpoint
+                // loop allocates nothing after the first iteration.
                 for (i, core) in layer_cores.iter_mut().enumerate() {
                     fault::check(site::PREPROCESS_LAYER);
                     d_core_within_into(ws, g.layer(i), params.d, &active, core);
                 }
-                support = compute_support(n, &layer_cores, &active);
-            }
-        } else {
-            loop {
-                fault::check(site::PREPROCESS_ROUND);
-                if monitor.is_some_and(|m| m.check().is_some()) {
-                    break;
-                }
-                let victims: Vec<u32> =
-                    active.iter().filter(|&v| (support[v as usize] as usize) < params.s).collect();
-                if victims.is_empty() {
-                    break;
-                }
-                for &v in &victims {
-                    active.remove(v);
-                    deleted += 1;
-                }
-                // One batch re-peels every layer. Jobs own their core
-                // buffer (taken out of the slot and returned through the
-                // batch result) and share a snapshot of the shrunken
-                // active set.
+            } else {
+                // One batch re-peels every layer. Jobs own their core buffer
+                // (taken out of the slot and returned through the batch result)
+                // and share a snapshot of the shrunken active set.
                 let shared_active = Arc::new(active.clone());
                 let jobs: Vec<_> = layer_cores
                     .iter_mut()
@@ -268,12 +259,14 @@ pub(crate) fn preprocess_from_monitored(
                 for (slot, core) in layer_cores.iter_mut().zip(repeeled) {
                     *slot = core;
                 }
-                support = compute_support(n, &layer_cores, &active);
             }
-        }
-    }
+            support = compute_support(n, &layer_cores, &active);
+        };
 
-    Preprocessed { active, layer_cores, support, vertices_deleted: deleted }
+    let vertices_deleted = n - active.len();
+    let pre =
+        Preprocessed { active, layer_cores, support, vertices_deleted, fixpoint_rounds: rounds };
+    (pre, converged)
 }
 
 fn compute_support(n: usize, layer_cores: &[VertexSet], active: &VertexSet) -> Vec<u32> {
@@ -407,6 +400,7 @@ mod tests {
         let pre = preprocess(&g, &params, &DccsOptions::no_vertex_deletion());
         assert_eq!(pre.active.len(), 8);
         assert_eq!(pre.vertices_deleted, 0);
+        assert_eq!(pre.fixpoint_rounds, 0);
         // Support is still computed.
         assert_eq!(pre.support[4], 1);
     }
@@ -428,6 +422,39 @@ mod tests {
         let params = DccsParams::new(2, 2, 1);
         let pre = preprocess(&g, &params, &DccsOptions::default());
         assert_eq!(pre.active.to_vec(), vec![0, 1, 2]);
+        // One round deletes {3, 4, 5}; the re-peel leaves nothing to cut.
+        assert_eq!(pre.fixpoint_rounds, 1);
+    }
+
+    /// A monitor that has already tripped stops the fixpoint before its
+    /// first round and reports it unconverged; without one the same input
+    /// converges.
+    #[test]
+    fn an_early_exit_reports_an_unconverged_fixpoint() {
+        let g = graph();
+        let params = DccsParams::new(2, 2, 2);
+        let opts = DccsOptions::default();
+        let mut ws = PeelWorkspace::new();
+        let initial = initial_layer_cores(&g, 2, &mut ws);
+        let limits = crate::QueryLimits::none().with_deadline(std::time::Duration::ZERO);
+        let monitor = QueryMonitor::new(&limits, None);
+        with_pool(1, |pool| {
+            let (pre, converged) = preprocess_from_monitored(
+                &g,
+                &params,
+                &opts,
+                &mut ws,
+                initial.clone(),
+                pool,
+                Some(&monitor),
+            );
+            assert!(!converged);
+            assert_eq!((pre.vertices_deleted, pre.fixpoint_rounds), (0, 0));
+            let (pre, converged) =
+                preprocess_from_monitored(&g, &params, &opts, &mut ws, initial, pool, None);
+            assert!(converged);
+            assert_eq!((pre.vertices_deleted, pre.fixpoint_rounds), (4, 1));
+        });
     }
 
     /// The parallel per-layer batches (initial pass and fixpoint rounds)
@@ -451,6 +478,7 @@ mod tests {
                     assert_eq!(par.layer_cores, seq.layer_cores, "{label}");
                     assert_eq!(par.support, seq.support, "{label}");
                     assert_eq!(par.vertices_deleted, seq.vertices_deleted, "{label}");
+                    assert_eq!(par.fixpoint_rounds, seq.fixpoint_rounds, "{label}");
                 }
             }
         }

@@ -76,6 +76,16 @@ pub struct SearchStats {
     pub updates_accepted: usize,
     /// Number of vertices removed by the vertex-deletion preprocessing.
     pub vertices_deleted: usize,
+    /// Number of vertex-deletion rounds the preprocessing fixpoint ran
+    /// ([`crate::preprocess::Preprocessed::fixpoint_rounds`]). Stored with
+    /// the memoized fixpoint, so a memo hit reports the count of the run
+    /// that filled it.
+    pub fixpoint_rounds: usize,
+    /// `true` when the preprocessing came out of the shared tier's
+    /// fixpoint memo ([`crate::SharedSearchState`]) instead of being
+    /// computed. Excluded from equality (like `served_from_cache`): a
+    /// memoized fixpoint *is* the computed one.
+    pub preprocess_memo_hit: bool,
     /// Which adjacency representation candidate generation peeled over —
     /// the [`crate::engine`] cost model's per-run dense-vs-CSR decision.
     /// `None` for the search-tree algorithms, which always peel CSR.
@@ -137,6 +147,8 @@ impl Default for SearchStats {
             subtrees_pruned: 0,
             updates_accepted: 0,
             vertices_deleted: 0,
+            fixpoint_rounds: 0,
+            preprocess_memo_hit: false,
             index_path: None,
             index_bytes: 0,
             peel_scratch_bytes: 0,
@@ -159,6 +171,7 @@ impl PartialEq for SearchStats {
             && self.subtrees_pruned == other.subtrees_pruned
             && self.updates_accepted == other.updates_accepted
             && self.vertices_deleted == other.vertices_deleted
+            && self.fixpoint_rounds == other.fixpoint_rounds
             && self.index_path == other.index_path
             && self.algorithm == other.algorithm
             && self.limit_hit == other.limit_hit
@@ -273,11 +286,14 @@ mod tests {
         b.serve = Some(ServePath::Index);
         assert_eq!(a, b, "the serve path must not affect stats equality");
         b.served_from_cache = true;
+        b.preprocess_memo_hit = true;
         b.graph_epoch = Some(7);
         assert_eq!(a, b, "cache provenance must not affect stats equality");
         b.index_bytes = 1024;
         b.peel_scratch_bytes = 2048;
         assert_eq!(a, b, "memory diagnostics must not affect stats equality");
+        let rounds = SearchStats { fixpoint_rounds: 1, ..SearchStats::default() };
+        assert_ne!(a, rounds, "fixpoint rounds are a work counter");
         b.complete = false;
         assert_ne!(a, b);
     }

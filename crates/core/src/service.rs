@@ -9,10 +9,10 @@
 //!
 //! * **Shared immutable tier** — a [`GraphSnapshot`]: the graph reference,
 //!   an epoch identifying this published version, the
-//!   [`SharedSearchState`] (per-`d` layer-core memo + dense index plans,
-//!   each built once under a once-style guard on first use), and the
-//!   optionally attached [`DccIndex`]. Published behind an `Arc`, read by
-//!   any number of queries concurrently.
+//!   [`SharedSearchState`] (per-`d` layer cores, per-`(d, s)` converged
+//!   deletion fixpoints and dense index plans, each built once on first
+//!   use), and the optionally attached [`DccIndex`]. Published behind an
+//!   `Arc`, read by any number of queries concurrently.
 //! * **Cheap per-query tier** — a pooled [`SearchContext`] (peel workspace
 //!   plus cover/seed buffers) checked out per query and returned on drop,
 //!   so steady-state queries allocate nothing and never contend beyond a
@@ -172,7 +172,7 @@ impl<'g> GraphSnapshot<'g> {
         self.epoch
     }
 
-    /// The shared compute tier (layer-core memo + index plans).
+    /// The shared compute tier (layer cores, fixpoints and index plans).
     pub fn state(&self) -> &Arc<SharedSearchState> {
         &self.state
     }
@@ -694,7 +694,9 @@ impl<'g> QueryService<'g> {
     ///    growth for inserts, cascade re-peel within the old core for
     ///    deletes) on the touched layers only; untouched layers carry over.
     ///    The next epoch's queries start warm instead of re-peeling from
-    ///    scratch.
+    ///    scratch. Memoized deletion fixpoints are dropped, not repaired:
+    ///    the next epoch recomputes each from the repaired cores on first
+    ///    use, so a commit does no fixpoint work.
     /// 3. **Publish atomically** — the new snapshot (graph, repaired tier,
     ///    fresh epoch) swaps in under the snapshot lock. A previously
     ///    attached [`DccIndex`] is **auto-detached** with its validity epoch
@@ -797,6 +799,14 @@ mod tests {
                 b.add_edge(layer, vs[i], vs[j]).unwrap();
             }
         }
+    }
+
+    /// Serializes the tests that commit: one arms the process-global
+    /// `batch.commit` fault, whose one shot a sibling's commit could
+    /// otherwise absorb.
+    fn commit_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
     }
 
     /// The session tests' fixture: four layers over 12 vertices with two
@@ -944,6 +954,7 @@ mod tests {
 
     #[test]
     fn commit_publishes_a_new_epoch_and_queries_see_the_mutated_graph() {
+        let _guard = commit_lock();
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let params = DccsParams::new(3, 2, 2);
@@ -979,6 +990,7 @@ mod tests {
 
     #[test]
     fn commit_invalidates_the_result_cache_but_old_snapshots_stay_queryable() {
+        let _guard = commit_lock();
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let query = ServiceQuery::new(DccsParams::new(2, 2, 2));
@@ -999,6 +1011,7 @@ mod tests {
 
     #[test]
     fn noop_and_invalid_batches_leave_the_snapshot_alone() {
+        let _guard = commit_lock();
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let epoch = service.epoch();
@@ -1018,6 +1031,7 @@ mod tests {
 
     #[test]
     fn commit_detaches_the_index_and_serve_index_reports_stale() {
+        let _guard = commit_lock();
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let index = DccIndex::build(&g, &[2], 0);
@@ -1047,6 +1061,7 @@ mod tests {
 
     #[test]
     fn a_panicking_commit_leaves_the_old_snapshot_serving() {
+        let _guard = commit_lock();
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let query = ServiceQuery::new(DccsParams::new(2, 2, 2));
@@ -1069,6 +1084,7 @@ mod tests {
 
     #[test]
     fn successive_commits_stay_bit_identical_to_recompute() {
+        let _guard = commit_lock();
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let params = DccsParams::new(2, 2, 2);

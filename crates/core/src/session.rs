@@ -6,11 +6,13 @@
 //! durable handle for that pattern: constructed once per graph, it owns the
 //! long-lived engine state — the [`SearchContext`] with the driver's
 //! `PeelWorkspace`, the reused cover/seed buffers, the universe-keyed
-//! `DenseSubgraph` cache, and the per-`d` layer-core memo — so consecutive
-//! queries reuse everything a fresh run would have to rebuild, while
-//! returning **bit-identical results** to one-shot calls (the caches only
-//! skip recomputing deterministic intermediates; enforced by
-//! `crates/core/tests/session_sweep.rs`).
+//! `DenseSubgraph` cache, and the per-`d` layer-core and per-`(d, s)`
+//! deletion-fixpoint memos — so consecutive queries reuse everything a
+//! fresh run would have to rebuild, while returning **bit-identical
+//! results** to one-shot calls (the caches only skip recomputing
+//! deterministic intermediates; enforced by
+//! `crates/core/tests/session_sweep.rs` and
+//! `crates/core/tests/fixpoint_memo.rs`).
 //!
 //! Queries go through a builder and return `Result` instead of panicking:
 //!
@@ -125,7 +127,7 @@ impl QuerySpec {
 pub struct DccsSession<'g> {
     g: &'g MultiLayerGraph,
     /// The session's epoch-versioned shared tier ([`GraphSnapshot`]): the
-    /// per-`d` layer-core memo and index-plan memo live here (installed
+    /// layer-core, fixpoint and index-plan memos live here (installed
     /// into every context the session runs queries on, including fresh
     /// batch-job contexts), and the attached [`DccIndex`] is mirrored into
     /// it — so a session *is* a single-tenant

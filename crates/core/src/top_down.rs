@@ -99,8 +99,7 @@ pub fn top_down_dccs_on(
     let mut stats = SearchStats { algorithm: Some(Algorithm::TopDown), ..SearchStats::default() };
     let l = g.num_layers();
 
-    let pre = ctx.preprocess_on(pool, g, params, opts);
-    stats.vertices_deleted = pre.vertices_deleted;
+    let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
     stats.phase.preprocess = start.elapsed();
 
     let mut topk = TopKDiversified::new(g.num_vertices(), params.k);

@@ -22,8 +22,10 @@ use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
-/// Serializes the tests that arm the process-global fault slot (same idiom
-/// as `fault_injection.rs`; separate test binaries cannot collide).
+/// Serializes every test in this file around the process-global fault slot
+/// (same idiom as `fault_injection.rs`; separate test binaries cannot
+/// collide). Tests that never arm a fault take it too: a commit running
+/// beside an armed test would absorb its one shot.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -138,6 +140,7 @@ proptest! {
         base in small_multilayer(),
         sequence in batch_sequence(),
     ) {
+        let _guard = lock();
         let probes = probes();
         for workers in [1usize, 2, 4] {
             let service = QueryService::new(&base, DccsOptions::with_threads(workers));
@@ -203,6 +206,7 @@ fn clique_graph() -> MultiLayerGraph {
 /// then has to grow back from nothing.
 #[test]
 fn emptying_a_layer_and_refilling_it_round_trips() {
+    let _guard = lock();
     let g = clique_graph();
     let probes = probes();
     for workers in [1usize, 2, 4] {
@@ -248,6 +252,7 @@ fn emptying_a_layer_and_refilling_it_round_trips() {
 /// modes keep working across commits.
 #[test]
 fn rejected_batches_leave_the_epoch_and_answers_alone() {
+    let _guard = lock();
     let g = clique_graph();
     let service = QueryService::new(&g, DccsOptions::default());
     let probes = probes();
@@ -349,6 +354,7 @@ fn a_panicking_commit_is_invisible_and_retryable() {
 /// nothing is served from a cache.
 #[test]
 fn pinned_snapshots_survive_later_commits() {
+    let _guard = lock();
     let g = clique_graph();
     let service = QueryService::new(&g, DccsOptions::default());
     let probe = ServiceQuery::new(DccsParams::new(2, 2, 2)).with_serve(Serve::Peel);

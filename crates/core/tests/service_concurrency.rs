@@ -17,9 +17,10 @@ use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Serializes the tests that arm the process-global fault slot (same idiom
-/// as `fault_injection.rs`; this is a separate test binary, so the two
-/// files' faults cannot collide).
+/// Serializes every test in this file around the process-global fault slot
+/// (same idiom as `fault_injection.rs`; this is a separate test binary, so
+/// the two files' faults cannot collide). Tests that never arm a fault take
+/// it too: a query running beside an armed test would absorb its one shot.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -96,6 +97,7 @@ proptest! {
         g in small_multilayer(14, 3, 50),
         queries in prop::collection::vec(query_strategy(), 1..8),
     ) {
+        let _guard = lock();
         let reference = sequential_reference(&g, &queries);
         for workers in [1usize, 2, 4, 8] {
             let service = QueryService::new(&g, DccsOptions::with_threads(workers));
@@ -113,6 +115,7 @@ proptest! {
         g in small_multilayer(12, 3, 40),
         queries in prop::collection::vec(query_strategy(), 1..5),
     ) {
+        let _guard = lock();
         let reference = sequential_reference(&g, &queries);
         let service = QueryService::new(&g, DccsOptions::default());
         // Four threads issue the same interleaved mix concurrently through
@@ -153,6 +156,7 @@ fn clique_graph() -> MultiLayerGraph {
 
 #[test]
 fn mixed_serve_modes_with_an_attached_index_match_indexed_sessions() {
+    let _guard = lock();
     let g = clique_graph();
     let queries: Vec<ServiceQuery> = [
         (2u32, 2usize, 2usize, Serve::Index),
@@ -187,6 +191,7 @@ fn mixed_serve_modes_with_an_attached_index_match_indexed_sessions() {
 
 #[test]
 fn limit_tripped_queries_do_not_affect_batch_siblings() {
+    let _guard = lock();
     let g = clique_graph();
     let tripped = CancelToken::new();
     tripped.cancel();
@@ -283,6 +288,7 @@ fn a_poisoned_batch_query_stays_in_its_slot_and_the_snapshot_survives() {
 
 #[test]
 fn mid_flight_cancellation_under_concurrency_is_confined_to_the_token() {
+    let _guard = lock();
     let g = clique_graph();
     let token = CancelToken::new();
     // Half the mix carries the shared token, half does not; limits disable
