@@ -7,15 +7,16 @@
 //! ```
 //!
 //! The engine path (subset-lattice candidate generation on a reused
-//! `PeelWorkspace`, the three-regime dense/compressed/CSR index cost
-//! model) is compared against the frozen pre-refactor path
-//! (`dccs::naive_subset_cores`) on the Wiki and German analogues, then
-//! each algorithm is run end to end at 1 vs `--threads` executor workers
-//! (the `thread_scaling` group, plus the `subtree_scaling` group for
-//! BU/TD on deep search trees — skipped with a `skipped_single_core`
-//! marker on one-core hosts); per-configuration timings, the chosen
-//! index path, and the geometric-mean speedup are printed and written as
-//! JSON.
+//! `PeelWorkspace`, the dense-vs-CSR index cost model) is compared against
+//! the frozen pre-refactor path (`dccs::naive_subset_cores`) on the Wiki
+//! and German analogues, then each algorithm is run end to end at 1 vs
+//! `--threads` executor workers (the `thread_scaling` group, plus the
+//! `subtree_scaling` group for BU/TD on deep search trees — skipped with a
+//! `skipped_single_core` marker on one-core hosts); per-configuration
+//! timings, the chosen index path, and the geometric-mean speedup are
+//! printed and written as JSON. The `index_regret` group times GD's search
+//! at each engine-vs-naive configuration under forced CSR, forced dense
+//! and `Auto`, recording `Auto`'s pick and its regret against the fastest.
 //!
 //! `--scale large` keeps the standard comparison groups at `Tiny` (so
 //! the recorded `geomean_speedup` stays comparable run over run) and
@@ -28,8 +29,8 @@
 use datasets::Scale;
 use dccs_bench::dcc_baseline::{
     auto_selection_suite, baseline_suite, concurrent_service_suite, incremental_maintenance_suite,
-    kernel_dispatch_suite, phase_breakdown_suite, serve_from_index_suite, single_core,
-    subtree_scaling_suite, suite_to_json, thread_scaling_suite,
+    index_regret_suite, kernel_dispatch_suite, phase_breakdown_suite, serve_from_index_suite,
+    single_core, subtree_scaling_suite, suite_to_json, thread_scaling_suite, SuiteResults,
 };
 use dccs_bench::large_scale::{install_alloc_probe, large_scale_suite, AllocProbe};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -220,6 +221,23 @@ fn main() {
             a.efficiency(),
         );
     }
+    let index_regret = index_regret_suite(standard_scale, runs);
+    for r in &index_regret {
+        let (best, best_secs) = r.best();
+        println!(
+            "{:>8} d={} s={}  csr {:>10.6}s  dense {}  auto → {:?} {:>10.6}s  best {:?} {:>10.6}s  regret {:>6.1}%",
+            r.dataset,
+            r.d,
+            r.s,
+            r.csr_secs,
+            r.dense_secs.map_or_else(|| format!("{:>11}", "over budget"), |s| format!("{s:>10.6}s")),
+            r.auto_pick,
+            r.auto_secs,
+            best,
+            best_secs,
+            r.regret() * 100.0,
+        );
+    }
     let phases = phase_breakdown_suite(standard_scale, runs);
     for p in &phases {
         println!(
@@ -324,22 +342,21 @@ fn main() {
             m.peak_alloc_bytes,
         );
     }
-    let json = suite_to_json(
-        scale,
-        runs,
-        &comparisons,
-        &scaling,
-        &subtree,
-        skip_scaling,
-        &auto,
-        &kernels,
-        &phases,
-        &serve,
-        &concurrent,
-        &incremental,
-        &large,
-    );
-    let text = serde_json::to_string_pretty(&json);
+    let suites = SuiteResults {
+        comparisons,
+        scaling,
+        subtree,
+        scaling_skipped_single_core: skip_scaling,
+        auto,
+        index_regret,
+        kernels,
+        phases,
+        serve,
+        concurrent,
+        incremental,
+        large,
+    };
+    let text = serde_json::to_string_pretty(&suite_to_json(scale, runs, &suites));
     if let Err(err) = std::fs::write(&out_path, text + "\n") {
         eprintln!("failed to write {out_path}: {err}");
         std::process::exit(1);

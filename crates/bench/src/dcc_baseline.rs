@@ -21,6 +21,10 @@
 //!   algorithm at the same `(d, s, k)`, recording which algorithm the
 //!   session picked and how close its time lands to the best fixed choice,
 //!   so the selection policy's quality is tracked in the perf trajectory.
+//! * **index regret** — GD's search phase with the peeling index forced to
+//!   CSR, forced to dense rows, and left to the `Auto` cost model, at every
+//!   engine-vs-naive configuration: which representation `Auto` picked and
+//!   how much slower it ran than the fastest one.
 //! * **phase breakdown** — where each algorithm's end-to-end time goes
 //!   (preprocess / search / select, from [`dccs::SearchStats::phase`]),
 //!   plus the `complete` limit flag, so a future cancellation tax or a
@@ -45,10 +49,11 @@
 //! an N-worker crew on one core measures pure scheduling overhead, and the
 //! ~0.9× "speedups" it produces would be read as regressions.
 
+use crate::large_scale::LargeScaleMeasurement;
 use crate::runner::{run_algorithm, Algorithm};
 use coreness::PeelWorkspace;
 use datasets::{generate, Dataset, DatasetId, Scale};
-use dccs::{DccsOptions, DccsParams, IndexPath};
+use dccs::{DccsOptions, DccsParams, IndexChoice, IndexPath};
 use serde_json::Value;
 use std::time::Instant;
 
@@ -196,6 +201,66 @@ impl AutoSelection {
             ("efficiency", Value::from(self.efficiency())),
             ("cover", Value::from(self.cover)),
             ("fixed", Value::Array(fixed)),
+        ])
+    }
+}
+
+/// One index-regime measurement (the `index_regret` group of
+/// `BENCH_dcc.json`): GD's search phase — index planning and build plus the
+/// lattice walk — at one `(dataset, d, s)`, with the peeling index forced
+/// to CSR, forced to dense rows, and left to the `Auto` cost model. The
+/// three covers are asserted identical before any time is recorded.
+#[derive(Clone, Debug)]
+pub struct IndexRegret {
+    /// Dataset analogue name.
+    pub dataset: String,
+    /// Degree threshold.
+    pub d: u32,
+    /// Layer-subset size.
+    pub s: usize,
+    /// Best-of-N search seconds with the index forced to CSR.
+    pub csr_secs: f64,
+    /// Best-of-N search seconds with the index forced dense; `None` when
+    /// the rows exceed the dense word budget and the forced run fell back
+    /// to CSR.
+    pub dense_secs: Option<f64>,
+    /// The representation `Auto` picked.
+    pub auto_pick: IndexPath,
+    /// Best-of-N search seconds on `Auto`.
+    pub auto_secs: f64,
+    /// `|Cov(R)|`, identical under every regime.
+    pub cover: usize,
+}
+
+impl IndexRegret {
+    /// The fastest forced regime and its seconds.
+    pub fn best(&self) -> (IndexPath, f64) {
+        match self.dense_secs {
+            Some(dense) if dense < self.csr_secs => (IndexPath::Dense, dense),
+            _ => (IndexPath::Csr, self.csr_secs),
+        }
+    }
+
+    /// `auto_secs / best_secs − 1`: 0 when `Auto` ran as fast as the best
+    /// regime, 1 when it took twice as long. Timing noise can push it
+    /// slightly below 0.
+    pub fn regret(&self) -> f64 {
+        self.auto_secs / self.best().1 - 1.0
+    }
+
+    /// Renders the measurement as a JSON object.
+    pub fn to_json(&self) -> Value {
+        Value::object(vec![
+            ("dataset", Value::from(self.dataset.as_str())),
+            ("d", Value::from(self.d)),
+            ("s", Value::from(self.s)),
+            ("csr_secs", Value::from(self.csr_secs)),
+            ("dense_secs", self.dense_secs.map_or(Value::Null, Value::from)),
+            ("auto_pick", Value::from(format!("{:?}", self.auto_pick))),
+            ("auto_secs", Value::from(self.auto_secs)),
+            ("best", Value::from(format!("{:?}", self.best().0))),
+            ("regret", Value::from(self.regret())),
+            ("cover", Value::from(self.cover)),
         ])
     }
 }
@@ -657,19 +722,77 @@ pub fn compare_auto_selection(
     }
 }
 
-/// The standard baseline suite recorded in `BENCH_dcc.json`: the Wiki and
-/// German analogues at the bench scale, over a small `(d, s)` grid.
-pub fn baseline_suite(scale: Scale, runs: usize) -> Vec<Comparison> {
+/// Times GD's search phase on `ds` at `(d, s)` under each peeling
+/// representation — forced CSR, forced dense, and `Auto` — taking the best
+/// of `runs` cold one-shot queries each.
+///
+/// # Panics
+///
+/// Panics if the regimes' covers differ (the representations are
+/// bit-identical by contract; this is the bench re-checking it).
+pub fn compare_index_regret(ds: &Dataset, d: u32, s: usize, runs: usize) -> IndexRegret {
+    let params = DccsParams::new(d, s, 10);
+    let time = |index: IndexChoice| {
+        let opts = DccsOptions { index, ..DccsOptions::default() };
+        let mut best = f64::INFINITY;
+        let mut last = None;
+        for _ in 0..runs.max(1) {
+            let outcome = run_algorithm(Algorithm::Greedy, &ds.graph, &params, &opts);
+            best = best.min(outcome.result.stats.phase.search.as_secs_f64());
+            last = Some(outcome.result);
+        }
+        let result = last.expect("at least one repetition runs");
+        (best, result.stats.index_path.unwrap_or_default(), result.cover)
+    };
+    let (csr_secs, _, cover) = time(IndexChoice::Csr);
+    let (dense_secs, dense_path, dense_cover) = time(IndexChoice::Dense);
+    let (auto_secs, auto_pick, auto_cover) = time(IndexChoice::Auto);
+    assert!(
+        dense_cover == cover && auto_cover == cover,
+        "index regimes diverged on {:?} d={d} s={s}",
+        ds.id
+    );
+    IndexRegret {
+        dataset: format!("{:?}", ds.id),
+        d,
+        s,
+        csr_secs,
+        dense_secs: (dense_path == IndexPath::Dense).then_some(dense_secs),
+        auto_pick,
+        auto_secs,
+        cover: cover.len(),
+    }
+}
+
+/// Runs `measure` at every configuration of the baseline grid: the Wiki
+/// and German analogues at `scale`, over a small `(d, s)` grid.
+fn over_baseline_grid<T>(
+    scale: Scale,
+    mut measure: impl FnMut(&Dataset, u32, usize) -> T,
+) -> Vec<T> {
     let mut out = Vec::new();
     for id in [DatasetId::Wiki, DatasetId::German] {
         let ds = generate(id, scale);
         for (d, s) in [(3u32, 2usize), (3, 3), (2, 2)] {
             if s <= ds.graph.num_layers() {
-                out.push(compare_candidate_generation(&ds, d, s, runs));
+                out.push(measure(&ds, d, s));
             }
         }
     }
     out
+}
+
+/// The standard baseline suite recorded in `BENCH_dcc.json`: engine vs
+/// naive candidate generation over the baseline grid.
+pub fn baseline_suite(scale: Scale, runs: usize) -> Vec<Comparison> {
+    over_baseline_grid(scale, |ds, d, s| compare_candidate_generation(ds, d, s, runs))
+}
+
+/// The index-regret suite: every baseline-grid configuration under each
+/// peeling representation. A record for recalibrating the dense-vs-CSR
+/// crossover, not a gate.
+pub fn index_regret_suite(scale: Scale, runs: usize) -> Vec<IndexRegret> {
+    over_baseline_grid(scale, |ds, d, s| compare_index_regret(ds, d, s, runs))
 }
 
 /// Whether this host has a single hardware thread — the case where
@@ -1088,94 +1211,101 @@ fn scaling_group_to_json(measurements: &[ThreadScaling], skipped_single_core: bo
     ])
 }
 
+/// Every group one `bench_dcc` run measured, rendered by [`suite_to_json`].
+/// A group left empty renders as an empty list (and its geomean as 1).
+#[derive(Clone, Debug, Default)]
+pub struct SuiteResults {
+    /// Engine-vs-naive candidate generation ([`baseline_suite`]).
+    pub comparisons: Vec<Comparison>,
+    /// 1-vs-N-thread runs ([`thread_scaling_suite`]).
+    pub scaling: Vec<ThreadScaling>,
+    /// BU/TD task-graph runs ([`subtree_scaling_suite`]).
+    pub subtree: Vec<ThreadScaling>,
+    /// Marks the scaling groups and `concurrent_service` as skipped on a
+    /// one-core host; their lists are then empty (see [`single_core`]).
+    pub scaling_skipped_single_core: bool,
+    /// `Auto`-vs-fixed algorithm runs ([`auto_selection_suite`]).
+    pub auto: Vec<AutoSelection>,
+    /// Per-representation GD search runs ([`index_regret_suite`]).
+    pub index_regret: Vec<IndexRegret>,
+    /// Scalar-vs-dispatched kernel runs ([`kernel_dispatch_suite`]).
+    pub kernels: Vec<KernelDispatch>,
+    /// Phase splits ([`phase_breakdown_suite`]).
+    pub phases: Vec<PhaseBreakdown>,
+    /// Index-vs-peel repeat queries ([`serve_from_index_suite`]).
+    pub serve: Vec<ServeFromIndex>,
+    /// Service mixes at 1 and N workers ([`concurrent_service_suite`]).
+    pub concurrent: Vec<ConcurrentService>,
+    /// Repair-vs-recompute streams ([`incremental_maintenance_suite`]).
+    pub incremental: Vec<IncrementalMaintenance>,
+    /// The large-scale tier ([`crate::large_scale::large_scale_suite`]).
+    pub large: Vec<LargeScaleMeasurement>,
+}
+
+/// Geometric mean of `values`, 1 for none.
+fn geomean(values: impl Iterator<Item = f64>) -> f64 {
+    let (log_sum, n) = values.fold((0.0, 0usize), |(sum, n), x| (sum + x.ln(), n + 1));
+    if n == 0 {
+        1.0
+    } else {
+        (log_sum / n as f64).exp()
+    }
+}
+
+/// Renders one list of measurements as a JSON array.
+fn array<T>(items: &[T], to_json: fn(&T) -> Value) -> Value {
+    Value::Array(items.iter().map(to_json).collect())
+}
+
 /// Renders the suites as the `BENCH_dcc.json` document.
-/// `scaling_skipped_single_core` marks the two scaling groups as skipped (their
-/// measurement lists are then expected to be empty — see [`single_core`]).
-#[allow(clippy::too_many_arguments)]
-pub fn suite_to_json(
-    scale: Scale,
-    runs: usize,
-    comparisons: &[Comparison],
-    scaling: &[ThreadScaling],
-    subtree: &[ThreadScaling],
-    scaling_skipped_single_core: bool,
-    auto: &[AutoSelection],
-    kernels: &[KernelDispatch],
-    phases: &[PhaseBreakdown],
-    serve: &[ServeFromIndex],
-    concurrent: &[ConcurrentService],
-    incremental: &[IncrementalMaintenance],
-    large: &[crate::large_scale::LargeScaleMeasurement],
-) -> Value {
-    let geomean = if comparisons.is_empty() {
-        1.0
-    } else {
-        let log_sum: f64 = comparisons.iter().map(|c| c.speedup().ln()).sum();
-        (log_sum / comparisons.len() as f64).exp()
-    };
-    let auto_geomean = if auto.is_empty() {
-        1.0
-    } else {
-        let log_sum: f64 = auto.iter().map(|a| a.efficiency().ln()).sum();
-        (log_sum / auto.len() as f64).exp()
-    };
-    let kernel_geomean = if kernels.is_empty() {
-        1.0
-    } else {
-        let log_sum: f64 = kernels.iter().map(|k| k.speedup().ln()).sum();
-        (log_sum / kernels.len() as f64).exp()
-    };
-    let serve_geomean = if serve.is_empty() {
-        1.0
-    } else {
-        let log_sum: f64 = serve.iter().map(|s| s.speedup().ln()).sum();
-        (log_sum / serve.len() as f64).exp()
-    };
-    let incremental_geomean = if incremental.is_empty() {
-        1.0
-    } else {
-        let log_sum: f64 = incremental.iter().map(|m| m.speedup().ln()).sum();
-        (log_sum / incremental.len() as f64).exp()
-    };
+pub fn suite_to_json(scale: Scale, runs: usize, suites: &SuiteResults) -> Value {
+    let skipped = suites.scaling_skipped_single_core;
+    let regret_max = suites.index_regret.iter().map(IndexRegret::regret).fold(0.0, f64::max);
     Value::object(vec![
         ("benchmark", Value::from("dcc_candidate_generation_engine_vs_naive")),
         ("scale", Value::from(format!("{scale:?}"))),
         ("runs_per_measurement", Value::from(runs)),
-        ("geomean_speedup", Value::from(geomean)),
-        ("auto_selection_efficiency_geomean", Value::from(auto_geomean)),
+        (
+            "geomean_speedup",
+            Value::from(geomean(suites.comparisons.iter().map(Comparison::speedup))),
+        ),
+        (
+            "auto_selection_efficiency_geomean",
+            Value::from(geomean(suites.auto.iter().map(AutoSelection::efficiency))),
+        ),
+        ("index_regret_max", Value::from(regret_max)),
         ("selected_kernel", Value::from(mlgraph::kernels::kernel().kind().name())),
-        ("kernel_dispatch_speedup_geomean", Value::from(kernel_geomean)),
-        ("serve_from_index_speedup_geomean", Value::from(serve_geomean)),
-        ("incremental_maintenance_speedup_geomean", Value::from(incremental_geomean)),
-        ("comparisons", Value::Array(comparisons.iter().map(Comparison::to_json).collect())),
-        ("thread_scaling", scaling_group_to_json(scaling, scaling_skipped_single_core)),
-        ("subtree_scaling", scaling_group_to_json(subtree, scaling_skipped_single_core)),
-        ("auto_selection", Value::Array(auto.iter().map(AutoSelection::to_json).collect())),
-        ("kernel_dispatch", Value::Array(kernels.iter().map(KernelDispatch::to_json).collect())),
-        ("phase_breakdown", Value::Array(phases.iter().map(PhaseBreakdown::to_json).collect())),
-        ("serve_from_index", Value::Array(serve.iter().map(ServeFromIndex::to_json).collect())),
+        (
+            "kernel_dispatch_speedup_geomean",
+            Value::from(geomean(suites.kernels.iter().map(KernelDispatch::speedup))),
+        ),
+        (
+            "serve_from_index_speedup_geomean",
+            Value::from(geomean(suites.serve.iter().map(ServeFromIndex::speedup))),
+        ),
+        (
+            "incremental_maintenance_speedup_geomean",
+            Value::from(geomean(suites.incremental.iter().map(IncrementalMaintenance::speedup))),
+        ),
+        ("comparisons", array(&suites.comparisons, Comparison::to_json)),
+        ("thread_scaling", scaling_group_to_json(&suites.scaling, skipped)),
+        ("subtree_scaling", scaling_group_to_json(&suites.subtree, skipped)),
+        ("auto_selection", array(&suites.auto, AutoSelection::to_json)),
+        ("index_regret", array(&suites.index_regret, IndexRegret::to_json)),
+        ("kernel_dispatch", array(&suites.kernels, KernelDispatch::to_json)),
+        ("phase_breakdown", array(&suites.phases, PhaseBreakdown::to_json)),
+        ("serve_from_index", array(&suites.serve, ServeFromIndex::to_json)),
         (
             "concurrent_service",
             Value::object(vec![
-                ("skipped_single_core", Value::from(scaling_skipped_single_core)),
+                ("skipped_single_core", Value::from(skipped)),
                 ("detected_cores", Value::from(detected_cores())),
-                ("reason", Value::from(scaling_skip_reason(scaling_skipped_single_core))),
-                (
-                    "measurements",
-                    Value::Array(concurrent.iter().map(ConcurrentService::to_json).collect()),
-                ),
+                ("reason", Value::from(scaling_skip_reason(skipped))),
+                ("measurements", array(&suites.concurrent, ConcurrentService::to_json)),
             ]),
         ),
-        (
-            "incremental_maintenance",
-            Value::Array(incremental.iter().map(IncrementalMaintenance::to_json).collect()),
-        ),
-        (
-            "large_scale",
-            Value::Array(
-                large.iter().map(crate::large_scale::LargeScaleMeasurement::to_json).collect(),
-            ),
-        ),
+        ("incremental_maintenance", array(&suites.incremental, IncrementalMaintenance::to_json)),
+        ("large_scale", array(&suites.large, LargeScaleMeasurement::to_json)),
     ])
 }
 
@@ -1189,22 +1319,8 @@ mod tests {
         let cmp = compare_candidate_generation(&ds, 2, 2, 1);
         assert!(cmp.engine_secs > 0.0 && cmp.naive_secs > 0.0);
         assert!(cmp.candidates > 0);
-        let json = suite_to_json(
-            Scale::Tiny,
-            1,
-            &[cmp],
-            &[],
-            &[],
-            false,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-        );
-        let text = serde_json::to_string_pretty(&json);
+        let suites = SuiteResults { comparisons: vec![cmp], ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"dataset\": \"German\""));
         assert!(text.contains("\"index_path\""));
@@ -1218,14 +1334,12 @@ mod tests {
     /// way both groups are present in the document.
     #[test]
     fn scaling_groups_record_the_single_core_skip() {
-        let json =
-            suite_to_json(Scale::Tiny, 1, &[], &[], &[], true, &[], &[], &[], &[], &[], &[], &[]);
-        let text = serde_json::to_string_pretty(&json);
+        let skipped = SuiteResults { scaling_skipped_single_core: true, ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &skipped));
         assert!(text.contains("\"skipped_single_core\": true"));
         assert!(text.contains("\"detected_cores\""));
         assert!(text.contains("single hardware thread"));
-        let json =
-            suite_to_json(Scale::Tiny, 1, &[], &[], &[], false, &[], &[], &[], &[], &[], &[], &[]);
+        let json = suite_to_json(Scale::Tiny, 1, &SuiteResults::default());
         let text = serde_json::to_string_pretty(&json);
         assert!(text.contains("\"skipped_single_core\": false"));
         assert!(text.contains("\"detected_cores\""));
@@ -1249,6 +1363,43 @@ mod tests {
     }
 
     #[test]
+    fn index_regret_is_measured_and_recorded() {
+        let ds = generate(DatasetId::German, Scale::Tiny);
+        let m = compare_index_regret(&ds, 2, 2, 1);
+        assert!(m.csr_secs > 0.0 && m.auto_secs > 0.0);
+        assert!(m.dense_secs.is_some(), "a tiny universe's rows fit the word budget");
+        assert!(m.best().1 <= m.csr_secs);
+        let suites = SuiteResults { index_regret: vec![m], ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
+        assert!(text.contains("\"index_regret\""));
+        assert!(text.contains("\"index_regret_max\""));
+        assert!(text.contains("\"auto_pick\""));
+        assert!(text.contains("\"regret\""));
+    }
+
+    #[test]
+    fn regret_is_measured_against_the_fastest_regime() {
+        let mut m = IndexRegret {
+            dataset: "G".into(),
+            d: 2,
+            s: 2,
+            csr_secs: 2.0,
+            dense_secs: Some(1.0),
+            auto_pick: IndexPath::Csr,
+            auto_secs: 2.0,
+            cover: 1,
+        };
+        assert_eq!(m.best(), (IndexPath::Dense, 1.0));
+        assert_eq!(m.regret(), 1.0);
+        // Rows over the word budget: CSR is the only forced regime.
+        m.dense_secs = None;
+        assert_eq!(m.best(), (IndexPath::Csr, 2.0));
+        assert_eq!(m.regret(), 0.0);
+        let text = serde_json::to_string_pretty(&m.to_json());
+        assert!(text.contains("\"dense_secs\": null"), "{text}");
+    }
+
+    #[test]
     fn phase_breakdown_is_measured_and_recorded() {
         let ds = generate(DatasetId::German, Scale::Tiny);
         let p = compare_phase_breakdown(&ds, Algorithm::BottomUp, 2, 2, 1);
@@ -1257,9 +1408,8 @@ mod tests {
         // The three phases partition the run (modulo dispatch overhead):
         // their sum cannot exceed the end-to-end wall clock.
         assert!(p.preprocess_secs + p.search_secs + p.select_secs <= p.total_secs);
-        let json =
-            suite_to_json(Scale::Tiny, 1, &[], &[], &[], false, &[], &[], &[p], &[], &[], &[], &[]);
-        let text = serde_json::to_string_pretty(&json);
+        let suites = SuiteResults { phases: vec![p], ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"phase_breakdown\""));
         assert!(text.contains("\"preprocess_secs\""));
         assert!(text.contains("\"search_secs\""));
@@ -1275,22 +1425,8 @@ mod tests {
             assert!(k.scalar_secs > 0.0 && k.dispatched_secs > 0.0, "{}", k.op);
             assert!(k.speedup() > 0.0);
         }
-        let json = suite_to_json(
-            Scale::Tiny,
-            1,
-            &[],
-            &[],
-            &[],
-            false,
-            &[],
-            &kernels,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-        );
-        let text = serde_json::to_string_pretty(&json);
+        let suites = SuiteResults { kernels, ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"selected_kernel\""));
         assert!(text.contains("\"kernel_dispatch\""));
         assert!(text.contains("\"kernel_dispatch_speedup_geomean\""));
@@ -1305,9 +1441,8 @@ mod tests {
         assert!(m.bytes > 0);
         assert!(m.query_peel_secs > 0.0 && m.query_index_secs > 0.0);
         assert!(m.speedup() > 0.0);
-        let json =
-            suite_to_json(Scale::Tiny, 1, &[], &[], &[], false, &[], &[], &[], &[m], &[], &[], &[]);
-        let text = serde_json::to_string_pretty(&json);
+        let suites = SuiteResults { serve: vec![m], ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"serve_from_index\""));
         assert!(text.contains("\"serve_from_index_speedup_geomean\""));
         assert!(text.contains("\"build_secs\""));
@@ -1326,22 +1461,8 @@ mod tests {
         // cache-eligible queries must have hit.
         assert!(one.cache_hit_rate >= 0.5, "hit rate {}", one.cache_hit_rate);
         assert!(one.p50_ms <= one.p95_ms && one.p95_ms <= one.p99_ms);
-        let json = suite_to_json(
-            Scale::Tiny,
-            1,
-            &[],
-            &[],
-            &[],
-            false,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[one],
-            &[],
-            &[],
-        );
-        let text = serde_json::to_string_pretty(&json);
+        let suites = SuiteResults { concurrent: vec![one], ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"concurrent_service\""));
         assert!(text.contains("\"qps\""));
         assert!(text.contains("\"p99_ms\""));
@@ -1356,9 +1477,8 @@ mod tests {
         assert!(m.repaired_ds >= 1, "the warm probe must materialize a tier to repair");
         assert!(m.incremental_secs > 0.0 && m.recompute_secs > 0.0);
         assert!(m.updates_per_sec() > 0.0);
-        let json =
-            suite_to_json(Scale::Tiny, 1, &[], &[], &[], false, &[], &[], &[], &[], &[], &[m], &[]);
-        let text = serde_json::to_string_pretty(&json);
+        let suites = SuiteResults { incremental: vec![m], ..SuiteResults::default() };
+        let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"incremental_maintenance\""));
         assert!(text.contains("\"incremental_maintenance_speedup_geomean\""));
         assert!(text.contains("\"updates_per_sec\""));

@@ -4,10 +4,10 @@
 //!
 //! The standard `BENCH_dcc.json` groups measure the engine on paper-scale
 //! analogues (hundreds to tens of thousands of vertices). This tier drives
-//! the full query path — candidate-universe construction, the three-regime
-//! index cost model (flat dense / compressed containers / CSR), and the
-//! peel cascade — on graphs of 10^6+ vertices and 10^7+ edges, where the
-//! compressed-bitset index regime is the one that actually fires.
+//! the full query path — candidate-universe construction, the dense-vs-CSR
+//! index cost model, and the peel cascade — on graphs of 10^6+ vertices and
+//! 10^7+ edges, whose candidate universes are far too large for flat dense
+//! rows, so the search peels the CSR adjacency in place and builds no index.
 //!
 //! Memory is accounted two ways, both best-effort:
 //!
@@ -166,7 +166,7 @@ fn total_edges(g: &MultiLayerGraph) -> usize {
 /// `warm_queries` timed repeats asserted bit-identical to it (cores, cover
 /// and work counters) and whose preprocessing must come from the memo. The
 /// greedy algorithm is pinned — it is the one that peels through the
-/// engine's three-regime adjacency index, so its stats carry the
+/// engine's planned adjacency index, so its stats carry the
 /// `index_path` / `index_bytes` columns this tier exists to observe.
 pub fn measure_large_scale(
     g: &MultiLayerGraph,
@@ -231,8 +231,8 @@ pub fn measure_large_scale(
 
 /// The Chung–Lu shape of the tier at `vertices`: 3 layers at average
 /// degree 7, so the flagship 10^6-vertex run carries ≥ 10^7 edges total
-/// and the candidate universe overflows the flat dense-row word budget
-/// into the compressed-container regime.
+/// and the candidate universe overflows the flat dense-row word budget,
+/// leaving the search on CSR.
 pub fn large_scale_config(vertices: usize) -> ChungLuConfig {
     ChungLuConfig {
         num_vertices: vertices.max(64),

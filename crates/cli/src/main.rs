@@ -3,7 +3,7 @@
 //! ```text
 //! dccs stats   (--input FILE | --dataset NAME [--scale S])
 //! dccs run     (--input FILE | --dataset NAME [--scale S])
-//!              [--algorithm auto|gd|bu|td|exact] [--index auto|csr|dense|compressed]
+//!              [--algorithm auto|gd|bu|td|exact] [--index auto|csr|dense]
 //!              [-d N] [-s N] [-k N] [--threads N] [--no-vd] [--no-sl] [--no-ir]
 //! dccs compare (--input FILE | --dataset NAME [--scale S]) [-d N] [-s N] [-k N]
 //!              [--threads N]
@@ -33,7 +33,7 @@ dccs — diversified coherent core search on multi-layer graphs
 USAGE:
     dccs stats    (--input FILE | --dataset NAME [--scale tiny|small|full|large])
     dccs run      (--input FILE | --dataset NAME [--scale SCALE])
-                  [--algorithm auto|gd|bu|td|exact] [--index auto|csr|dense|compressed]
+                  [--algorithm auto|gd|bu|td|exact] [--index auto|csr|dense]
                   [-d N] [-s N] [-k N]
                   [--threads N] [--no-vd] [--no-sl] [--no-ir]
                   [--timeout-ms N] [--budget N] [--degrade]
@@ -47,7 +47,7 @@ USAGE:
                   [plus every `run` default: -d/-s/-k, --algorithm, --serve,
                    --timeout-ms, --budget, --degrade, --index, --threads]
     dccs compare  (--input FILE | --dataset NAME [--scale SCALE]) [-d N] [-s N] [-k N]
-                  [--threads N] [--index auto|csr|dense|compressed]
+                  [--threads N] [--index auto|csr|dense]
     dccs generate --dataset NAME [--scale SCALE] --output FILE
     dccs index build (--input FILE | --dataset NAME [--scale SCALE]) --output FILE
                   [-d N[,N...]] [--max-s N] [--threads N]
@@ -57,10 +57,9 @@ DEFAULTS: -d 4, -s 3, -k 10, --algorithm auto, --index auto, --scale small,
           --threads 1, --serve auto
 
 --algorithm auto picks GD/BU/TD per query from the paper's regime
-heuristics and the three-regime (dense / compressed / CSR) cost model;
-the choice is printed with the result. --index csr|dense|compressed
-overrides that cost model's peeling representation (for A/B runs; all
-produce identical results). --threads N
+heuristics and the dense-vs-CSR cost model; the choice is printed with
+the result. --index csr|dense overrides that cost model's peeling
+representation (for A/B runs; both produce identical results). --threads N
 spreads the search over N executor workers (0 = all available cores).
 Results are identical at any thread count.
 
@@ -952,15 +951,16 @@ mod tests {
         assert_eq!(opts(&["--index", "csr"]).unwrap().opts.index, IndexChoice::Csr);
         assert_eq!(opts(&["--index", "dense"]).unwrap().opts.index, IndexChoice::Dense);
         assert_eq!(opts(&["--index", "auto"]).unwrap().opts.index, IndexChoice::Auto);
-        assert_eq!(opts(&["--index", "compressed"]).unwrap().opts.index, IndexChoice::Compressed);
-        // The usage-error path: unknown value and missing value.
+        // The usage-error path: unknown value (including the retired
+        // compressed regime) and missing value.
         assert!(matches!(opts(&["--index", "btree"]), Err(CliError::Usage(_))));
+        assert!(matches!(opts(&["--index", "compressed"]), Err(CliError::Usage(_))));
         assert!(matches!(opts(&["--index"]), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn end_to_end_run_with_forced_index() {
-        for index in ["csr", "dense", "compressed"] {
+        for index in ["csr", "dense"] {
             assert!(
                 run_args(&[
                     "run",

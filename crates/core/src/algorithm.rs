@@ -4,13 +4,13 @@
 //! regime: `GD-DCCS` when every candidate must be enumerated anyway,
 //! `BU-DCCS` for small support thresholds, `TD-DCCS` when `s ≥ l/2`
 //! (Section V). [`Algorithm::Auto`] encodes that guidance — plus the
-//! [`crate::engine::plan_index`] cost model as a cheap density probe — so
-//! callers of the session API ([`crate::DccsSession`]) don't have to be
-//! experts to get the right search strategy per query. The resolved choice
-//! is recorded in [`crate::SearchStats::algorithm`].
+//! [`crate::engine::plan_index`] cost model's dense-vs-CSR rule as a cheap
+//! density probe — so callers of the session API ([`crate::DccsSession`])
+//! don't have to be experts to get the right search strategy per query.
+//! The resolved choice is recorded in [`crate::SearchStats::algorithm`].
 
 use crate::config::DccsParams;
-use crate::engine::{plan_index, IndexPath};
+use crate::engine::auto_prefers_dense;
 use crate::layer_subsets::binomial;
 use mlgraph::MultiLayerGraph;
 
@@ -87,9 +87,12 @@ impl Algorithm {
     ///    enumeration over the lattice, with its prefix-seeded peels, is the
     ///    cheapest way to visit every subset.
     /// 2. **Dense index + few candidates** → [`Algorithm::Greedy`]. When the
-    ///    [`plan_index`] cost model picks the word-level dense path on the
-    ///    full vertex set (a small, dense graph) and `C(l, s)` is tiny,
-    ///    lattice enumeration beats tree bookkeeping.
+    ///    [`crate::engine::plan_index`] cost model would pick the word-level
+    ///    dense path on the full vertex set (a small, dense graph) and
+    ///    `C(l, s)` is tiny, lattice enumeration beats tree bookkeeping. The
+    ///    probe reads only `n`, `l` and the edge count: every edge sits in
+    ///    both endpoints' adjacency lists, so the full set's degree total
+    ///    is `2 ·` [`MultiLayerGraph::total_edges`], exactly.
     /// 3. **Large `s`, few candidates** → [`Algorithm::Greedy`]. At
     ///    `s ≥ l/2` with `C(l, s) ≤ 2·l` (e.g. `s = l − 1`, where only `l`
     ///    candidates exist) the search trees degenerate — every pruning
@@ -112,11 +115,10 @@ impl Algorithm {
         if params.k as u128 >= candidates {
             return Algorithm::Greedy;
         }
-        if candidates <= DENSE_GREEDY_CANDIDATE_CAP {
-            let plan = plan_index(g, &g.full_vertex_set());
-            if plan.path == IndexPath::Dense {
-                return Algorithm::Greedy;
-            }
+        if candidates <= DENSE_GREEDY_CANDIDATE_CAP
+            && auto_prefers_dense(g.num_vertices(), l, 2 * g.total_edges())
+        {
+            return Algorithm::Greedy;
         }
         if 2 * params.s >= l {
             if candidates <= LARGE_S_GREEDY_CANDIDATE_FACTOR * l as u128 {
@@ -233,5 +235,19 @@ mod tests {
         // with C(8, 2) = 28 ≤ 64 candidates favors lattice enumeration.
         let params = DccsParams::new(2, 2, 3);
         assert_eq!(Algorithm::Auto.resolve(&g, &params), Algorithm::Greedy);
+    }
+
+    /// The density probe's `(n, l, 2·edges)` shortcut decides exactly what
+    /// the full cost model decides on the full vertex set.
+    #[test]
+    fn density_probe_matches_plan_index_on_the_full_set() {
+        let mut seen = Vec::new();
+        for g in [wide_sparse(6), wide_sparse(8), tiny_dense(3), tiny_dense(8)] {
+            let plan = crate::engine::plan_index(&g, &g.full_vertex_set());
+            let probe = auto_prefers_dense(g.num_vertices(), g.num_layers(), 2 * g.total_edges());
+            assert_eq!(probe, plan.path == crate::IndexPath::Dense, "{plan:?}");
+            seen.push(probe);
+        }
+        assert!(seen.contains(&true) && seen.contains(&false), "both outcomes exercised");
     }
 }

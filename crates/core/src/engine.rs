@@ -50,7 +50,7 @@ use crate::limits::QueryMonitor;
 use crate::preprocess::{initial_layer_cores_on, preprocess_from_monitored, Preprocessed};
 use crate::result::SearchStats;
 use coreness::PeelWorkspace;
-use mlgraph::{CompressedSubgraph, DenseSubgraph, Layer, MultiLayerGraph, Vertex, VertexSet};
+use mlgraph::{DenseSubgraph, Layer, MultiLayerGraph, Vertex, VertexSet};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
@@ -62,10 +62,9 @@ pub enum IndexPath {
     Csr,
     /// Re-indexed [`DenseSubgraph`] bitset rows (word-level AND+popcount).
     Dense,
-    /// Re-indexed [`CompressedSubgraph`] rows — roaring-style array/bitmap
-    /// containers holding only the blocks a row actually touches, so a
-    /// sparse million-vertex universe indexes in `O(edges)` memory instead
-    /// of the flat `O(layers · m²/64)` words the dense path needs.
+    /// Never produced. A former block-compressed row regime, retired
+    /// because plain CSR beat it at every measured scale; the variant stays
+    /// so counters keyed by it keep their name and read zero.
     CompressedDense,
 }
 
@@ -89,20 +88,6 @@ pub const DENSE_WORD_BUDGET: usize = 8 << 20;
 /// cut between those regimes.
 pub const DENSE_CROSSOVER: f64 = 4.0;
 
-/// Minimum universe size before the **compressed-dense** regime is worth
-/// considering under [`IndexChoice::Auto`]. Below this the flat dense rows
-/// either fit the [`DENSE_WORD_BUDGET`] (so the flat-vs-CSR crossover
-/// decides) or the universe is small enough that CSR scans are already
-/// cheap; the compressed directory only pays for itself once rows span many
-/// 4096-bit blocks.
-pub const COMPRESSED_MIN_UNIVERSE: usize = 16_384;
-
-/// Byte budget for the compressed re-indexed adjacency (1 GiB). The
-/// estimate checked against it ([`CompressedSubgraph::estimate_bytes`]) is
-/// an upper bound on the built index, so staying under the budget is a real
-/// memory guarantee, not a guess.
-pub const COMPRESSED_BYTE_BUDGET: usize = 1 << 30;
-
 /// The cost-model decision for one candidate universe, with the quantities
 /// that produced it (recorded for diagnostics and the crossover unit tests).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -120,8 +105,8 @@ pub struct IndexPlan {
 /// Caller override of the dense-vs-CSR cost model, carried on
 /// [`crate::DccsOptions::index`] and the CLI's `--index csr|dense|auto`
 /// flag so the model can be A/B'd without recompiling. The override only
-/// selects the *representation* — both paths are bit-identical — and the
-/// actual decision is still recorded in
+/// selects one of the two *representations* — both are bit-identical —
+/// and the actual decision is still recorded in
 /// [`crate::SearchStats::index_path`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum IndexChoice {
@@ -134,21 +119,15 @@ pub enum IndexChoice {
     /// [`DENSE_WORD_BUDGET`] (the memory gate is a safety bound, not part
     /// of the cost model, so it still applies).
     Dense,
-    /// Peel over the compressed re-indexed rows whenever the estimated
-    /// index stays under the [`COMPRESSED_BYTE_BUDGET`] (like `Dense`, only
-    /// the memory gate still applies — the `Auto` cost model's
-    /// [`COMPRESSED_MIN_UNIVERSE`] floor does not).
-    Compressed,
 }
 
 impl IndexChoice {
-    /// The CLI spelling (`auto`, `csr`, `dense`, `compressed`).
+    /// The CLI spelling (`auto`, `csr`, `dense`).
     pub fn name(self) -> &'static str {
         match self {
             IndexChoice::Auto => "auto",
             IndexChoice::Csr => "csr",
             IndexChoice::Dense => "dense",
-            IndexChoice::Compressed => "compressed",
         }
     }
 
@@ -158,14 +137,31 @@ impl IndexChoice {
             "auto" => Some(IndexChoice::Auto),
             "csr" => Some(IndexChoice::Csr),
             "dense" => Some(IndexChoice::Dense),
-            "compressed" => Some(IndexChoice::Compressed),
             _ => None,
         }
     }
 }
 
-/// Decides among the three peeling representations for a candidate
-/// `universe` of `g`: flat dense rows, compressed-dense rows, or CSR.
+/// Whether flat dense rows for `m` vertices over `l` layers fit the
+/// [`DENSE_WORD_BUDGET`] (an empty universe never does).
+fn fits_dense_budget(m: usize, l: usize) -> bool {
+    m > 0 && DenseSubgraph::words_required(m, l) <= DENSE_WORD_BUDGET
+}
+
+/// The `Auto` cost model's dense-vs-CSR rule for a universe of `m` vertices
+/// over `l` layers whose members' adjacency lists hold `total_degree`
+/// entries in all: dense wins when its rows fit the [`DENSE_WORD_BUDGET`]
+/// and one `⌈m/64⌉`-word row costs no more than [`DENSE_CROSSOVER`] × the
+/// average adjacency length. [`plan_index_with`] applies it to a candidate
+/// universe, and [`crate::Algorithm::resolve`] to the full vertex set,
+/// whose degree total is `2 ·` the graph's edge count.
+pub(crate) fn auto_prefers_dense(m: usize, l: usize, total_degree: usize) -> bool {
+    fits_dense_budget(m, l)
+        && (m.div_ceil(64) as f64) <= DENSE_CROSSOVER * (total_degree as f64 / (l * m) as f64)
+}
+
+/// Decides between the two peeling representations for a candidate
+/// `universe` of `g`: flat dense rows or CSR.
 ///
 /// The dense path re-indexes the universe to `0..m` and answers every
 /// degree-within query by scanning a `⌈m/64⌉`-word row; the CSR path scans
@@ -173,12 +169,8 @@ impl IndexChoice {
 /// dependent load per neighbor. Dense wins when its row is short relative to
 /// the average adjacency ([`DENSE_CROSSOVER`]) and the total index fits the
 /// [`DENSE_WORD_BUDGET`]; at low degree thresholds on near-complete
-/// universes (many vertices, sparse rows) CSR wins and is chosen. The third
-/// regime targets universes too large for the flat rows entirely
-/// (`≥` [`COMPRESSED_MIN_UNIVERSE`], over the word budget): there the
-/// [`CompressedSubgraph`] keeps word-level peeling at `O(edges)` memory, as
-/// long as its estimated footprint stays under
-/// [`COMPRESSED_BYTE_BUDGET`].
+/// universes (many vertices, sparse rows), and on every universe too large
+/// for the flat rows, CSR is chosen.
 pub fn plan_index(g: &MultiLayerGraph, universe: &VertexSet) -> IndexPlan {
     plan_index_with(g, universe, IndexChoice::Auto)
 }
@@ -195,7 +187,6 @@ pub fn plan_index_with(
 ) -> IndexPlan {
     let m = universe.len();
     let l = g.num_layers();
-    let words_per_row = m.div_ceil(64);
     let mut total_degree = 0usize;
     for layer in 0..l {
         let csr = g.layer(layer);
@@ -203,40 +194,17 @@ pub fn plan_index_with(
             total_degree += csr.neighbors(v).len();
         }
     }
-    let avg_degree = if m == 0 { 0.0 } else { total_degree as f64 / (l * m) as f64 };
-    let fits_flat = m > 0 && DenseSubgraph::words_required(m, l) <= DENSE_WORD_BUDGET;
-    let fits_compressed =
-        m > 0 && CompressedSubgraph::estimate_bytes(m, l, total_degree) <= COMPRESSED_BYTE_BUDGET;
-    let path = match choice {
-        IndexChoice::Auto => {
-            if fits_flat && (words_per_row as f64) <= DENSE_CROSSOVER * avg_degree {
-                IndexPath::Dense
-            } else if !fits_flat && m >= COMPRESSED_MIN_UNIVERSE && fits_compressed {
-                // The flat rows blew the word budget but the universe is
-                // huge and sparse: compressed rows keep the word-level
-                // peel at O(edges) memory instead of falling back to CSR.
-                IndexPath::CompressedDense
-            } else {
-                IndexPath::Csr
-            }
-        }
-        IndexChoice::Csr => IndexPath::Csr,
-        IndexChoice::Dense => {
-            if fits_flat {
-                IndexPath::Dense
-            } else {
-                IndexPath::Csr
-            }
-        }
-        IndexChoice::Compressed => {
-            if fits_compressed {
-                IndexPath::CompressedDense
-            } else {
-                IndexPath::Csr
-            }
-        }
+    let dense = match choice {
+        IndexChoice::Auto => auto_prefers_dense(m, l, total_degree),
+        IndexChoice::Csr => false,
+        IndexChoice::Dense => fits_dense_budget(m, l),
     };
-    IndexPlan { path, universe: m, words_per_row, avg_degree }
+    IndexPlan {
+        path: if dense { IndexPath::Dense } else { IndexPath::Csr },
+        universe: m,
+        words_per_row: m.div_ceil(64),
+        avg_degree: if m == 0 { 0.0 } else { total_degree as f64 / (l * m) as f64 },
+    }
 }
 
 /// One cached dense index, keyed on the universe it was built for.
@@ -253,14 +221,6 @@ struct DenseCacheEntry {
     graph_key: (usize, usize, usize, usize),
     universe: VertexSet,
     dense: DenseSubgraph,
-}
-
-/// One cached compressed index, keyed exactly like [`DenseCacheEntry`].
-#[derive(Debug)]
-struct CompressedCacheEntry {
-    graph_key: (usize, usize, usize, usize),
-    universe: VertexSet,
-    compressed: CompressedSubgraph,
 }
 
 fn graph_key(g: &MultiLayerGraph) -> (usize, usize, usize, usize) {
@@ -489,7 +449,6 @@ pub struct SearchContext {
     /// Caller override of the dense-vs-CSR cost model (CLI `--index`).
     index_choice: IndexChoice,
     dense_cache: Option<DenseCacheEntry>,
-    compressed_cache: Option<CompressedCacheEntry>,
     /// The tier memoizing this context's layer cores, fixpoints and index
     /// plans ([`SharedSearchState`]): installed by sessions and the query
     /// service, or created privately the first time a standalone context
@@ -519,7 +478,6 @@ impl SearchContext {
             threads: threads.max(1),
             index_choice: IndexChoice::Auto,
             dense_cache: None,
-            compressed_cache: None,
             shared: None,
             ws: PeelWorkspace::new(),
             cover: VertexSet::new(0),
@@ -655,12 +613,11 @@ impl SearchContext {
         (index.plan, index.dense)
     }
 
-    /// Drops the cached dense/compressed indexes and the installed
+    /// Drops the cached dense index and the installed
     /// [`SharedSearchState`] with its preprocessing memo (e.g. before
     /// pointing the context at a different graph).
     pub fn clear_cache(&mut self) {
         self.dense_cache = None;
-        self.compressed_cache = None;
         self.shared = None;
     }
 
@@ -751,23 +708,7 @@ impl SearchContext {
         } else {
             None
         };
-        let compressed = if plan.path == IndexPath::CompressedDense {
-            let hit = self
-                .compressed_cache
-                .as_ref()
-                .is_some_and(|e| e.graph_key == key && e.universe == *universe);
-            if !hit {
-                self.compressed_cache = Some(CompressedCacheEntry {
-                    graph_key: key,
-                    universe: universe.clone(),
-                    compressed: CompressedSubgraph::build(g, universe),
-                });
-            }
-            self.compressed_cache.as_ref().map(|e| &e.compressed)
-        } else {
-            None
-        };
-        (PeelIndex { g, dense, compressed, plan, kernel: mlgraph::kernels::kernel() }, &mut self.ws)
+        (PeelIndex::new(g, dense, plan), &mut self.ws)
     }
 }
 
@@ -785,16 +726,13 @@ impl Default for SearchContext {
 ///
 /// On the CSR path the index space **is** the graph's vertex universe
 /// (`compress`/`emit` are identity copies and degrees scan adjacency
-/// lists); on the dense and compressed-dense paths it is the re-indexed
-/// `0..m` universe and every degree is a `popcount(row ∧ set)` through the
-/// selected bit kernel — against flat `⌈m/64⌉`-word rows (dense) or
-/// block-compressed rows holding only the touched 4096-bit blocks
-/// (compressed).
+/// lists); on the dense path it is the re-indexed `0..m` universe and every
+/// degree is a `popcount(row ∧ set)` over flat `⌈m/64⌉`-word rows through
+/// the selected bit kernel.
 #[derive(Clone, Copy)]
 pub struct PeelIndex<'a> {
     g: &'a MultiLayerGraph,
     dense: Option<&'a DenseSubgraph>,
-    compressed: Option<&'a CompressedSubgraph>,
     plan: IndexPlan,
     /// The process-dispatched bit kernel, fetched once at construction so
     /// the per-vertex degree queries of a walk pay no repeated
@@ -827,28 +765,19 @@ pub(crate) enum InheritOutcome {
     /// CSR walk: the intersection dropped most of the parent, so the (now
     /// small) child was rescanned instead.
     CsrRecount,
-    /// Compressed walk: per-survivor `popcount(row ∧ removed)` subtraction
-    /// over the compressed row's touched blocks.
-    CompressedPatched,
-    /// Compressed walk: the removals outnumbered the survivors, so the
-    /// (now small) child's degrees were recounted from scratch.
-    CompressedRecount,
 }
 
 impl<'a> PeelIndex<'a> {
-    /// Builds an index from an explicit plan and (for the re-indexed paths)
-    /// a pre-built dense or compressed subgraph; the ctx-less lattice entry
-    /// point uses this, the context path goes through
-    /// [`SearchContext::peel_index`].
+    /// Builds an index from an explicit plan and (for the dense path) the
+    /// pre-built dense subgraph; the ctx-less lattice entry point and
+    /// [`SearchContext::peel_index`] both go through here.
     pub(crate) fn new(
         g: &'a MultiLayerGraph,
         dense: Option<&'a DenseSubgraph>,
-        compressed: Option<&'a CompressedSubgraph>,
         plan: IndexPlan,
     ) -> Self {
         debug_assert_eq!(plan.path == IndexPath::Dense, dense.is_some());
-        debug_assert_eq!(plan.path == IndexPath::CompressedDense, compressed.is_some());
-        PeelIndex { g, dense, compressed, plan, kernel: mlgraph::kernels::kernel() }
+        PeelIndex { g, dense, plan, kernel: mlgraph::kernels::kernel() }
     }
 
     /// The representation this index peels over.
@@ -866,102 +795,62 @@ impl<'a> PeelIndex<'a> {
         self.dense
     }
 
-    /// The compressed re-indexed subgraph, when the compressed-dense path
-    /// was chosen.
-    pub fn compressed_index(&self) -> Option<&'a CompressedSubgraph> {
-        self.compressed
-    }
-
     /// Heap footprint of the built adjacency index in bytes: the flat rows
-    /// on the dense path, the measured container bytes on the compressed
-    /// path, and 0 on CSR (no index is built — the graph is peeled in
-    /// place).
+    /// on the dense path, 0 on CSR (no index is built — the graph is peeled
+    /// in place).
     pub fn index_bytes(&self) -> usize {
-        if let Some(dense) = self.dense {
-            dense.words_per_row() * dense.len() * self.g.num_layers() * 8
-        } else if let Some(sub) = self.compressed {
-            sub.bytes()
-        } else {
-            0
-        }
+        self.dense.map_or(0, |dense| dense.words_per_row() * dense.len() * self.g.num_layers() * 8)
     }
 
-    /// Universe size in index space: `m` on the re-indexed paths, `n` on
-    /// CSR.
+    /// Universe size in index space: `m` on the dense path, `n` on CSR.
     pub fn universe_len(&self) -> usize {
-        if let Some(dense) = self.dense {
-            dense.len()
-        } else if let Some(sub) = self.compressed {
-            sub.len()
-        } else {
-            self.g.num_vertices()
-        }
+        self.dense.map_or(self.g.num_vertices(), DenseSubgraph::len)
     }
 
     /// `|N_layer(v) ∩ set|` in index space — a kernel-dispatched
-    /// `popcount(row ∧ set)` on the dense and compressed paths, an
-    /// adjacency scan with membership tests on CSR.
+    /// `popcount(row ∧ set)` on the dense path, an adjacency scan with
+    /// membership tests on CSR.
     #[inline]
     pub fn degree_within(&self, layer: Layer, v: Vertex, set: &VertexSet) -> usize {
-        if let Some(dense) = self.dense {
-            self.kernel.and_count(set.words(), dense.row(layer, v))
-        } else if let Some(sub) = self.compressed {
-            sub.row(layer, v).and_count_words_with(self.kernel, set.words())
-        } else {
-            self.g.layer(layer).degree_within(v, set)
+        match self.dense {
+            Some(dense) => self.kernel.and_count(set.words(), dense.row(layer, v)),
+            None => self.g.layer(layer).degree_within(v, set),
         }
     }
 
     /// Translates per-layer cores into index space: `None` on CSR (the
     /// caller keeps using the originals — index space is vertex space),
-    /// re-indexed copies on the dense and compressed paths.
+    /// re-indexed copies on the dense path.
     pub fn compress_layer_cores(&self, layer_cores: &[VertexSet]) -> Option<Vec<VertexSet>> {
-        if let Some(dense) = self.dense {
-            Some(
-                layer_cores
-                    .iter()
-                    .map(|core| {
-                        let mut compressed = dense.new_set();
-                        dense.compress_into(core, &mut compressed);
-                        compressed
-                    })
-                    .collect(),
-            )
-        } else {
-            self.compressed.map(|sub| {
-                layer_cores
-                    .iter()
-                    .map(|core| {
-                        let mut compressed = sub.new_set();
-                        sub.compress_into(core, &mut compressed);
-                        compressed
-                    })
-                    .collect()
-            })
-        }
+        self.dense.map(|dense| {
+            layer_cores
+                .iter()
+                .map(|core| {
+                    let mut compressed = dense.new_set();
+                    dense.compress_into(core, &mut compressed);
+                    compressed
+                })
+                .collect()
+        })
     }
 
     /// Returns `core` in vertex space for emission: the core itself on CSR,
-    /// the expansion written into `buf` on the re-indexed paths.
+    /// the expansion written into `buf` on the dense path.
     pub fn emit<'s>(&self, core: &'s VertexSet, buf: &'s mut VertexSet) -> &'s VertexSet {
-        if let Some(dense) = self.dense {
-            dense.expand_into(core, buf);
-            buf
-        } else if let Some(sub) = self.compressed {
-            sub.expand_into(core, buf);
-            buf
-        } else {
-            core
+        match self.dense {
+            Some(dense) => {
+                dense.expand_into(core, buf);
+                buf
+            }
+            None => core,
         }
     }
 
     /// The cascading removal phase in index space — the peeler's side of
     /// the unified API: [`PeelWorkspace::cascade_dense`] (word-batched, bit
-    /// kernels) on the dense path, [`PeelWorkspace::cascade_compressed`]
-    /// (per-victim walks over compressed rows) on the compressed path,
-    /// [`PeelWorkspace::cascade_in_place`]
-    /// (CSR adjacency) otherwise. All three reach the same fixpoint — the
-    /// d-core cascade is confluent. `degrees` must hold exact within-`alive`
+    /// kernels) on the dense path, [`PeelWorkspace::cascade_in_place`] (CSR
+    /// adjacency) otherwise. Both reach the same fixpoint — the d-core
+    /// cascade is confluent. `degrees` must hold exact within-`alive`
     /// degrees per `layers[j]`, and is kept exact for the survivors.
     pub fn cascade(
         &self,
@@ -971,12 +860,9 @@ impl<'a> PeelIndex<'a> {
         alive: &mut VertexSet,
         degrees: &mut [u32],
     ) {
-        if let Some(dense) = self.dense {
-            ws.cascade_dense(dense, layers, d, alive, degrees);
-        } else if let Some(sub) = self.compressed {
-            ws.cascade_compressed(sub, layers, d, alive, degrees);
-        } else {
-            ws.cascade_in_place(self.g, layers, d, alive, degrees);
+        match self.dense {
+            Some(dense) => ws.cascade_dense(dense, layers, d, alive, degrees),
+            None => ws.cascade_in_place(self.g, layers, d, alive, degrees),
         }
     }
 
@@ -994,11 +880,6 @@ impl<'a> PeelIndex<'a> {
     /// the removed vertices' edges; when the intersection dropped most of
     /// the parent, the (now small) child is rescanned.
     ///
-    /// Compressed: like dense, each survivor's degree shrinks by exactly
-    /// `|row ∧ removed|`, computed over only the blocks the compressed row
-    /// actually holds; the recount fallback fires when the removals
-    /// outnumber the survivors.
-    ///
     /// `prefix` is the subset's first `depth` layers; `parent_deg` /
     /// `child_deg` are laid out `[t * len + v]` over the index-space
     /// universe; `nz_scratch` is reused to hold the removed set's non-zero
@@ -1014,33 +895,6 @@ impl<'a> PeelIndex<'a> {
         nz_scratch: &mut Vec<u32>,
     ) -> InheritOutcome {
         let len = self.universe_len();
-        if let Some(sub) = self.compressed {
-            // Compressed rows have no flat words to restrict, but each
-            // row's AND against a word slice only visits the row's own
-            // blocks — so patching by `|row ∧ removed|` is cheap whenever
-            // the removals are the smaller side, mirroring the CSR
-            // heuristic.
-            return if removed.len() <= child.len() {
-                for v in child.iter() {
-                    let vi = v as usize;
-                    for (t, &layer) in prefix.iter().enumerate() {
-                        let delta =
-                            sub.row(layer, v).and_count_words_with(self.kernel, removed.words());
-                        child_deg[t * len + vi] = parent_deg[t * len + vi] - delta as u32;
-                    }
-                }
-                InheritOutcome::CompressedPatched
-            } else {
-                for (t, &layer) in prefix.iter().enumerate() {
-                    for v in child.iter() {
-                        child_deg[t * len + v as usize] =
-                            sub.row(layer, v).and_count_words_with(self.kernel, child.words())
-                                as u32;
-                    }
-                }
-                InheritOutcome::CompressedRecount
-            };
-        }
         match self.dense {
             Some(dense) => {
                 let row_words = child.words().len();
@@ -1868,37 +1722,19 @@ mod tests {
             plan_index_with(&g, &VertexSet::new(64), IndexChoice::Dense).path,
             IndexPath::Csr
         );
-        // Forced compressed ignores the Auto model's universe floor — only
-        // the byte budget gates it — and an empty universe still falls back.
-        assert_eq!(
-            plan_index_with(&g, &universe, IndexChoice::Compressed).path,
-            IndexPath::CompressedDense
-        );
-        assert_eq!(
-            plan_index_with(&sparse, &full, IndexChoice::Compressed).path,
-            IndexPath::CompressedDense
-        );
-        assert_eq!(
-            plan_index_with(&g, &VertexSet::new(64), IndexChoice::Compressed).path,
-            IndexPath::Csr
-        );
-        for choice in
-            [IndexChoice::Auto, IndexChoice::Csr, IndexChoice::Dense, IndexChoice::Compressed]
-        {
+        for choice in [IndexChoice::Auto, IndexChoice::Csr, IndexChoice::Dense] {
             assert_eq!(IndexChoice::parse(choice.name()), Some(choice));
         }
         assert_eq!(IndexChoice::parse("btree"), None);
+        assert_eq!(IndexChoice::parse("compressed"), None);
     }
 
-    /// The third regime: a universe too large for the flat dense rows but
-    /// sparse enough for compressed containers is auto-planned
-    /// `CompressedDense` — the million-vertex scale path.
+    /// A universe too large for the flat dense rows is auto-planned `Csr`:
+    /// no index is built, the graph is peeled in place.
     #[test]
-    fn cost_model_picks_compressed_past_the_flat_word_budget() {
+    fn cost_model_plans_csr_past_the_flat_word_budget() {
         // 32768 vertices in a cycle: flat dense rows would need
-        // 32768 × 512 = 16.7M words, over the 8.4M word budget; the
-        // compressed estimate (≈ 3.4 MB) is far under its 1 GiB budget,
-        // and the universe clears `COMPRESSED_MIN_UNIVERSE`.
+        // 32768 × 512 = 16.7M words, over the 8.4M word budget.
         let n = 32_768u32;
         let mut b = MultiLayerGraphBuilder::new(n as usize, 1);
         for v in 0..n {
@@ -1908,32 +1744,13 @@ mod tests {
         let universe = g.full_vertex_set();
         assert!(DenseSubgraph::words_required(n as usize, 1) > DENSE_WORD_BUDGET);
         let plan = plan_index(&g, &universe);
-        assert_eq!(plan.path, IndexPath::CompressedDense);
-        // Forcing CSR or (budget-blown) Dense still falls back cleanly.
+        assert_eq!(plan.path, IndexPath::Csr);
+        // Forcing CSR or (budget-blown) Dense plans CSR too.
         assert_eq!(plan_index_with(&g, &universe, IndexChoice::Csr).path, IndexPath::Csr);
         assert_eq!(plan_index_with(&g, &universe, IndexChoice::Dense).path, IndexPath::Csr);
-    }
-
-    #[test]
-    fn compressed_cache_is_reused_for_the_same_universe() {
-        let g = two_clique_graph();
-        let universe = VertexSet::from_iter(64, 0..8);
         let mut ctx = SearchContext::new(1);
-        ctx.set_index_choice(IndexChoice::Compressed);
-        let first = {
-            let (index, _) = ctx.peel_index(&g, &universe);
-            assert_eq!(index.path(), IndexPath::CompressedDense);
-            assert!(index.index_bytes() > 0);
-            index.compressed_index().expect("compressed path chosen") as *const CompressedSubgraph
-        };
-        let second = {
-            let (index, _) = ctx.peel_index(&g, &universe);
-            index.compressed_index().expect("compressed path chosen") as *const CompressedSubgraph
-        };
-        assert_eq!(first, second, "same universe must hit the cache");
-        let other = VertexSet::from_iter(64, 0..7);
-        let (index, _) = ctx.peel_index(&g, &other);
-        assert_eq!(index.universe_len(), 7);
+        let (index, _) = ctx.peel_index(&g, &universe);
+        assert_eq!((index.path(), index.index_bytes()), (IndexPath::Csr, 0));
     }
 
     /// One persistent crew must serve many batches and task graphs — with

@@ -49,7 +49,7 @@ use crate::layer_subsets::combinations;
 use crate::limits::QueryMonitor;
 use crate::result::CoherentCore;
 use coreness::PeelWorkspace;
-use mlgraph::{CompressedSubgraph, DenseSubgraph, Layer, MultiLayerGraph, VertexSet};
+use mlgraph::{DenseSubgraph, Layer, MultiLayerGraph, VertexSet};
 
 /// Work counters reported by [`for_each_subset_core`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,17 +61,15 @@ pub struct LatticeStats {
     /// Size-`s` subsets emitted as empty without peeling because an
     /// ancestor prefix already proved them empty.
     pub empty_skipped: usize,
-    /// Dense- or compressed-walk nodes whose prefix-layer degrees were
-    /// inherited via row∧removed subtraction (word-restricted on flat rows,
-    /// per-block on compressed rows; 0 on the CSR path, and on dense
-    /// universes of ≤ 64 vertices, whose single-word rows always take the
-    /// recount fallback).
+    /// Dense-walk nodes whose prefix-layer degrees were inherited via
+    /// word-restricted row∧removed subtraction (0 on the CSR path, and on
+    /// dense universes of ≤ 64 vertices, whose single-word rows always take
+    /// the recount fallback).
     pub inherited: usize,
-    /// Dense- or compressed-walk nodes where inheritance lost to a
-    /// from-scratch recount (removals spanning full rows on the dense path,
-    /// outnumbering the survivors on the compressed one) — the measured
-    /// German-`d=2` failure mode of row inheritance, observable here
-    /// instead of in prose (0 on the CSR path).
+    /// Dense-walk nodes where inheritance lost to a from-scratch recount
+    /// because the removals spanned full rows — the measured German-`d=2`
+    /// failure mode of row inheritance, observable here instead of in
+    /// prose (0 on the CSR path).
     pub recount_fallbacks: usize,
     /// Adjacency representation the cost model picked for this run.
     pub index_path: IndexPath,
@@ -141,25 +139,14 @@ where
 
     // s == 1 needs no peel and no index; keep the cost model (and a dense
     // build) out of the trivial case.
-    let universe;
     let dense_owned;
-    let compressed_owned;
     let index = if s > 1 {
-        universe = candidate_universe(g.num_vertices(), layer_cores);
+        let universe = candidate_universe(g.num_vertices(), layer_cores);
         let plan = plan_index(g, &universe);
-        match plan.path {
-            IndexPath::Dense => {
-                dense_owned = DenseSubgraph::build(g, &universe);
-                PeelIndex::new(g, Some(&dense_owned), None, plan)
-            }
-            IndexPath::CompressedDense => {
-                compressed_owned = CompressedSubgraph::build(g, &universe);
-                PeelIndex::new(g, None, Some(&compressed_owned), plan)
-            }
-            IndexPath::Csr => PeelIndex::new(g, None, None, plan),
-        }
+        dense_owned = (plan.path == IndexPath::Dense).then(|| DenseSubgraph::build(g, &universe));
+        PeelIndex::new(g, dense_owned.as_ref(), plan)
     } else {
-        PeelIndex::new(g, None, None, plan_index(g, &VertexSet::new(g.num_vertices())))
+        PeelIndex::new(g, None, plan_index(g, &VertexSet::new(g.num_vertices())))
     };
     let cores_ix = index.compress_layer_cores(layer_cores);
     let cores_ix: &[VertexSet] = cores_ix.as_deref().unwrap_or(layer_cores);
@@ -474,12 +461,8 @@ impl<F: FnMut(&[Layer], &VertexSet)> LatticeWalk<'_, F> {
             &self.removed,
             &mut self.removed_word_idx,
         ) {
-            InheritOutcome::DenseInherited | InheritOutcome::CompressedPatched => {
-                self.stats.inherited += 1
-            }
-            InheritOutcome::DenseRecount | InheritOutcome::CompressedRecount => {
-                self.stats.recount_fallbacks += 1
-            }
+            InheritOutcome::DenseInherited => self.stats.inherited += 1,
+            InheritOutcome::DenseRecount => self.stats.recount_fallbacks += 1,
             InheritOutcome::CsrPatched | InheritOutcome::CsrRecount => {}
         }
         // The newly added layer always needs a fresh count.
@@ -668,8 +651,8 @@ mod tests {
     }
 
     /// A forced index override must change the representation — and nothing
-    /// else: identical cores in identical order under `Csr`, `Dense`,
-    /// `Compressed`, and `Auto`.
+    /// else: identical cores in identical order under `Csr`, `Dense`, and
+    /// `Auto`.
     #[test]
     fn forced_index_choices_are_bit_identical() {
         let g = graph();
@@ -677,12 +660,9 @@ mod tests {
             let params = DccsParams::new(d, s, 2);
             let pre = preprocess(&g, &params, &DccsOptions::no_vertex_deletion());
             let mut reference: Option<Vec<CoherentCore>> = None;
-            for choice in [
-                crate::IndexChoice::Auto,
-                crate::IndexChoice::Csr,
-                crate::IndexChoice::Dense,
-                crate::IndexChoice::Compressed,
-            ] {
+            for choice in
+                [crate::IndexChoice::Auto, crate::IndexChoice::Csr, crate::IndexChoice::Dense]
+            {
                 let mut ctx = SearchContext::new(1);
                 ctx.set_index_choice(choice);
                 let (cores, stats) = with_pool(1, |pool| {
@@ -691,9 +671,6 @@ mod tests {
                 match choice {
                     crate::IndexChoice::Csr => assert_eq!(stats.index_path, IndexPath::Csr),
                     crate::IndexChoice::Dense => assert_eq!(stats.index_path, IndexPath::Dense),
-                    crate::IndexChoice::Compressed => {
-                        assert_eq!(stats.index_path, IndexPath::CompressedDense)
-                    }
                     crate::IndexChoice::Auto => {}
                 }
                 match &reference {

@@ -91,8 +91,8 @@ pub struct SearchStats {
     /// `None` for the search-tree algorithms, which always peel CSR.
     pub index_path: Option<IndexPath>,
     /// Heap footprint in bytes of the adjacency index candidate generation
-    /// peeled over (flat dense rows or compressed containers; 0 on the CSR
-    /// path, where no index is built). A memory diagnostic for the
+    /// peeled over: the flat dense rows on the dense path, 0 on the CSR
+    /// path, where no index is built. A memory diagnostic for the
     /// large-scale bench tier — excluded from equality like the timings:
     /// it describes the machine-side cost, not the answer.
     pub index_bytes: usize,

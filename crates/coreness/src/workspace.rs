@@ -25,7 +25,7 @@
 //! benefits without signature churn; the search algorithms additionally own
 //! explicit workspaces (one per worker thread under the parallel fan-out).
 
-use mlgraph::{CompressedSubgraph, Csr, DenseSubgraph, Layer, MultiLayerGraph, Vertex, VertexSet};
+use mlgraph::{Csr, DenseSubgraph, Layer, MultiLayerGraph, Vertex, VertexSet};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -492,74 +492,6 @@ impl PeelWorkspace {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// The cascading removal phase over a [`CompressedSubgraph`]: `alive`
-    /// and `degrees` live in the re-indexed universe `0..m` (the alive set
-    /// stays a flat [`VertexSet`] — at `m` bits it is cheap even when the
-    /// adjacency rows are not), neighborhoods are walked as `row ∧ alive`
-    /// over the row's occupied blocks, and `degrees[j*m + v]` must hold the
-    /// exact within-`alive` degree of every member on `layers[j]` (kept
-    /// exact through the cascade).
-    ///
-    /// Removals are per-victim LIFO like the CSR cascade — a compressed row
-    /// only materializes its occupied blocks, so the frontier-batched
-    /// row-subtraction of [`PeelWorkspace::cascade_dense`] has no flat rows
-    /// to subtract from. Peeling is confluent, so the result is bit-
-    /// identical to both other cascades.
-    ///
-    /// `layers` are original layer indices into the subgraph's layer axis.
-    pub fn cascade_compressed(
-        &mut self,
-        sub: &CompressedSubgraph,
-        layers: &[Layer],
-        d: u32,
-        alive: &mut VertexSet,
-        degrees: &mut [u32],
-    ) {
-        assert!(!layers.is_empty(), "cascade_compressed requires a non-empty layer set");
-        let m = sub.len();
-        assert_eq!(alive.capacity(), m, "alive set must be over the compressed universe");
-        assert!(degrees.len() >= layers.len() * m, "degree arrays too small for |L|·m");
-        if d == 0 || alive.is_empty() {
-            return;
-        }
-        self.reserve_multi(m, 1);
-        let epoch = self.next_epoch();
-        let probe = self.probe.as_deref();
-        let queue = &mut self.queue;
-        let queued = &mut self.queued[..m];
-        queue.clear();
-        for v in alive.iter() {
-            let vi = v as usize;
-            if (0..layers.len()).any(|j| degrees[j * m + vi] < d) {
-                queue.push(v);
-                queued[vi] = epoch;
-            }
-        }
-        let mut ticks = 0usize;
-        while let Some(v) = queue.pop() {
-            // Cooperative cancellation: poll every PROBE_STRIDE removals,
-            // never inside the block walks. An early return leaves `alive`
-            // a superset.
-            ticks += 1;
-            if ticks.is_multiple_of(PROBE_STRIDE) && probe.is_some_and(CancelProbe::is_hit) {
-                return;
-            }
-            if !alive.remove(v) {
-                continue;
-            }
-            for (j, &layer) in layers.iter().enumerate() {
-                sub.row(layer, v).for_each_in(alive.words(), |u| {
-                    let du = &mut degrees[j * m + u as usize];
-                    *du = du.saturating_sub(1);
-                    if *du < d && queued[u as usize] != epoch {
-                        queued[u as usize] = epoch;
-                        queue.push(u);
-                    }
-                });
             }
         }
     }
@@ -1098,53 +1030,6 @@ mod tests {
                     assert_eq!(
                         degrees[j * n + v as usize] as usize,
                         dense.degree_within(layer, v, &alive),
-                        "stale degree for v={v} layer={layer} d={d}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The compressed cascade must peel to exactly the naive d-CC — on the
-    /// same shapes as the dense oracle test, so all three cascades are held
-    /// to one reference.
-    #[test]
-    fn compressed_cascade_matches_naive() {
-        let n = 150usize;
-        let mut b = MultiLayerGraphBuilder::new(n, 2);
-        for layer in 0..2 {
-            for u in 0..100u32 {
-                for v in (u + 1)..100 {
-                    b.add_edge(layer, u, v).unwrap();
-                }
-            }
-            for v in 100..n as u32 {
-                b.add_edge(layer, v, v - 100).unwrap();
-                b.add_edge(layer, v, (v - 100 + 1) % 100).unwrap();
-            }
-        }
-        let g = b.build();
-        let universe = g.full_vertex_set();
-        let sub = CompressedSubgraph::build(&g, &universe);
-        let mut ws = PeelWorkspace::new();
-        for (layers, d) in
-            [(vec![0usize], 3u32), (vec![0, 1], 3), (vec![0, 1], 50), (vec![0, 1], 99)]
-        {
-            let mut alive = VertexSet::full(n);
-            let mut degrees = vec![0u32; layers.len() * n];
-            for (j, &layer) in layers.iter().enumerate() {
-                for v in alive.iter() {
-                    degrees[j * n + v as usize] = sub.degree_within(layer, v, &alive) as u32;
-                }
-            }
-            ws.cascade_compressed(&sub, &layers, d, &mut alive, &mut degrees);
-            let reference = crate::dcc::d_coherent_core_naive(&g, &layers, d, &universe);
-            assert_eq!(alive.to_vec(), reference.to_vec(), "layers={layers:?} d={d}");
-            for (j, &layer) in layers.iter().enumerate() {
-                for v in alive.iter() {
-                    assert_eq!(
-                        degrees[j * n + v as usize] as usize,
-                        sub.degree_within(layer, v, &alive),
                         "stale degree for v={v} layer={layer} d={d}"
                     );
                 }

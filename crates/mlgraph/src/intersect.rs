@@ -2,9 +2,9 @@
 //! (exponential) search, with an adaptive entry point that picks between
 //! them by length ratio.
 //!
-//! CSR adjacencies and the compressed bitset's sparse containers are both
-//! stored as ascending runs, so "how many neighbors survive in this set"
-//! questions reduce to run∩run intersections. A linear merge is optimal
+//! CSR adjacencies are stored as ascending runs, so "how many neighbors do
+//! two vertices share" questions reduce to run∩run intersections
+//! ([`crate::Csr::common_degree`]). A linear merge is optimal
 //! when the runs have similar lengths; when one run is much shorter,
 //! galloping skips through the long run in `O(short · log(long/short))`
 //! instead of scanning it.
@@ -78,43 +78,6 @@ pub fn sorted_intersect_count<T: Ord + Copy>(a: &[T], b: &[T]) -> usize {
     }
 }
 
-/// Writes the intersection of two ascending runs into `out` (cleared
-/// first), choosing merge or galloping by length ratio; returns its length.
-pub fn sorted_intersect_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) -> usize {
-    out.clear();
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return 0;
-    }
-    if long.len() / short.len() >= GALLOP_RATIO {
-        let mut pos = 0usize;
-        for &x in short {
-            pos = gallop_to(long, pos, x);
-            if pos == long.len() {
-                break;
-            }
-            if long[pos] == x {
-                out.push(x);
-                pos += 1;
-            }
-        }
-    } else {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < short.len() && j < long.len() {
-            match short[i].cmp(&long[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(short[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    out.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,9 +112,6 @@ mod tests {
             assert_eq!(galloping_count(&a, &b), expected, "gallop {la}x{lb}");
             assert_eq!(sorted_intersect_count(&a, &b), expected, "adaptive {la}x{lb}");
             assert_eq!(sorted_intersect_count(&b, &a), expected, "adaptive swapped {la}x{lb}");
-            let mut out = Vec::new();
-            assert_eq!(sorted_intersect_into(&a, &b, &mut out), expected);
-            assert_eq!(out, naive(&a, &b));
         }
     }
 

@@ -10,11 +10,8 @@
 //!   layer (sorted, deduplicated adjacency lists).
 //! * [`DenseSubgraph`] — a re-indexed subgraph with per-layer adjacency
 //!   bitsets, for word-level peeling over small candidate universes.
-//! * [`CompressedVertexSet`] / [`CompressedSubgraph`] — roaring-style
-//!   array/bitmap block containers with the same membership semantics,
-//!   for huge sparse universes where flat rows cannot exist.
 //! * [`intersect`] — sorted-run intersection primitives (linear merge and
-//!   galloping search) shared by the CSR kernels and sparse containers.
+//!   galloping search) behind the CSR run kernels.
 //! * [`kernels`] — the runtime-dispatched bit-kernel layer (scalar /
 //!   4×-unrolled / AVX2) every word-level loop above routes through,
 //!   selected once per process and forceable via `DCCS_FORCE_KERNEL`.
@@ -62,7 +59,6 @@ pub mod algo;
 pub mod batch;
 pub mod bitset;
 pub mod builder;
-pub mod compressed;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -77,7 +73,6 @@ pub mod stats;
 pub use batch::{AppliedBatch, EdgeBatch, LayerDelta};
 pub use bitset::VertexSet;
 pub use builder::MultiLayerGraphBuilder;
-pub use compressed::{CompressedSubgraph, CompressedVertexSet};
 pub use csr::Csr;
 pub use dense::DenseSubgraph;
 pub use error::{GraphError, Result};

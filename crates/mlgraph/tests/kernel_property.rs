@@ -1,14 +1,18 @@
 //! Property suite for the bit-kernel layer: every kernel this host can run
 //! must be bit-identical to the scalar reference on randomized
 //! [`VertexSet`]s — including partial trailing words, empty sets, and full
-//! sets — across every dispatched operation.
+//! sets — across every dispatched operation. The CSR sorted-run machinery
+//! (`degree_within` via `BitKernel::sorted_and_count`, and the
+//! galloping/merge intersection behind `common_degree`) must agree with
+//! the scalar membership walk on randomized adjacencies.
 //!
 //! CI runs the whole workspace suite once with `DCCS_FORCE_KERNEL=scalar`
 //! and once unforced (auto dispatch), so the selected kernel is also
 //! exercised end to end through the peeling engines, not just here.
 
+use mlgraph::intersect::{galloping_count, merge_count, sorted_intersect_count};
 use mlgraph::kernels::{available_kernels, kernel, kernel_for, KernelKind};
-use mlgraph::{Vertex, VertexSet};
+use mlgraph::{Csr, Vertex, VertexSet};
 use proptest::prelude::*;
 
 /// Strategy: a universe capacity that lands on word boundaries, just past
@@ -125,5 +129,46 @@ proptest! {
         out.assign_intersection(&sa, &sb);
         prop_assert_eq!(out.to_vec(), inter.clone());
         prop_assert_eq!(out.len(), inter.len());
+    }
+
+    // CSR: the kernel-dispatched sorted-run degree equals the scalar
+    // membership walk, and the galloping/merge intersections agree with a
+    // definitional model, on randomized adjacencies.
+    #[test]
+    fn csr_sorted_run_kernels_match_scalar_walk(
+        n_raw in 2usize..400,
+        edges_raw in prop::collection::vec((0u32..1_000, 0u32..1_000), 0..800),
+        members in prop::collection::vec(0u32..1_000, 0..200),
+    ) {
+        let n = n_raw;
+        let edges: Vec<(Vertex, Vertex)> = edges_raw
+            .into_iter()
+            .map(|(u, v)| (u % n as Vertex, v % n as Vertex))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let csr = Csr::from_edges(n, &edges);
+        let within = VertexSet::from_iter(n, members.into_iter().map(|v| v % n as Vertex));
+        for v in 0..n as Vertex {
+            // Definitional scalar membership walk.
+            let expected = csr.neighbors(v).iter().filter(|&&u| within.contains(u)).count();
+            prop_assert_eq!(csr.degree_within(v, &within), expected, "degree_within v={}", v);
+            for k in available_kernels() {
+                prop_assert_eq!(
+                    k.sorted_and_count(csr.neighbors(v), within.words()),
+                    expected,
+                    "sorted_and_count {:?} v={}", k.kind(), v
+                );
+            }
+        }
+        // Galloping and merge intersections agree with each other and the
+        // adaptive entry point on adjacency-run pairs (common_degree).
+        for (u, v) in [(0, 1), (0, n as Vertex - 1), (1, n as Vertex / 2)] {
+            let (a, b) = (csr.neighbors(u), csr.neighbors(v));
+            let expected = a.iter().filter(|x| b.binary_search(x).is_ok()).count();
+            prop_assert_eq!(merge_count(a, b), expected);
+            prop_assert_eq!(galloping_count(a, b), expected);
+            prop_assert_eq!(sorted_intersect_count(a, b), expected);
+            prop_assert_eq!(csr.common_degree(u, v), expected);
+        }
     }
 }
