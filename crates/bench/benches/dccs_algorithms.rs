@@ -1,10 +1,12 @@
 //! Criterion benchmark: the three DCCS algorithms end to end on a tiny
-//! dataset analogue, for a small and a large support threshold, plus the
-//! parallel-greedy extension.
+//! dataset analogue, for a small and a large support threshold, plus
+//! greedy at one and four executor threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datasets::{generate, DatasetId, Scale};
-use dccs::{bottom_up_dccs, greedy_dccs, parallel_greedy_dccs, top_down_dccs, DccsParams};
+use dccs::{
+    bottom_up_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsOptions, DccsParams, DccsSession,
+};
 
 fn bench_small_s(c: &mut Criterion) {
     let ds = generate(DatasetId::German, Scale::Tiny);
@@ -30,10 +32,17 @@ fn bench_large_s(c: &mut Criterion) {
 fn bench_parallel_greedy(c: &mut Criterion) {
     let ds = generate(DatasetId::Wiki, Scale::Tiny);
     let params = DccsParams::new(3, 2, 10);
+    let greedy = |threads: usize| {
+        DccsSession::with_options(&ds.graph, DccsOptions::with_threads(threads))
+            .query(params)
+            .algorithm(Algorithm::Greedy)
+            .run()
+            .unwrap()
+    };
     let mut group = c.benchmark_group("parallel_greedy");
     group.sample_size(10);
-    group.bench_function("1-thread", |b| b.iter(|| parallel_greedy_dccs(&ds.graph, &params, 1)));
-    group.bench_function("4-threads", |b| b.iter(|| parallel_greedy_dccs(&ds.graph, &params, 4)));
+    group.bench_function("1-thread", |b| b.iter(|| greedy(1)));
+    group.bench_function("4-threads", |b| b.iter(|| greedy(4)));
     group.finish();
 }
 

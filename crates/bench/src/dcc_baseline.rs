@@ -637,11 +637,10 @@ pub fn compare_candidate_generation(ds: &Dataset, d: u32, s: usize, runs: usize)
 /// Measures one algorithm end to end at 1 executor thread and at `threads`,
 /// asserting the covers agree (they must — the executor is deterministic).
 ///
-/// Caveat: each timed run includes the executor's per-run worker
-/// spawn/join (`with_pool` creates the crew per algorithm invocation), so
-/// on sub-millisecond inputs — the tiny analogues — `secs_n` is dominated
-/// by that fixed cost and understates the scheduling speedup larger inputs
-/// would see.
+/// Caveat: each timed run is a one-shot session, so it includes the
+/// worker spawn/join of that session's crew; on sub-millisecond inputs —
+/// the tiny analogues — `secs_n` is dominated by that fixed cost and
+/// understates the scheduling speedup larger inputs would see.
 pub fn compare_thread_scaling(
     ds: &Dataset,
     algorithm: Algorithm,

@@ -446,7 +446,9 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
         let index = match session.index() {
             // Reuse an attached index when it already covers the queried
             // thresholds; otherwise build one on the session's crew.
-            Some(index) if opts.ds.iter().all(|&d| index.d_values().contains(&d)) => index.clone(),
+            Some(index) if opts.ds.iter().all(|&d| index.d_values().contains(&d)) => {
+                (*index).clone()
+            }
             _ => session.build_index(&opts.ds, opts.max_s.unwrap_or(0)),
         };
         index.save(path)?;

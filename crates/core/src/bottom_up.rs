@@ -19,7 +19,7 @@
 //! # Execution model
 //!
 //! The search tree runs as a deterministic subtree-level task graph on the
-//! shared executor ([`crate::engine::drive_task_graph`]): every node is one
+//! shared executor ([`crate::engine`]): every node is one
 //! task that peels its surviving children on whichever worker grabs it,
 //! and the results are committed on the driver in the tree's pre-order.
 //! The Lemma-3 child selection inside a task is evaluated against a
@@ -38,52 +38,31 @@
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::{PruneBounds, TopKDiversified};
-use crate::engine::{drive_task_graph, with_pool, PoolRef, SearchContext};
+use crate::engine::{drive_task_graph, PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::limits::QueryMonitor;
 use crate::preprocess::init_topk_in;
 use crate::result::{CoherentCore, DccsResult, SearchStats};
+use crate::session::DccsSession;
 use coreness::PeelWorkspace;
 use mlgraph::{Layer, MultiLayerGraph, VertexSet};
 use std::time::Instant;
 
-/// Runs `BU-DCCS` with default options.
-///
-/// A one-shot wrapper over the engine state [`crate::DccsSession`] keeps
-/// alive between queries; it retains the historical panic on invalid
-/// parameters. Prefer the session API for repeated queries.
+/// Runs `BU-DCCS` with default options as a one-shot query on a fresh
+/// [`DccsSession`]; panics on invalid parameters. Repeated queries and
+/// sweeps should keep one session instead.
 pub fn bottom_up_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
-    bottom_up_dccs_with_options(g, params, &DccsOptions::default())
+    DccsSession::new(g)
+        .query(*params)
+        .algorithm(Algorithm::BottomUp)
+        .run()
+        .expect("invalid DCCS parameters")
 }
 
-/// Runs `BU-DCCS` with explicit options (used by the Fig. 28 ablation and
-/// to set the executor width via `opts.threads`) — a one-shot wrapper over
-/// the context the session API reuses.
-pub fn bottom_up_dccs_with_options(
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> DccsResult {
-    let mut ctx = SearchContext::from_options(opts);
-    bottom_up_dccs_in(&mut ctx, g, params, opts)
-}
-
-/// Runs `BU-DCCS` on an existing [`SearchContext`], reusing its scratch
-/// across a parameter sweep. Spins up one scoped crew for the whole query;
-/// session callers with a persistent crew go through [`bottom_up_dccs_on`].
-pub fn bottom_up_dccs_in(
-    ctx: &mut SearchContext,
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> DccsResult {
-    with_pool(ctx.threads(), |pool| bottom_up_dccs_on(ctx, pool, g, params, opts))
-}
-
-/// [`bottom_up_dccs_in`] on an existing executor crew — the single-crew
-/// query path: preprocessing and the subtree task graph share `pool`, so
-/// neither phase pays its own worker spawn/join.
-pub fn bottom_up_dccs_on(
+/// `BU-DCCS` on a query's context and executor crew: preprocessing and the
+/// subtree task graph share `pool`, so neither phase pays its own worker
+/// spawn/join.
+pub(crate) fn bottom_up_dccs_on(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,
@@ -281,6 +260,11 @@ mod tests {
     use crate::greedy::greedy_dccs;
     use mlgraph::MultiLayerGraphBuilder;
 
+    fn bottom_up_with(g: &MultiLayerGraph, params: &DccsParams, opts: &DccsOptions) -> DccsResult {
+        let mut session = DccsSession::with_options(g, *opts);
+        session.query(*params).algorithm(Algorithm::BottomUp).run().unwrap()
+    }
+
     fn clique(b: &mut MultiLayerGraphBuilder, layer: usize, vs: &[u32]) {
         for i in 0..vs.len() {
             for j in (i + 1)..vs.len() {
@@ -329,8 +313,7 @@ mod tests {
             let params = DccsParams::new(d, s, k);
             let seq = bottom_up_dccs(&g, &params);
             for threads in [2, 4] {
-                let par =
-                    bottom_up_dccs_with_options(&g, &params, &DccsOptions::with_threads(threads));
+                let par = bottom_up_with(&g, &params, &DccsOptions::with_threads(threads));
                 assert_eq!(par.cores, seq.cores, "threads={threads} d={d} s={s} k={k}");
                 assert_eq!(par.stats, seq.stats, "threads={threads} d={d} s={s} k={k}");
             }
@@ -359,7 +342,7 @@ mod tests {
             init_topk: false,
             ..DccsOptions::default()
         };
-        let unpruned = bottom_up_dccs_with_options(&g, &params, &opts);
+        let unpruned = bottom_up_with(&g, &params, &opts);
         assert_eq!(pruned.cover_size(), unpruned.cover_size());
         assert!(pruned.stats.dcc_calls <= unpruned.stats.dcc_calls);
     }
@@ -375,7 +358,7 @@ mod tests {
             DccsOptions::no_init_topk(),
             DccsOptions::no_preprocessing(),
         ] {
-            let r = bottom_up_dccs_with_options(&g, &params, &opts);
+            let r = bottom_up_with(&g, &params, &opts);
             assert_eq!(r.cover_size(), reference);
         }
     }

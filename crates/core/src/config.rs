@@ -67,13 +67,11 @@ pub struct DccsOptions {
     pub use_refine_c: bool,
     /// Worker threads for the shared search executor (`crate::engine`).
     ///
-    /// `1` means sequential (the driver thread does all the work). `0` means
-    /// **auto** in the session API ([`crate::DccsSession`] resolves it to
-    /// `std::thread::available_parallelism()`); the direct entry points
-    /// (`*_with_options`, [`crate::engine::SearchContext::new`]) treat `0`
-    /// as `1` for backward compatibility. Results — cores, cover, and work
-    /// counters — are identical at every thread count; only the wall-clock
-    /// time changes.
+    /// `1` means sequential (the driver thread does all the work) and `0`
+    /// means **auto**: `std::thread::available_parallelism()`, via
+    /// [`crate::auto_threads`] — one rule at every entry point. Results —
+    /// cores, cover, and work counters — are identical at every thread
+    /// count; only the wall-clock time changes.
     pub threads: usize,
     /// Dense-vs-CSR peeling representation override
     /// ([`crate::engine::IndexChoice`]; the CLI's `--index csr|dense|auto`).
@@ -87,12 +85,11 @@ pub struct DccsOptions {
     /// [`QueryLimits::none`] — unlimited queries skip the monitor entirely
     /// and pay no cancellation tax.
     pub limits: QueryLimits,
-    /// How session queries derive candidate cores ([`Serve`]): `Auto` (the
-    /// default) answers from an attached [`crate::DccIndex`] when it covers
-    /// the query and falls back to peeling, `Peel` never consults the
-    /// index, `Index` fails with a typed error instead of re-peeling. Only
-    /// the session API consults this knob — the one-shot free functions
-    /// have no index to serve from.
+    /// How queries derive candidate cores ([`Serve`]): `Auto` (the default)
+    /// answers from an attached [`crate::DccIndex`] when it covers the query
+    /// and falls back to peeling, `Peel` never consults the index, `Index`
+    /// fails with a typed error instead of re-peeling. The one-shot free
+    /// functions run on a fresh session, which has no index attached.
     pub serve: Serve,
 }
 

@@ -22,7 +22,7 @@ const WORD_BITS: usize = 64;
 
 /// A frozen snapshot of the pruning-relevant state of a [`TopKDiversified`]
 /// set, taken when a search-tree task is spawned onto the executor's task
-/// graph (see [`crate::engine::drive_task_graph`]).
+/// graph (see [`crate::engine`]).
 ///
 /// A task evaluated on a worker must not read the live result set — its
 /// contents depend on which other subtrees have committed, which would make

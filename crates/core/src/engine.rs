@@ -5,26 +5,30 @@
 //! nodes of a layer-subset search tree. This module centralizes the three
 //! resources those peels share:
 //!
-//! * **Scratch** — a [`SearchContext`] owns the driver-thread
+//! * **Scratch** — a `SearchContext` owns the driver-thread
 //!   [`PeelWorkspace`] plus the reusable cover/seed buffers threaded through
-//!   greedy selection and `InitTopK`, so a context reused across a parameter
-//!   sweep performs no steady-state allocation.
+//!   greedy selection and `InitTopK`. The query service
+//!   ([`crate::QueryService`]) pools contexts and binds each to the graph
+//!   snapshot a query pinned, so steady-state queries allocate nothing.
 //! * **Indexing policy** — a cost model ([`plan_index`]) decides per run
 //!   whether candidate generation peels over the word-level
 //!   [`DenseSubgraph`] rows or the CSR adjacency, comparing the dense
 //!   per-query cost (`⌈m/64⌉` words per row) against the average CSR
 //!   adjacency length. The built dense index is cached on the context,
-//!   keyed on the candidate universe, so a sweep over `s` (whose universe
-//!   is unchanged) re-indexes the graph once.
-//! * **Worker scheduling** — [`with_pool`] spins up a scoped worker crew
-//!   with one [`PeelWorkspace`] per worker and a shared job queue. Two
-//!   scheduling shapes run on the same crew:
+//!   keyed on the snapshot epoch and the candidate universe, so a sweep
+//!   over `s` (whose universe is unchanged) re-indexes the graph once.
+//! * **Worker scheduling** — one crew type, a `PersistentPool`:
+//!   `threads − 1` worker threads, each with its own [`PeelWorkspace`],
+//!   draining a shared job queue alongside the driver. The query service
+//!   keeps one crew and reuses it across queries; a one-thread run gets a
+//!   crew with no workers, so every batch runs inline on the driver. Two
+//!   scheduling shapes run on a crew:
 //!
-//!   1. *Fork-join batches* ([`PoolRef::map`]) — a fixed job list whose
+//!   1. *Fork-join batches* (`PoolRef::map`) — a fixed job list whose
 //!      outputs come back in submission order. The lattice's depth-1
-//!      branches, the per-layer preprocessing peels, and `run_batch` query
+//!      branches, the per-layer preprocessing peels, and batch query
 //!      fan-out all use this shape.
-//!   2. *Subtree task graphs* ([`drive_task_graph`]) — BU/TD search-tree
+//!   2. *Subtree task graphs* (`drive_task_graph`) — BU/TD search-tree
 //!      nodes become individual tasks on the shared queue. Each task is
 //!      evaluated on whichever worker grabs it first, carrying a snapshot
 //!      of the pruning bounds it was spawned under, and its result is
@@ -207,24 +211,15 @@ pub fn plan_index_with(
     }
 }
 
-/// One cached dense index, keyed on the universe it was built for.
+/// One cached dense index, keyed on the snapshot epoch and the universe it
+/// was built for.
 #[derive(Debug)]
 struct DenseCacheEntry {
-    /// Identity guard: the graph address + shape the index was built from.
-    /// The address alone could be reused by a different graph after a
-    /// drop-and-rebuild, so the vertex/layer/edge counts are part of the
-    /// key too. This is a best-effort tripwire, not a proof: a rebuilt
-    /// graph matching on all four fields with different edges would still
-    /// hit stale — the binding contract ("one context per graph", see
-    /// [`SearchContext`]) is what callers must uphold; call
-    /// [`SearchContext::clear_cache`] when repointing a context.
-    graph_key: (usize, usize, usize, usize),
+    /// Epoch of the snapshot the index was built on: a pooled context
+    /// re-bound to another graph version never reads it.
+    epoch: u64,
     universe: VertexSet,
     dense: DenseSubgraph,
-}
-
-fn graph_key(g: &MultiLayerGraph) -> (usize, usize, usize, usize) {
-    (std::ptr::from_ref(g) as usize, g.num_vertices(), g.num_layers(), g.total_edges())
 }
 
 /// Bound on how many distinct `(universe, choice)` cost-model decisions the
@@ -243,7 +238,7 @@ type FixpointKey = (u32, usize, bool);
 /// never held across one.
 type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 
-/// The **shared immutable tier** of session state: everything about a graph
+/// The **shared immutable tier** of one graph version: everything about it
 /// that is expensive to derive, deterministic, and reusable by any number of
 /// concurrent queries:
 ///
@@ -254,14 +249,13 @@ type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 ///   only the search;
 /// * the dense-vs-CSR cost-model decisions per candidate universe.
 ///
-/// One instance is bound to one graph (identity-checked with the same
-/// best-effort key as the context-local caches) and published behind an
-/// `Arc` — typically inside a [`crate::service::GraphSnapshot`] — so N
-/// worker contexts answering N queries share one copy of the preprocessing
-/// work instead of each recomputing it. A standalone [`SearchContext`]
-/// gets a private tier on first use, so every caller memoizes through this
-/// one type. Entries are built **once under a once-style guard**:
-/// concurrent first queries for the same key block on one computation
+/// Each [`crate::service::GraphSnapshot`] owns one tier, behind an `Arc`,
+/// and every context checked out for that snapshot reads it — so N worker
+/// contexts answering N queries share one copy of the preprocessing work
+/// instead of each recomputing it. The snapshot's epoch is the tier's
+/// identity: a mutation commit publishes a new snapshot with a new tier.
+/// Entries are built **once under a once-style guard**: concurrent first
+/// queries for the same key block on one computation
 /// ([`OnceLock::get_or_init`]), and a computation that panics (e.g. under
 /// fault injection) leaves the cell empty, so a poisoned query never voids
 /// the tier for its siblings — the next query simply recomputes.
@@ -269,15 +263,12 @@ type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 /// Bit-identity is preserved by construction: every memoized quantity is a
 /// deterministic pure function of the graph and its key (layer peels and
 /// fixpoint rounds are thread-invariant, and [`plan_index_with`] is a pure
-/// cost model), so a context with the tier installed returns exactly what
-/// it would have computed locally. A limited query whose fixpoint stopped
-/// early holds a less-pruned superset, not that function's value, so it is
-/// never stored.
-#[derive(Debug)]
+/// cost model), so a context reading the tier returns exactly what it would
+/// have computed locally. A limited query whose fixpoint stopped early
+/// holds a less-pruned superset, not that function's value, so it is never
+/// stored.
+#[derive(Debug, Default)]
 pub struct SharedSearchState {
-    /// Identity guard (same contract as the context-local caches): contexts
-    /// consult the tier only while this matches their graph.
-    graph_key: (usize, usize, usize, usize),
     /// Per-`d` initial layer cores.
     layer_cores: OnceMap<u32, Vec<VertexSet>>,
     /// Converged vertex-deletion fixpoints. Dropped, not repaired, at a
@@ -290,21 +281,14 @@ pub struct SharedSearchState {
 }
 
 impl SharedSearchState {
-    /// A fresh shared tier bound to `g`. Nothing is computed eagerly; every
-    /// entry is filled on first use by whichever query needs it.
-    pub fn for_graph(g: &MultiLayerGraph) -> Arc<Self> {
-        SharedSearchState::preloaded(g, Vec::new())
-    }
-
-    /// A tier bound to `g` whose per-`d` layer-core cells arrive already
-    /// filled — the mutation-commit path
-    /// ([`crate::QueryService::commit`]) repairs the previous epoch's
-    /// entries against the edge delta instead of letting the next epoch's
-    /// queries recompute them from scratch. Fixpoints and plans start
-    /// empty: both depend on the whole graph, which the delta can change
-    /// arbitrarily, and each is recomputed on first use from the repaired
-    /// cores.
-    pub(crate) fn preloaded(g: &MultiLayerGraph, entries: Vec<(u32, Vec<VertexSet>)>) -> Arc<Self> {
+    /// A tier whose per-`d` layer-core cells arrive already filled — the
+    /// mutation-commit path ([`crate::QueryService::commit`]) repairs the
+    /// previous epoch's entries against the edge delta instead of letting
+    /// the next epoch's queries recompute them from scratch. Fixpoints and
+    /// plans start empty: both depend on the whole graph, which the delta
+    /// can change arbitrarily, and each is recomputed on first use from the
+    /// repaired cores.
+    pub(crate) fn preloaded(entries: Vec<(u32, Vec<VertexSet>)>) -> Arc<Self> {
         let map = entries
             .into_iter()
             .map(|(d, cores)| {
@@ -313,12 +297,7 @@ impl SharedSearchState {
                 (d, cell)
             })
             .collect();
-        Arc::new(SharedSearchState {
-            graph_key: graph_key(g),
-            layer_cores: Mutex::new(map),
-            fixpoints: Mutex::new(HashMap::new()),
-            plans: Mutex::new(Vec::new()),
-        })
+        Arc::new(SharedSearchState { layer_cores: Mutex::new(map), ..SharedSearchState::default() })
     }
 
     /// Every **filled** per-`d` layer-core entry, for the commit path to
@@ -331,12 +310,6 @@ impl SharedSearchState {
             .collect();
         entries.sort_by_key(|&(d, _)| d);
         entries
-    }
-
-    /// Whether this tier was built for `g` (the same best-effort identity
-    /// check the context-local caches use).
-    pub fn bound_to(&self, g: &MultiLayerGraph) -> bool {
-        self.graph_key == graph_key(g)
     }
 
     /// Number of distinct `d` values whose layer cores have a cell (filled
@@ -436,26 +409,25 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Shared execution state for a sequence of DCCS runs over one graph:
-/// worker count, the driver's peel scratch, reusable cover/seed buffers, and
-/// the lazily built, sweep-reusable dense index.
+/// Per-query execution state: the driver's peel scratch, reusable
+/// cover/seed buffers, the lazily built dense index, and the binding to one
+/// graph snapshot — its epoch and its [`SharedSearchState`].
 ///
-/// A context is bound to one graph: reuse it freely across `(d, s, k)`
-/// values and algorithms (that is what makes the dense index and the scratch
-/// buffers pay off), but create a fresh context per graph.
+/// The query service pools contexts and re-binds one to the snapshot each
+/// query pinned ([`SearchContext::bind`]). Every cache a context keeps is
+/// keyed by that snapshot's epoch, so a context reused across graph
+/// versions never serves one version's index to another.
 #[derive(Debug)]
-pub struct SearchContext {
-    threads: usize,
+pub(crate) struct SearchContext {
     /// Caller override of the dense-vs-CSR cost model (CLI `--index`).
     index_choice: IndexChoice,
+    /// Epoch of the snapshot this context is bound to (0 for a standalone
+    /// context, which no published snapshot ever carries).
+    epoch: u64,
+    /// The bound snapshot's tier: layer cores, fixpoints and index plans.
+    shared: Arc<SharedSearchState>,
     dense_cache: Option<DenseCacheEntry>,
-    /// The tier memoizing this context's layer cores, fixpoints and index
-    /// plans ([`SharedSearchState`]): installed by sessions and the query
-    /// service, or created privately the first time a standalone context
-    /// preprocesses a graph no installed tier is bound to. Purely an
-    /// optimization — results are bit-identical with or without it.
-    shared: Option<Arc<SharedSearchState>>,
-    /// Driver-thread peel scratch (workers own their own, see [`with_pool`]).
+    /// Driver-thread peel scratch (workers own their own).
     pub(crate) ws: PeelWorkspace,
     /// Reused cover accumulator for the greedy max-k-cover selection.
     pub(crate) cover: VertexSet,
@@ -463,22 +435,26 @@ pub struct SearchContext {
     pub(crate) running: VertexSet,
     /// Reused seed-core output buffer for `InitTopK`.
     pub(crate) seed: VertexSet,
-    /// The active query's limit monitor, installed by the session for the
-    /// duration of one dispatch. `None` (the default, and for every
+    /// The active query's limit monitor, installed by the dispatch layer
+    /// for the duration of one query. `None` (the default, and for every
     /// unlimited query without a cancel token) keeps all checkpoint sites
     /// on their no-monitor fast path.
     pub(crate) monitor: Option<Arc<QueryMonitor>>,
 }
 
 impl SearchContext {
-    /// A context executing on `threads` workers (0 and 1 both mean
-    /// sequential: the driver thread does all the work).
-    pub fn new(threads: usize) -> Self {
+    /// A context bound to the snapshot with `epoch` and tier `shared`,
+    /// planning its peels under `index_choice`.
+    pub(crate) fn new(
+        epoch: u64,
+        shared: Arc<SharedSearchState>,
+        index_choice: IndexChoice,
+    ) -> Self {
         SearchContext {
-            threads: threads.max(1),
-            index_choice: IndexChoice::Auto,
+            index_choice,
+            epoch,
+            shared,
             dense_cache: None,
-            shared: None,
             ws: PeelWorkspace::new(),
             cover: VertexSet::new(0),
             running: VertexSet::new(0),
@@ -487,75 +463,34 @@ impl SearchContext {
         }
     }
 
-    /// A context configured from the options' `threads` and `index` knobs.
-    pub fn from_options(opts: &DccsOptions) -> Self {
-        let mut ctx = SearchContext::new(opts.threads);
-        ctx.index_choice = opts.index;
-        ctx
+    /// Re-binds a pooled context to the snapshot a query checked it out
+    /// for. The scratch buffers carry over; the dense index is read again
+    /// only while the epoch matches the one it was built on.
+    pub(crate) fn bind(&mut self, epoch: u64, shared: Arc<SharedSearchState>, index: IndexChoice) {
+        self.epoch = epoch;
+        self.shared = shared;
+        self.index_choice = index;
     }
 
-    /// Number of workers (≥ 1) batches are spread over.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// A fresh context bound to the same snapshot and index override —
+    /// what the dispatch layer swaps in after a panic unwound through this
+    /// one.
+    pub(crate) fn rebuilt(&self) -> Self {
+        SearchContext::new(self.epoch, self.shared.clone(), self.index_choice)
     }
 
-    /// Changes the worker count for subsequent runs (0 and 1 both mean
-    /// sequential). The scratch buffers and caches are thread-independent,
-    /// so a session can re-point the executor width per query without
-    /// losing sweep state.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The dense-vs-CSR override subsequent runs plan with.
-    pub fn index_choice(&self) -> IndexChoice {
-        self.index_choice
-    }
-
-    /// Overrides the dense-vs-CSR cost model for subsequent runs. Both
-    /// representations are bit-identical, so this — like `set_threads` —
-    /// changes the wall-clock only; the per-run decision still lands in
-    /// [`crate::SearchStats::index_path`].
-    pub fn set_index_choice(&mut self, choice: IndexChoice) {
-        self.index_choice = choice;
-    }
-
-    /// Runs the Section IV-C preprocessing through the context's
-    /// [`SharedSearchState`]: the initial full-universe d-cores (the only
-    /// step that depends on `d` alone) are computed once per distinct `d`,
-    /// and the converged vertex-deletion fixpoint once per `(d, s,
-    /// vertex_deletion)`, then reused by every later query on the same
-    /// graph — a warm query repeating a `(d, s)` is a refcount bump, and an
-    /// `s` sweep at fixed `d` re-runs only the fixpoint. With more than one
-    /// thread the layer peels of both steps run as fork-join batches over
-    /// the executor crew. The result is bit-identical to
-    /// [`crate::preprocess::preprocess`] — the memo and the batches only
-    /// skip or parallelize recomputing deterministic values.
-    pub fn preprocess(
-        &mut self,
-        g: &MultiLayerGraph,
-        params: &DccsParams,
-        opts: &DccsOptions,
-    ) -> Arc<Preprocessed> {
-        with_pool(self.threads, |pool| self.preprocess_on(pool, g, params, opts))
-    }
-
-    /// [`SearchContext::preprocess`] on an existing executor crew — the
-    /// single-crew query path: the session spins up (or reuses) one crew
-    /// per query and threads it through preprocessing and the search, so
-    /// no phase pays its own worker spawn/join.
-    pub fn preprocess_on(
-        &mut self,
-        pool: &PoolRef<'_>,
-        g: &MultiLayerGraph,
-        params: &DccsParams,
-        opts: &DccsOptions,
-    ) -> Arc<Preprocessed> {
-        self.preprocess_memo(pool, g, params, opts).0
-    }
-
-    /// [`SearchContext::preprocess_on`] for the algorithms: also records
-    /// the deletion counters and whether the memo answered in `stats`.
+    /// Runs the Section IV-C preprocessing through the bound tier and
+    /// records the deletion counters and whether the memo answered in
+    /// `stats`. The initial full-universe d-cores (the only step that
+    /// depends on `d` alone) are computed once per distinct `d`, and the
+    /// converged vertex-deletion fixpoint once per `(d, s,
+    /// vertex_deletion)`, then reused by every later query on the snapshot
+    /// — a warm query repeating a `(d, s)` is a refcount bump, and an `s`
+    /// sweep at fixed `d` re-runs only the fixpoint. The layer peels of
+    /// both steps run as fork-join batches on `pool`. The result is
+    /// bit-identical to [`crate::preprocess::preprocess`]. A limited query
+    /// (one with a monitor installed) may stop the fixpoint early; the tier
+    /// then keeps the unconverged result out of the memo.
     pub(crate) fn preprocess_into(
         &mut self,
         pool: &PoolRef<'_>,
@@ -564,61 +499,19 @@ impl SearchContext {
         opts: &DccsOptions,
         stats: &mut SearchStats,
     ) -> Arc<Preprocessed> {
-        let (pre, hit) = self.preprocess_memo(pool, g, params, opts);
+        let tier = &self.shared;
+        let monitor = self.monitor.as_deref();
+        let ws = &mut self.ws;
+        let key = (params.d, params.s, opts.vertex_deletion);
+        let (pre, hit) = tier.fixpoint(key, monitor.is_some(), || {
+            let initial =
+                tier.layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool));
+            preprocess_from_monitored(g, params, opts, ws, initial.to_vec(), pool, monitor)
+        });
         stats.vertices_deleted = pre.vertices_deleted;
         stats.fixpoint_rounds = pre.fixpoint_rounds;
         stats.preprocess_memo_hit = hit;
         pre
-    }
-
-    /// The memoized preprocessing and whether it was a memo hit. A limited
-    /// query (one with a monitor installed) may stop the fixpoint early;
-    /// the tier then keeps the unconverged result out of the memo.
-    fn preprocess_memo(
-        &mut self,
-        pool: &PoolRef<'_>,
-        g: &MultiLayerGraph,
-        params: &DccsParams,
-        opts: &DccsOptions,
-    ) -> (Arc<Preprocessed>, bool) {
-        let tier = match &self.shared {
-            Some(tier) if tier.bound_to(g) => tier.clone(),
-            _ => {
-                let tier = SharedSearchState::for_graph(g);
-                self.shared = Some(tier.clone());
-                tier
-            }
-        };
-        let monitor = self.monitor.as_deref();
-        let ws = &mut self.ws;
-        let key = (params.d, params.s, opts.vertex_deletion);
-        tier.fixpoint(key, monitor.is_some(), || {
-            let initial =
-                tier.layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool));
-            preprocess_from_monitored(g, params, opts, ws, initial.to_vec(), pool, monitor)
-        })
-    }
-
-    /// Runs the cost model for `universe` and, when the dense path wins,
-    /// returns the re-indexed subgraph — cached across calls, so a sweep
-    /// whose preprocessed universe is unchanged (e.g. varying `s` at fixed
-    /// `d`) builds it once. Returns the plan alongside so callers can record
-    /// the chosen path in their statistics.
-    pub fn dense_for<'a>(
-        &'a mut self,
-        g: &'a MultiLayerGraph,
-        universe: &VertexSet,
-    ) -> (IndexPlan, Option<&'a DenseSubgraph>) {
-        let (index, _) = self.peel_index(g, universe);
-        (index.plan, index.dense)
-    }
-
-    /// Drops the cached dense index and the installed
-    /// [`SharedSearchState`] with its preprocessing memo (e.g. before
-    /// pointing the context at a different graph).
-    pub fn clear_cache(&mut self) {
-        self.dense_cache = None;
-        self.shared = None;
     }
 
     /// Split borrow of the `InitTopK` scratch: the driver workspace, the
@@ -628,9 +521,9 @@ impl SearchContext {
     }
 
     /// Installs (or removes) the limit monitor for the next dispatch. The
-    /// session sets it right before running a limited query and clears it
-    /// after, so sweep reuse of the context never leaks one query's limits
-    /// into the next.
+    /// dispatch layer sets it right before running a limited query and
+    /// clears it after, so reuse of the context never leaks one query's
+    /// limits into the next.
     pub(crate) fn set_monitor(&mut self, monitor: Option<Arc<QueryMonitor>>) {
         self.monitor = monitor;
     }
@@ -640,37 +533,19 @@ impl SearchContext {
         self.monitor.as_ref()
     }
 
-    /// Installs (or removes) the shared immutable tier this context
-    /// consults before computing layer cores, fixpoints or index plans. The
-    /// tier is identity-checked against the queried graph on every consult,
-    /// so installing a tier built for a different graph is inert rather
-    /// than wrong: preprocessing replaces it with a private tier for the
-    /// queried graph.
-    pub fn set_shared(&mut self, shared: Option<Arc<SharedSearchState>>) {
-        self.shared = shared;
-    }
-
-    /// The installed shared tier, if any.
-    pub fn shared(&self) -> Option<&Arc<SharedSearchState>> {
-        self.shared.as_ref()
-    }
-
     /// Plans the peeling representation for `universe` (honoring the
     /// context's [`IndexChoice`] override) and hands back the unified
     /// [`PeelIndex`] plus the driver workspace as a split borrow, so
     /// candidate generation can peel on the driver while branch jobs share
     /// the index. The dense index is cached across calls keyed on the
-    /// universe, so a sweep whose preprocessed universe is unchanged
-    /// re-indexes the graph once.
+    /// snapshot epoch and the universe, so a sweep whose preprocessed
+    /// universe is unchanged re-indexes the graph once.
     pub(crate) fn peel_index<'a>(
         &'a mut self,
         g: &'a MultiLayerGraph,
         universe: &VertexSet,
     ) -> (PeelIndex<'a>, &'a mut PeelWorkspace) {
-        let mut plan = match self.shared.as_deref().filter(|tier| tier.bound_to(g)) {
-            Some(tier) => tier.plan(g, universe, self.index_choice),
-            None => plan_index_with(g, universe, self.index_choice),
-        };
+        let mut plan = self.shared.plan(g, universe, self.index_choice);
         if plan.path == IndexPath::Dense {
             if let Some(ceiling) =
                 self.monitor.as_ref().and_then(|monitor| monitor.max_dense_words())
@@ -680,8 +555,8 @@ impl SearchContext {
                     // Over the caller's memory ceiling: under `Auto` the CSR
                     // path is a bit-identical fallback, so just take it; a
                     // *forced* dense index is a contract the engine cannot
-                    // honor, so the monitor trips and the session fails the
-                    // query with `MemoryLimit`.
+                    // honor, so the monitor trips and the dispatch layer
+                    // fails the query with `MemoryLimit`.
                     if self.index_choice == IndexChoice::Dense {
                         if let Some(monitor) = &self.monitor {
                             monitor.trip_dense_memory(required, ceiling);
@@ -691,15 +566,15 @@ impl SearchContext {
                 }
             }
         }
-        let key = graph_key(g);
         let dense = if plan.path == IndexPath::Dense {
+            let epoch = self.epoch;
             let hit = self
                 .dense_cache
                 .as_ref()
-                .is_some_and(|e| e.graph_key == key && e.universe == *universe);
+                .is_some_and(|e| e.epoch == epoch && e.universe == *universe);
             if !hit {
                 self.dense_cache = Some(DenseCacheEntry {
-                    graph_key: key,
+                    epoch,
                     universe: universe.clone(),
                     dense: DenseSubgraph::build(g, universe),
                 });
@@ -712,9 +587,13 @@ impl SearchContext {
     }
 }
 
+/// A standalone context for unit tests that drive the algorithms directly:
+/// epoch 0 (which no published snapshot carries), a private tier, `Auto`
+/// index plans. Bound to whichever one graph it is first used on.
+#[cfg(test)]
 impl Default for SearchContext {
     fn default() -> Self {
-        SearchContext::new(1)
+        SearchContext::new(0, Arc::default(), IndexChoice::Auto)
     }
 }
 
@@ -965,11 +844,10 @@ impl<'a> PeelIndex<'a> {
 ///
 /// Jobs are **lifetime-erased** at enqueue time (see [`erase_job`]): the
 /// queue holds `'static`-typed boxes whose closures may in fact borrow the
-/// enqueuing frame. That is what lets one crew — including a
-/// session-persistent one — serve batches whose jobs borrow data created
-/// long after the crew was spawned (the preprocessed layer cores, the
-/// cached dense index, a lattice branch closure), which is the whole point
-/// of the single-crew query path.
+/// enqueuing frame. That is what lets one long-lived crew serve batches
+/// whose jobs borrow data created long after the crew was spawned (the
+/// preprocessed layer cores, the cached dense index, a lattice branch
+/// closure), so a query pays no worker spawn/join of its own.
 type Job = Box<dyn FnOnce(&mut PeelWorkspace) + Send>;
 
 /// Erases the borrow lifetime of a job before it enters the shared queue.
@@ -1008,7 +886,7 @@ struct PoolShared {
     /// Message of the most recent panicking job, recorded by the isolation
     /// layer in [`worker_loop`] before the driver is woken — so when the
     /// driver surfaces the failure (missing batch result / dead task slot)
-    /// the session can report the *original* panic, not the generic
+    /// the dispatch layer can report the *original* panic, not the generic
     /// missing-result message.
     last_panic: Mutex<Option<String>>,
 }
@@ -1070,9 +948,9 @@ impl Drop for DrainGuard<'_> {
 }
 
 /// Decrements the in-flight job counter even if the job panicked, so a
-/// driver parked on `done_cv` is woken and the panic can propagate through
-/// the scope join instead of deadlocking the batch. Every popped job —
-/// fork-join batch job or task-graph task — is executed under this guard;
+/// driver parked on `done_cv` is woken instead of deadlocking the batch.
+/// Every popped job — fork-join batch job or task-graph task — is executed
+/// under this guard;
 /// `outstanding` is incremented at enqueue time by both [`PoolRef::map`]
 /// and [`PoolRef::submit`], so the counter uniformly means "enqueued but
 /// not finished".
@@ -1106,7 +984,7 @@ fn worker_loop(shared: &PoolShared) {
         let Some(job) = job else { return };
         let guard = JobGuard(shared);
         // Panic isolation: a panicking job must not take its worker down —
-        // the crew outlives the query (a session's `PersistentPool` serves
+        // the crew outlives the query (the query service's crew serves
         // every later query too). The panic is recorded for the driver,
         // which sees the job's missing result (batch) or dead slot (task
         // graph), and the workspace — whose scratch may be mid-cascade — is
@@ -1122,21 +1000,20 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Handle to a running worker crew: scoped ([`with_pool`]) or
-/// session-persistent ([`PersistentPool::pool_ref`]).
-pub struct PoolRef<'pool> {
+/// Handle to a running worker crew ([`PersistentPool::pool_ref`]).
+pub(crate) struct PoolRef<'pool> {
     shared: &'pool PoolShared,
     workers: usize,
 }
 
 impl PoolRef<'_> {
     /// Number of workers draining the queue besides the driver.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
     /// Takes (and clears) the message of the most recent panicking job on
-    /// this crew — the session reads it when converting a dispatch panic
+    /// this crew — the dispatch layer reads it when converting a panic
     /// into [`crate::DccsError::TaskPanicked`].
     pub(crate) fn take_last_panic(&self) -> Option<String> {
         self.shared.take_last_panic()
@@ -1155,7 +1032,7 @@ impl PoolRef<'_> {
     /// Jobs may borrow anything alive across this call — including data
     /// created after the crew was spawned; the internal [`DrainGuard`]
     /// guarantees no job outlives the call (see [`erase_job`]).
-    pub fn map<T, F>(&self, driver_ws: &mut PeelWorkspace, jobs: Vec<F>) -> Vec<T>
+    pub(crate) fn map<T, F>(&self, driver_ws: &mut PeelWorkspace, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce(&mut PeelWorkspace) -> T + Send,
@@ -1292,7 +1169,7 @@ impl PoolRef<'_> {
 /// every thread count, while tasks from different subtrees peel
 /// concurrently. With no workers the graph degenerates to a plain
 /// depth-first traversal with zero queue overhead.
-pub fn drive_task_graph<T, R, E, C>(
+pub(crate) fn drive_task_graph<T, R, E, C>(
     pool: &PoolRef<'_>,
     driver_ws: &mut PeelWorkspace,
     roots: Vec<T>,
@@ -1353,7 +1230,7 @@ struct TaskSlot<R> {
 
 /// Marks the slot [`SlotState::Dead`] unless disarmed — so a panicking task
 /// job wakes a driver parked on the slot instead of deadlocking it; the
-/// driver then panics on the dead slot, and the session reports the
+/// driver then panics on the dead slot, and the dispatch layer reports the
 /// worker's original message (parked by [`worker_loop`]'s isolation layer)
 /// in its typed error.
 struct SlotGuard<'a, R> {
@@ -1394,14 +1271,16 @@ impl<R> TaskHandle<R> {
     }
 }
 
-/// Signals shutdown when the driver closure exits — normally or by panic —
-/// so parked workers always wake up and the scope join never hangs.
-struct ShutdownGuard<'a>(&'a PoolShared);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        lock_state(self.0).shutdown = true;
-        self.0.work_cv.notify_all();
+/// Resolves a `threads` knob: `0` means **auto** —
+/// `std::thread::available_parallelism()` (falling back to 1 when the
+/// platform cannot report it) — and any other value is taken literally
+/// (`1` is sequential). Every entry point reads `threads` through this one
+/// rule.
+pub fn auto_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        threads
     }
 }
 
@@ -1412,60 +1291,30 @@ impl Drop for ShutdownGuard<'_> {
 /// queue, slot, and merge paths that a `threads = 1` run would otherwise
 /// skip. Read once per process.
 fn forced_threads() -> Option<usize> {
-    use std::sync::OnceLock;
     static FORCED: OnceLock<Option<usize>> = OnceLock::new();
     *FORCED.get_or_init(|| {
         std::env::var("DCCS_FORCE_THREADS").ok().and_then(|v| v.parse().ok()).filter(|&n| n >= 1)
     })
 }
 
-/// The crew width a `threads` request actually gets, after the
-/// `DCCS_FORCE_THREADS` CI override (which only ever raises it).
+/// The crew width a `threads` request actually gets: [`auto_threads`],
+/// then the `DCCS_FORCE_THREADS` CI override (which only ever raises it).
 pub(crate) fn effective_threads(threads: usize) -> usize {
-    forced_threads().map_or(threads, |forced| threads.max(forced)).max(1)
+    let threads = auto_threads(threads);
+    forced_threads().map_or(threads, |forced| threads.max(forced))
 }
 
-/// Spins up `threads − 1` scoped workers (the driver is the remaining one),
-/// runs `f` with a [`PoolRef`] handle, and joins everything before
-/// returning. With `threads ≤ 1` no thread is spawned and every batch runs
-/// inline on the driver (unless `DCCS_FORCE_THREADS` raises the width, see
-/// [`forced_threads`]).
-///
-/// Jobs may borrow anything alive across the batch that enqueues them —
-/// including data created *inside* `f`, long after the crew spawned: the
-/// preprocessed layer cores, a cached [`DenseSubgraph`], a lattice branch
-/// closure (see [`erase_job`] for why that is sound). Long-lived callers
-/// that want to reuse one crew across many calls hold a [`PersistentPool`]
-/// instead.
-pub fn with_pool<R>(threads: usize, f: impl FnOnce(&PoolRef<'_>) -> R) -> R {
-    let threads = effective_threads(threads);
-    let shared = PoolShared::new();
-    let workers = threads.saturating_sub(1);
-    if workers == 0 {
-        return f(&PoolRef { shared: &shared, workers: 0 });
-    }
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let shared = &shared;
-            scope.spawn(move || worker_loop(shared));
-        }
-        // The guard wakes parked workers on every exit path (including a
-        // panicking driver closure), so the scope join never hangs; a
-        // panicking *job* is caught on its worker (see `worker_loop`) and
-        // surfaces as a missing batch result on the driver (see
-        // `PoolRef::map`), whose panic the session converts to a typed
-        // error.
-        let _guard = ShutdownGuard(&shared);
-        f(&PoolRef { shared: &shared, workers })
-    })
+/// Runs `f` on a fresh crew of `threads` (see [`PersistentPool::new`]) and
+/// joins it before returning. A one-thread crew spawns nothing, so this is
+/// how a sequential run gets a [`PoolRef`] whose batches all run inline.
+pub(crate) fn with_pool<R>(threads: usize, f: impl FnOnce(&PoolRef<'_>) -> R) -> R {
+    f(&PersistentPool::new(threads).pool_ref())
 }
 
-/// A worker crew that outlives any single `with_pool` scope: spawned once,
-/// reused by every batch and task graph handed its [`PoolRef`], joined on
-/// drop. This is what backs the session's **single-crew queries** — a
-/// [`crate::DccsSession`] keeps one of these and threads it through
-/// preprocessing and the search of every query (and through whole
-/// [`crate::DccsSession::run_batch`] sweeps), so repeated small queries
+/// The executor's one crew type: `threads − 1` worker threads (the driver
+/// is the remaining one), spawned once, reused by every batch and task
+/// graph handed its [`PoolRef`], and joined on drop. The query service
+/// keeps one for its multi-thread queries and batches, so repeated queries
 /// stop paying a worker spawn/join per phase.
 ///
 /// Determinism is untouched: a crew only changes *where* jobs run, and
@@ -1474,9 +1323,9 @@ pub fn with_pool<R>(threads: usize, f: impl FnOnce(&PoolRef<'_>) -> R) -> R {
 /// isolation layer): the worker survives with a fresh workspace, the panic
 /// message is parked for [`PoolRef::take_last_panic`], and the driver
 /// surfaces the failure through the batch's missing result — so the crew
-/// keeps its full width across faults and the session stays usable.
+/// keeps its full width across faults and the service stays usable.
 #[derive(Debug)]
-pub struct PersistentPool {
+pub(crate) struct PersistentPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
@@ -1494,14 +1343,13 @@ impl std::fmt::Debug for PoolShared {
 }
 
 impl PersistentPool {
-    /// Spawns a crew of `threads − 1` workers (the driver participates as
-    /// the remaining one). `DCCS_FORCE_THREADS` raises the width exactly as
-    /// it does for [`with_pool`].
-    pub fn new(threads: usize) -> Self {
+    /// Spawns a crew of [`effective_threads`]`(threads) − 1` workers (the
+    /// driver participates as the remaining one): `0` means auto, and
+    /// `DCCS_FORCE_THREADS` may raise the width.
+    pub(crate) fn new(threads: usize) -> Self {
         let threads = effective_threads(threads);
         let shared = Arc::new(PoolShared::new());
-        let workers = threads.saturating_sub(1);
-        let handles = (0..workers)
+        let handles = (1..threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
@@ -1510,17 +1358,16 @@ impl PersistentPool {
         PersistentPool { shared, handles, threads }
     }
 
-    /// The width this crew was created for (after any CI forcing).
-    pub fn threads(&self) -> usize {
+    /// The width this crew was created for (after auto and CI forcing).
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
-    /// A handle batches and task graphs run on, same as inside
-    /// [`with_pool`]. Takes `&mut self`: the queue is strictly
-    /// single-driver (the [`DrainGuard`] completion fence purges the whole
-    /// queue on an unwinding batch), so the borrow checker must rule out
-    /// two simultaneous drivers on one crew.
-    pub fn pool_ref(&mut self) -> PoolRef<'_> {
+    /// A handle batches and task graphs run on. Takes `&mut self`: the
+    /// queue is strictly single-driver (the [`DrainGuard`] completion fence
+    /// purges the whole queue on an unwinding batch), so the borrow checker
+    /// must rule out two simultaneous drivers on one crew.
+    pub(crate) fn pool_ref(&mut self) -> PoolRef<'_> {
         PoolRef { shared: &self.shared, workers: self.handles.len() }
     }
 }
@@ -1748,14 +1595,14 @@ mod tests {
         // Forcing CSR or (budget-blown) Dense plans CSR too.
         assert_eq!(plan_index_with(&g, &universe, IndexChoice::Csr).path, IndexPath::Csr);
         assert_eq!(plan_index_with(&g, &universe, IndexChoice::Dense).path, IndexPath::Csr);
-        let mut ctx = SearchContext::new(1);
+        let mut ctx = SearchContext::default();
         let (index, _) = ctx.peel_index(&g, &universe);
         assert_eq!((index.path(), index.index_bytes()), (IndexPath::Csr, 0));
     }
 
     /// One persistent crew must serve many batches and task graphs — with
     /// jobs borrowing data created long after the crew spawned — and keep
-    /// the deterministic ordering contracts of the scoped pool.
+    /// the deterministic ordering contracts of a fresh crew.
     #[test]
     fn persistent_pool_serves_repeated_batches_and_graphs() {
         let mut crew = PersistentPool::new(3);
@@ -1782,7 +1629,7 @@ mod tests {
     }
 
     /// The isolation layer: a panicking job surfaces on the driver (missing
-    /// batch result), its message is parked for the session, the workers
+    /// batch result), its message is parked for the dispatch layer, the workers
     /// survive, and the very next batch on the same crew is correct.
     #[test]
     fn crew_survives_a_panicking_job() {
@@ -1819,17 +1666,22 @@ mod tests {
     fn dense_cache_is_reused_for_the_same_universe() {
         let g = two_clique_graph();
         let universe = VertexSet::from_iter(64, 0..8);
-        let mut ctx = SearchContext::new(1);
-        let (plan, dense) = ctx.dense_for(&g, &universe);
-        assert_eq!(plan.path, IndexPath::Dense);
-        let first = dense.expect("dense path chosen") as *const DenseSubgraph;
-        let (_, dense2) = ctx.dense_for(&g, &universe);
-        let second = dense2.expect("dense path chosen") as *const DenseSubgraph;
-        assert_eq!(first, second, "same universe must hit the cache");
+        let mut ctx = SearchContext::default();
+        let dense_at = |ctx: &mut SearchContext, universe: &VertexSet| {
+            let (index, _) = ctx.peel_index(&g, universe);
+            assert_eq!(index.path(), IndexPath::Dense);
+            index.dense_index().expect("dense path chosen") as *const DenseSubgraph
+        };
+        let first = dense_at(&mut ctx, &universe);
+        assert_eq!(first, dense_at(&mut ctx, &universe), "same universe must hit the cache");
         // A different universe rebuilds.
-        let other = VertexSet::from_iter(64, 0..7);
-        let (_, dense3) = ctx.dense_for(&g, &other);
-        assert!(dense3.is_some());
+        dense_at(&mut ctx, &VertexSet::from_iter(64, 0..7));
         assert_eq!(ctx.dense_cache.as_ref().unwrap().universe.len(), 7);
+        // Re-bound to another snapshot, the same universe rebuilds too: the
+        // entry belongs to the epoch it was built on.
+        let tier = ctx.shared.clone();
+        ctx.bind(7, tier, IndexChoice::Auto);
+        dense_at(&mut ctx, &VertexSet::from_iter(64, 0..7));
+        assert_eq!(ctx.dense_cache.as_ref().unwrap().epoch, 7);
     }
 }

@@ -4,10 +4,10 @@
 //! invalid `(d, s, k)` parameters, querying an empty graph, blowing a
 //! candidate budget, tripping a query limit, or a panicking engine task —
 //! is a [`DccsError`] variant, so [`crate::DccsSession::query`] returns
-//! `Result` instead of aborting the process. The legacy free functions
-//! (`greedy_dccs` & co.) keep their historical panic on invalid parameters
-//! for backward compatibility; they are thin wrappers that `expect` the
-//! same validation this module types.
+//! `Result` instead of aborting the process. The one-shot free functions
+//! (`greedy_dccs` & co.) run one query on a fresh session and keep their
+//! historical panic on invalid parameters: they `expect` the same
+//! validation this module types.
 //!
 //! The limit variants ([`DccsError::DeadlineExceeded`],
 //! [`DccsError::Cancelled`], [`DccsError::MemoryLimit`]) carry the

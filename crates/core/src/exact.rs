@@ -8,11 +8,12 @@
 
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
-use crate::engine::{with_pool, PoolRef, SearchContext};
+use crate::engine::{PoolRef, SearchContext};
 use crate::error::DccsError;
 use crate::lattice::collect_subset_cores;
 use crate::limits::QueryMonitor;
 use crate::result::{CoherentCore, DccsResult, SearchStats};
+use crate::session::DccsSession;
 use mlgraph::{MultiLayerGraph, VertexSet};
 use std::time::Instant;
 
@@ -20,19 +21,18 @@ use std::time::Instant;
 /// giving up (the k-combination enumeration is exponential).
 const MAX_CANDIDATES: usize = 24;
 
-/// Solves the DCCS problem exactly by exhaustive enumeration.
+/// Solves the DCCS problem exactly by exhaustive enumeration, as a one-shot
+/// query on a fresh [`DccsSession`].
 ///
 /// # Panics
 ///
 /// Panics on invalid parameters and when the candidate set `F_{d,s}(G)`
-/// holds more than [`MAX_CANDIDATES`] non-empty d-CCs — the oracle is only
-/// meant for tiny test graphs. The session API
-/// ([`crate::DccsSession`] with [`Algorithm::Exact`]) reports both
-/// conditions as typed [`DccsError`]s instead.
+/// holds more than 24 non-empty d-CCs — the oracle is only meant for tiny
+/// test graphs. The session API ([`DccsSession`] with
+/// [`Algorithm::Exact`]) reports both conditions as typed [`DccsError`]s
+/// instead.
 pub fn exact_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
-    params.validate(g.num_layers()).expect("invalid DCCS parameters");
-    let mut ctx = SearchContext::new(1);
-    match exact_dccs_in(&mut ctx, g, params, &DccsOptions::default()) {
+    match DccsSession::new(g).query(*params).algorithm(Algorithm::Exact).run() {
         Ok(result) => result,
         Err(DccsError::BudgetExceeded { candidates, limit }) => panic!(
             "exact_dccs is a test oracle; {candidates} candidates exceed the limit of {limit}"
@@ -41,24 +41,12 @@ pub fn exact_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
     }
 }
 
-/// [`exact_dccs`] on an existing [`SearchContext`] with explicit
-/// preprocessing options, returning typed errors instead of panicking:
-/// invalid parameters and a blown candidate budget
-/// ([`DccsError::BudgetExceeded`]) come back as `Err`. Only the
+/// The exact solver on a query's context and executor crew, returning typed
+/// errors instead of panicking: invalid parameters and a blown candidate
+/// budget ([`DccsError::BudgetExceeded`]) come back as `Err`. Only the
 /// preprocessing toggles of `opts` influence the work done; the result is
 /// the exact optimum regardless.
-pub fn exact_dccs_in(
-    ctx: &mut SearchContext,
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> Result<DccsResult, DccsError> {
-    with_pool(ctx.threads(), |pool| exact_dccs_on(ctx, pool, g, params, opts))
-}
-
-/// [`exact_dccs_in`] on an existing executor crew (the session's
-/// single-crew query path).
-pub fn exact_dccs_on(
+pub(crate) fn exact_dccs_on(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,

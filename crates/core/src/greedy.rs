@@ -8,61 +8,38 @@
 //! is computed inside the intersection of per-layer d-cores.
 //!
 //! Candidates are produced by the subset-lattice engine
-//! ([`crate::lattice::collect_subset_cores`]) driven through a
-//! [`SearchContext`]: each subset's peel is seeded from its parent prefix's
-//! exact d-CC (Lemma 1), the dense-vs-CSR representation is chosen by the
-//! [`crate::engine`] cost model, and with `opts.threads > 1` the lattice's
-//! depth-1 branches fan out over the shared executor — with results (and
-//! work counters) identical to the sequential walk.
+//! ([`crate::lattice`]) driven through the query's pooled context: each
+//! subset's peel is seeded from its parent prefix's exact d-CC (Lemma 1),
+//! the dense-vs-CSR representation is chosen by the [`crate::engine`] cost
+//! model, and with `threads > 1` the lattice's depth-1 branches fan out
+//! over the shared executor — with results (and work counters) identical
+//! to the sequential walk.
 
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
-use crate::engine::{with_pool, PoolRef, SearchContext};
+use crate::engine::{PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::lattice::collect_subset_cores;
 use crate::result::{CoherentCore, DccsResult, SearchStats};
+use crate::session::DccsSession;
 use mlgraph::{MultiLayerGraph, VertexSet};
 use std::time::Instant;
 
-/// Runs `GD-DCCS` with default options.
-///
-/// Like every `*_dccs` free function this is a one-shot wrapper: it builds
-/// the same engine state a [`crate::DccsSession`] owns, runs one query, and
-/// keeps the historical panic on invalid parameters. Long-lived callers and
-/// sweeps should prefer the session API.
+/// Runs `GD-DCCS` with default options as a one-shot query on a fresh
+/// [`DccsSession`]; panics on invalid parameters. Repeated queries and
+/// sweeps should keep one session instead.
 pub fn greedy_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
-    greedy_dccs_with_options(g, params, &DccsOptions::default())
+    DccsSession::new(g)
+        .query(*params)
+        .algorithm(Algorithm::Greedy)
+        .run()
+        .expect("invalid DCCS parameters")
 }
 
-/// Runs `GD-DCCS` with explicit options (used by the ablation experiments
-/// and to set the executor width via `opts.threads`) — a one-shot wrapper
-/// over the context the session API reuses.
-pub fn greedy_dccs_with_options(
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> DccsResult {
-    let mut ctx = SearchContext::from_options(opts);
-    greedy_dccs_in(&mut ctx, g, params, opts)
-}
-
-/// Runs `GD-DCCS` on an existing [`SearchContext`], reusing its scratch
-/// buffers and cached dense index across a parameter sweep over the same
-/// graph. Spins up one scoped crew for the whole query; session callers
-/// with a persistent crew go through [`greedy_dccs_on`].
-pub fn greedy_dccs_in(
-    ctx: &mut SearchContext,
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> DccsResult {
-    with_pool(ctx.threads(), |pool| greedy_dccs_on(ctx, pool, g, params, opts))
-}
-
-/// [`greedy_dccs_in`] on an existing executor crew — the single-crew query
-/// path: preprocessing and candidate generation share `pool`, so neither
-/// phase pays its own worker spawn/join.
-pub fn greedy_dccs_on(
+/// `GD-DCCS` on a query's context and executor crew: preprocessing and
+/// candidate generation share `pool`, so neither phase pays its own worker
+/// spawn/join.
+pub(crate) fn greedy_dccs_on(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,
@@ -89,7 +66,7 @@ pub fn greedy_dccs_on(
 
     // A tripped limit stopped the walk early; everything already emitted is
     // a valid d-CC, so select over it and return the flagged partial — the
-    // session converts the flag into the matching typed error. This final
+    // dispatch layer converts the flag into the matching typed error. This final
     // poll must be `check`, not the latched-byte read: a deadline that
     // latches only in the cascade probe after the walk's last checkpoint
     // (e.g. on the checkpoint-free `s == 1` path) would otherwise go
@@ -150,6 +127,7 @@ pub(crate) fn select_greedy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::with_pool;
     use mlgraph::MultiLayerGraphBuilder;
 
     /// Three layers over 10 vertices:
@@ -227,12 +205,17 @@ mod tests {
         }
     }
 
+    fn greedy_with(g: &MultiLayerGraph, params: DccsParams, opts: DccsOptions) -> DccsResult {
+        let mut session = DccsSession::with_options(g, opts);
+        session.query(params).algorithm(Algorithm::Greedy).run().unwrap()
+    }
+
     #[test]
     fn options_do_not_change_the_result_only_the_work() {
         let g = graph();
         let params = DccsParams::new(2, 2, 2);
-        let with = greedy_dccs_with_options(&g, &params, &DccsOptions::default());
-        let without = greedy_dccs_with_options(&g, &params, &DccsOptions::no_preprocessing());
+        let with = greedy_with(&g, params, DccsOptions::default());
+        let without = greedy_with(&g, params, DccsOptions::no_preprocessing());
         assert_eq!(with.cover_size(), without.cover_size());
     }
 
@@ -240,11 +223,11 @@ mod tests {
     fn context_reuse_across_a_sweep_matches_fresh_contexts() {
         let g = graph();
         let opts = DccsOptions::default();
-        let mut ctx = SearchContext::from_options(&opts);
+        let mut ctx = SearchContext::default();
         for (d, s, k) in [(2, 2, 2), (3, 2, 2), (2, 3, 1), (2, 2, 3)] {
             let params = DccsParams::new(d, s, k);
-            let swept = greedy_dccs_in(&mut ctx, &g, &params, &opts);
-            let fresh = greedy_dccs_with_options(&g, &params, &opts);
+            let swept = with_pool(1, |pool| greedy_dccs_on(&mut ctx, pool, &g, &params, &opts));
+            let fresh = greedy_with(&g, params, opts);
             assert_eq!(swept.cores, fresh.cores, "d={d} s={s} k={k}");
             assert_eq!(swept.stats, fresh.stats, "d={d} s={s} k={k}");
         }
@@ -270,11 +253,12 @@ mod tests {
 
         let g = graph();
         let opts = DccsOptions::no_vertex_deletion();
-        let mut ctx = SearchContext::from_options(&opts);
+        let mut ctx = SearchContext::default();
         let monitor = Arc::new(QueryMonitor::new(&QueryLimits::none(), None));
         monitor.probe().cancel(); // the clock latch, without the clock
         ctx.set_monitor(Some(Arc::clone(&monitor)));
-        let result = greedy_dccs_in(&mut ctx, &g, &DccsParams::new(3, 1, 3), &opts);
+        let params = DccsParams::new(3, 1, 3);
+        let result = with_pool(1, |pool| greedy_dccs_on(&mut ctx, pool, &g, &params, &opts));
         assert!(!result.stats.complete);
         assert_eq!(result.stats.limit_hit, Some(LimitKind::Deadline));
         // The memoized per-layer cores emitted before the trip are valid:

@@ -33,11 +33,10 @@
 //! back a unified [`crate::engine::PeelIndex`]; the walk consumes it
 //! through the same kernel-dispatched API — degrees, cascades, core
 //! translation — without ever re-branching on the representation. The walk
-//! is partitioned by first layer (the lattice's depth-1 branches), so
-//! [`collect_subset_cores`] can fan the branches out over the shared
-//! executor crew — per-branch outputs are merged in branch order, keeping
-//! the emission order (and therefore every downstream tie-break) identical
-//! at any thread count.
+//! is partitioned by first layer (the lattice's depth-1 branches), so a
+//! query can fan the branches out over the shared executor crew — per-branch
+//! outputs are merged in branch order, keeping the emission order (and
+//! therefore every downstream tie-break) identical at any thread count.
 //!
 //! Cascade scratch comes from one [`PeelWorkspace`] per worker and all level
 //! state is allocated once per branch, so the steady state allocates nothing
@@ -113,10 +112,9 @@ fn candidate_universe(n: usize, layer_cores: &[VertexSet]) -> VertexSet {
 /// share the graph's vertex capacity.
 ///
 /// This is the sequential entry point (one workspace, one thread, the
-/// cost model's auto decision); the algorithms go through
-/// [`collect_subset_cores`], which adds the sweep-reusable dense cache, the
-/// [`crate::engine::IndexChoice`] override, and the executor fan-out on top
-/// of the same walk.
+/// cost model's auto decision); queries run the same walk with a
+/// sweep-reusable dense cache, the [`crate::engine::IndexChoice`]
+/// override, and the executor fan-out on top.
 ///
 /// # Panics
 ///
@@ -165,7 +163,7 @@ where
 /// The output — cores, order, and statistics — is identical at every thread
 /// count: each branch of the lattice is an independent walk, and the
 /// per-branch results are merged in branch order.
-pub fn collect_subset_cores(
+pub(crate) fn collect_subset_cores(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,
@@ -530,7 +528,7 @@ mod tests {
         s: usize,
         layer_cores: &[VertexSet],
     ) -> (Vec<CoherentCore>, LatticeStats) {
-        let mut ctx = SearchContext::new(threads);
+        let mut ctx = SearchContext::default();
         with_pool(threads, |pool| collect_subset_cores(&mut ctx, pool, g, d, s, layer_cores))
     }
 
@@ -617,10 +615,9 @@ mod tests {
         let naive = naive_subset_cores(&g, d, s, &pre.layer_cores);
 
         for n in 1..=40u32 {
-            let mut ctx = SearchContext::new(1);
             // Force the dense path: its cascade polls once per frontier, so
             // the countdown can land mid-peel.
-            ctx.set_index_choice(crate::IndexChoice::Dense);
+            let mut ctx = SearchContext::new(0, Arc::default(), crate::IndexChoice::Dense);
             let monitor = Arc::new(QueryMonitor::new(&QueryLimits::none(), None));
             monitor.probe().trip_after_polls(n);
             ctx.set_monitor(Some(Arc::clone(&monitor)));
@@ -663,8 +660,7 @@ mod tests {
             for choice in
                 [crate::IndexChoice::Auto, crate::IndexChoice::Csr, crate::IndexChoice::Dense]
             {
-                let mut ctx = SearchContext::new(1);
-                ctx.set_index_choice(choice);
+                let mut ctx = SearchContext::new(0, Default::default(), choice);
                 let (cores, stats) = with_pool(1, |pool| {
                     collect_subset_cores(&mut ctx, pool, &g, d, s, &pre.layer_cores)
                 });

@@ -9,18 +9,23 @@
 //!
 //! | Entry point | Algorithm | Approximation ratio |
 //! |---|---|---|
-//! | [`greedy_dccs`] | `GD-DCCS` — enumerate every candidate d-CC, greedy max-k-cover | 1 − 1/e |
-//! | [`bottom_up_dccs`] | `BU-DCCS` — bottom-up search tree with interleaved top-k maintenance | 1/4 |
-//! | [`top_down_dccs`] | `TD-DCCS` — top-down search tree with potential-set refinement | 1/4 |
+//! | [`Algorithm::Greedy`] | `GD-DCCS` — enumerate every candidate d-CC, greedy max-k-cover | 1 − 1/e |
+//! | [`Algorithm::BottomUp`] | `BU-DCCS` — bottom-up search tree with interleaved top-k maintenance | 1/4 |
+//! | [`Algorithm::TopDown`] | `TD-DCCS` — top-down search tree with potential-set refinement | 1/4 |
+//! | [`Algorithm::Exact`] | brute-force enumeration, a test oracle for tiny graphs | 1 |
 //!
-//! # Querying: the session API
+//! # Querying: one entry point
 //!
-//! The primary entry point is [`DccsSession`]: construct it once per graph
-//! and run every query — or whole parameter sweeps — through it. The
-//! session owns the reusable engine state (peel scratch, the dense-index
-//! cache, the per-`d` layer-core and per-`(d, s)` fixpoint memos), returns
-//! typed [`DccsError`]s instead of panicking, and picks the right algorithm
-//! per query with [`Algorithm::Auto`]:
+//! Every query runs through a [`QueryService`]: a shared, epoch-versioned
+//! graph snapshot with its preprocessing memos, pooled per-query search
+//! contexts, and one worker crew. Two front ends sit on it:
+//!
+//! * [`DccsSession`] — one caller sweeping parameters over one graph. It
+//!   owns a service, runs each query at its own thread width, returns
+//!   typed [`DccsError`]s instead of panicking, and picks the right
+//!   algorithm per query with [`Algorithm::Auto`].
+//! * [`QueryService`] itself — many concurrent callers (`&self`), a result
+//!   cache, and mutation commits ([`QueryService::commit`]).
 //!
 //! ```
 //! use mlgraph::MultiLayerGraphBuilder;
@@ -49,10 +54,10 @@
 //! # Ok::<(), dccs::DccsError>(())
 //! ```
 //!
-//! The free functions above are retained as thin one-shot wrappers (they
-//! build the same engine state per call and keep their historical panic on
-//! invalid parameters), so existing callers and the frozen oracle tests
-//! keep working unchanged.
+//! [`greedy_dccs`], [`bottom_up_dccs`], [`top_down_dccs`] and
+//! [`exact_dccs`] are one-line one-shots over a fresh session that keep
+//! their historical panic on invalid parameters, so the frozen oracle tests
+//! read as the paper does.
 //!
 //! Supporting modules expose the building blocks: the [`coverage`] module
 //! implements the paper's `Update` procedure, [`preprocess`] the vertex
@@ -82,7 +87,6 @@ pub mod lattice;
 pub mod layer_subsets;
 pub mod limits;
 pub mod metrics;
-pub mod parallel;
 pub mod preprocess;
 pub mod refine;
 pub mod result;
@@ -93,26 +97,23 @@ pub mod top_down;
 
 pub use algorithm::Algorithm;
 pub use analysis::{analyze_cores, analyze_result, jaccard, OverlapReport};
-pub use bottom_up::{
-    bottom_up_dccs, bottom_up_dccs_in, bottom_up_dccs_on, bottom_up_dccs_with_options,
-};
+pub use bottom_up::bottom_up_dccs;
 pub use config::{DccsOptions, DccsParams};
 pub use coverage::{PruneBounds, TopKDiversified};
 pub use engine::{
-    plan_index, plan_index_with, IndexChoice, IndexPath, IndexPlan, PeelIndex, SearchContext,
+    auto_threads, plan_index, plan_index_with, IndexChoice, IndexPath, IndexPlan, PeelIndex,
     SharedSearchState,
 };
 pub use error::DccsError;
-pub use exact::{exact_dccs, exact_dccs_in, exact_dccs_on};
-pub use greedy::{greedy_dccs, greedy_dccs_in, greedy_dccs_on, greedy_dccs_with_options};
-pub use lattice::{collect_subset_cores, for_each_subset_core, naive_subset_cores, LatticeStats};
+pub use exact::exact_dccs;
+pub use greedy::greedy_dccs;
+pub use lattice::{for_each_subset_core, naive_subset_cores, LatticeStats};
 pub use limits::{CancelToken, LimitKind, QueryLimits};
 pub use metrics::{complexes_found, containment_distribution, CoverSimilarity};
-pub use parallel::parallel_greedy_dccs;
 pub use result::{CoherentCore, DccsResult, PhaseTimes, SearchStats};
 pub use serve::{DccIndex, Serve, ServePath};
 pub use service::{
     CacheStats, CommitReceipt, GraphSnapshot, QueryService, ServiceOutcome, ServiceQuery,
 };
-pub use session::{auto_threads, DccsSession, Query, QuerySpec};
-pub use top_down::{top_down_dccs, top_down_dccs_in, top_down_dccs_on, top_down_dccs_with_options};
+pub use session::{DccsSession, Query, QuerySpec};
+pub use top_down::top_down_dccs;

@@ -3,8 +3,8 @@
 //!
 //! A [`QueryLimits`] value rides on [`crate::DccsOptions`] and bounds one
 //! query; a [`CancelToken`] is the externally shared kill switch a serving
-//! layer can trip from another thread. Internally the session compiles both
-//! into a [`QueryMonitor`] — a `Sync` bundle of atomics the algorithms poll
+//! layer can trip from another thread. Internally the dispatch layer compiles
+//! both into a `QueryMonitor` — a `Sync` bundle of atomics the algorithms poll
 //! at **coarse boundaries only**: per task-graph commit and evaluation, per
 //! lattice subtree, per preprocessing fixpoint round, and (through the
 //! [`coreness::CancelProbe`] installed on each worker's peel workspace) per
@@ -14,7 +14,7 @@
 //! A tripped limit does not abort the query abruptly: every algorithm stops
 //! spawning and emitting, flags its [`crate::SearchStats`] as incomplete
 //! (`complete = false`, `limit_hit = Some(kind)`), and returns the
-//! best-so-far top-k. The session then converts that flagged partial into
+//! best-so-far top-k. The query runner then converts that flagged partial into
 //! the matching typed [`crate::DccsError`] variant, carrying the partial
 //! result so callers degrade gracefully instead of losing all work.
 
@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryLimits {
     /// Wall-clock deadline measured from the start of the query. When it
-    /// passes, the query stops at the next cooperative checkpoint and the
-    /// session returns [`crate::DccsError::DeadlineExceeded`] carrying the
-    /// partial result.
+    /// passes, the query stops at the next cooperative checkpoint and
+    /// returns [`crate::DccsError::DeadlineExceeded`] carrying the partial
+    /// result.
     pub deadline: Option<Duration>,
     /// Candidate budget: the maximum number of candidate d-CCs a query may
     /// generate, generalizing the exact solver's built-in gate to every

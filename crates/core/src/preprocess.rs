@@ -12,15 +12,12 @@
 //!
 //! The per-layer d-core peels — both the initial full-universe pass and
 //! every round of the vertex-deletion fixpoint — are independent across
-//! layers, so the `*_on` entry points run them as fork-join batches on an
-//! existing executor crew ([`crate::engine::PoolRef`]) — the same crew the
-//! session threads through the whole query, so preprocessing pays no
-//! worker spawn/join of its own. Each layer's peel is a pure function of
+//! layers, so queries run them as fork-join batches on the executor crew
+//! that serves the whole query, and preprocessing pays no worker
+//! spawn/join of its own. Each layer's peel is a pure function of
 //! `(graph, layer, d, active)`, so the parallel batches are bit-identical
-//! to the sequential loop at any width; the `*_threaded` entry points wrap
-//! a scoped crew ([`crate::engine::with_pool`]) around them for one-shot
-//! callers, and the sequential entry points are the `threads = 1` special
-//! case.
+//! to the sequential loop at any width; the public entry points here are
+//! the sequential special case.
 
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::TopKDiversified;
@@ -89,26 +86,12 @@ pub fn preprocess(g: &MultiLayerGraph, params: &DccsParams, opts: &DccsOptions) 
 /// query repeating a `(d, s)` skips preprocessing entirely, and one at a
 /// new `s` but a known `d` re-runs only the fixpoint.
 pub fn initial_layer_cores(g: &MultiLayerGraph, d: u32, ws: &mut PeelWorkspace) -> Vec<VertexSet> {
-    initial_layer_cores_threaded(g, d, ws, 1)
+    with_pool(1, |pool| initial_layer_cores_on(g, d, ws, pool))
 }
 
-/// [`initial_layer_cores`] with the per-layer peels spread over a
-/// `threads`-wide scoped executor crew as one fork-join batch (the layers
-/// are independent, so the result is bit-identical to the sequential
-/// pass). One-shot wrapper over [`initial_layer_cores_on`].
-pub fn initial_layer_cores_threaded(
-    g: &MultiLayerGraph,
-    d: u32,
-    ws: &mut PeelWorkspace,
-    threads: usize,
-) -> Vec<VertexSet> {
-    with_pool(threads, |pool| initial_layer_cores_on(g, d, ws, pool))
-}
-
-/// [`initial_layer_cores`] as one fork-join batch on an **existing** crew
-/// (the session's single-crew query path). With no workers on the crew the
-/// plain sequential loop runs on `ws`.
-pub fn initial_layer_cores_on(
+/// [`initial_layer_cores`] as one fork-join batch on a query's crew. With
+/// no workers on the crew the plain sequential loop runs on `ws`.
+pub(crate) fn initial_layer_cores_on(
     g: &MultiLayerGraph,
     d: u32,
     ws: &mut PeelWorkspace,
@@ -151,48 +134,23 @@ pub fn preprocess_from(
     ws: &mut PeelWorkspace,
     layer_cores: Vec<VertexSet>,
 ) -> Preprocessed {
-    preprocess_from_threaded(g, params, opts, ws, layer_cores, 1)
+    with_pool(1, |pool| preprocess_from_monitored(g, params, opts, ws, layer_cores, pool, None).0)
 }
 
-/// [`preprocess_from`] with every round of the vertex-deletion fixpoint
-/// re-peeling the layers as one fork-join batch over a `threads`-wide
-/// scoped executor crew. One-shot wrapper over [`preprocess_from_on`].
-pub fn preprocess_from_threaded(
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-    ws: &mut PeelWorkspace,
-    layer_cores: Vec<VertexSet>,
-    threads: usize,
-) -> Preprocessed {
-    with_pool(threads, |pool| preprocess_from_on(g, params, opts, ws, layer_cores, pool))
-}
-
-/// [`preprocess_from`] on an **existing** crew (the session's single-crew
-/// query path): every round of the vertex-deletion fixpoint re-peels the
-/// layers as one fork-join batch. The victims-and-support bookkeeping
-/// between rounds stays on the driver, so the result is bit-identical to
-/// the sequential fixpoint at any width; with no workers on the crew the
-/// plain sequential loop runs on `ws`.
-pub fn preprocess_from_on(
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-    ws: &mut PeelWorkspace,
-    layer_cores: Vec<VertexSet>,
-    pool: &PoolRef<'_>,
-) -> Preprocessed {
-    preprocess_from_monitored(g, params, opts, ws, layer_cores, pool, None).0
-}
-
-/// [`preprocess_from_on`] with a limit monitor checked once per fixpoint
-/// round; the flag reports whether the fixpoint converged. An early exit
-/// is always safe here: stopping the fixpoint before convergence leaves
-/// `active` a (less-pruned) **superset** of the converged universe, which
-/// every downstream search accepts as valid input — preprocessing only
-/// ever shrinks the problem, it never decides results. Only a converged
-/// result is the pure function of `(g, d, s, vertex_deletion)` that
-/// [`crate::engine::SharedSearchState`] may memoize.
+/// [`preprocess_from`] on a query's crew, with a limit monitor checked once
+/// per fixpoint round; the flag reports whether the fixpoint converged.
+/// Every round re-peels the layers as one fork-join batch; the
+/// victims-and-support bookkeeping between rounds stays on the driver, so
+/// the result is bit-identical to the sequential fixpoint at any width, and
+/// with no workers on the crew the plain sequential loop runs on `ws`.
+///
+/// An early exit is always safe here: stopping the fixpoint before
+/// convergence leaves `active` a (less-pruned) **superset** of the
+/// converged universe, which every downstream search accepts as valid
+/// input — preprocessing only ever shrinks the problem, it never decides
+/// results. Only a converged result is the pure function of `(g, d, s,
+/// vertex_deletion)` that [`crate::engine::SharedSearchState`] may
+/// memoize.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn preprocess_from_monitored(
     g: &MultiLayerGraph,
@@ -301,9 +259,9 @@ pub fn init_topk(
 
 /// [`init_topk`] with explicit scratch: `running` accumulates the running
 /// layer-core intersection and `seed` receives each seed core (both resized
-/// on capacity mismatch, reused otherwise), so a
-/// [`crate::engine::SearchContext`]-driven sweep peels the `k` seeding
-/// rounds without per-round intersection/peel-output allocations. Each
+/// on capacity mismatch, reused otherwise), so a query on a pooled context
+/// peels the `k` seeding rounds without per-round intersection/peel-output
+/// allocations. Each
 /// round still clones `seed` once to hand `Update` an owned candidate —
 /// that clone is inherent to offering ownership, not scratch churn (cf.
 /// [`TopKDiversified::cover_set_into`] for the same reuse protocol on the
@@ -469,10 +427,15 @@ mod tests {
                 let initial = initial_layer_cores(&g, d, &mut ws);
                 let seq = preprocess_from(&g, &params, &opts, &mut ws, initial.clone());
                 for threads in [2usize, 4] {
-                    let par_initial = initial_layer_cores_threaded(&g, d, &mut ws, threads);
+                    let (par_initial, (par, _)) = with_pool(threads, |pool| {
+                        let initial = initial_layer_cores_on(&g, d, &mut ws, pool);
+                        let cores = initial.clone();
+                        let pre = preprocess_from_monitored(
+                            &g, &params, &opts, &mut ws, cores, pool, None,
+                        );
+                        (initial, pre)
+                    });
                     assert_eq!(par_initial, initial, "initial d={d} threads={threads}");
-                    let par =
-                        preprocess_from_threaded(&g, &params, &opts, &mut ws, par_initial, threads);
                     let label = format!("d={d} s={s} threads={threads}");
                     assert_eq!(par.active.to_vec(), seq.active.to_vec(), "{label}");
                     assert_eq!(par.layer_cores, seq.layer_cores, "{label}");

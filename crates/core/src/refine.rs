@@ -6,7 +6,7 @@
 //!   degree pruning on the Class-1 layers (layers that can no longer be
 //!   removed) and support pruning against the Class-2 layers.
 //! * [`refine_c`] extracts the exact d-CC `C_{L'}^d(G)` from `U_{L'}` by
-//!   walking the hierarchical [`VertexIndex`](crate::index::VertexIndex)
+//!   walking the hierarchical [`crate::index::VertexIndex`]
 //!   bottom-up (Fig. 10), discarding vertices via Lemma 9 and cascading
 //!   degree-bound violations (`CascadeD`). A final restricted peel over the
 //!   surviving vertices guarantees the output equals the true d-CC while

@@ -107,8 +107,8 @@ pub struct SearchStats {
     /// are observed and benchmarked.
     pub algorithm: Option<Algorithm>,
     /// Which query limit stopped the run early, if any. A limited run's
-    /// result is the best-so-far partial; the session surfaces it inside the
-    /// matching [`crate::DccsError`] variant.
+    /// result is the best-so-far partial; the query runner surfaces it inside
+    /// the matching [`crate::DccsError`] variant.
     pub limit_hit: Option<LimitKind>,
     /// `true` when the run finished its full search; `false` when a limit
     /// stopped it early and the result is a partial.
@@ -119,8 +119,8 @@ pub struct SearchStats {
     pub degraded_from: Option<Algorithm>,
     /// Which serve path answered the query: re-peeling the graph or
     /// reading candidates from a precomputed [`crate::DccIndex`]. Stamped
-    /// by the session; `None` for the one-shot free functions, which have
-    /// no index to serve from. Excluded from equality (like `phase`): the
+    /// on every query result; `None` only on results built outside the
+    /// query path. Excluded from equality (like `phase`): the
     /// serve path describes *how* an answer was derived, not the answer —
     /// the two paths are bit-identical on everything equality compares.
     pub serve: Option<ServePath>,
@@ -130,8 +130,8 @@ pub struct SearchStats {
     /// computed answer — only its provenance differs.
     pub served_from_cache: bool,
     /// The epoch of the [`crate::service::GraphSnapshot`] this query ran
-    /// against, stamped by the session and the query service; `None` for
-    /// the one-shot free functions, which have no snapshot. Excluded from
+    /// against, stamped on every query result (the one-shot `*_dccs`
+    /// functions run on a fresh session's snapshot too). Excluded from
     /// equality: the epoch identifies *which* published graph version
     /// answered, not the answer.
     pub graph_epoch: Option<u64>,

@@ -12,8 +12,8 @@
 //! [`DccsError::IndexCorrupt`] instead of panicking.
 //!
 //! Bit-identity is by construction: the stored candidate list for `(d, s)`
-//! is exactly what [`crate::lattice::collect_subset_cores`] emits — same
-//! cores, same lexicographic subset order, empty subsets included — so
+//! is exactly what the query path's lattice walk ([`crate::lattice`]) emits
+//! — same cores, same lexicographic subset order, empty subsets included — so
 //! feeding it to the shared greedy selection engine reproduces the peel
 //! path's answer (and hence the frozen `naive_subset_cores` oracle) for
 //! every `k`. Preprocessing (vertex deletion) cannot perturb this: it only
@@ -27,13 +27,14 @@
 
 use crate::algorithm::Algorithm;
 use crate::config::DccsParams;
-use crate::engine::{with_pool, PoolRef, SearchContext};
+use crate::engine::{PoolRef, SearchContext};
 use crate::error::DccsError;
 use crate::fault::{self, site};
 use crate::greedy::select_greedy;
 use crate::lattice::collect_subset_cores;
 use crate::limits::QueryMonitor;
 use crate::result::{CoherentCore, DccsResult, SearchStats};
+use crate::session::DccsSession;
 use coreness::CoreHierarchy;
 use mlgraph::io::binary::{frame, unframe};
 use mlgraph::{MultiLayerGraph, VertexSet};
@@ -45,7 +46,7 @@ pub const INDEX_MAGIC: &[u8; 8] = b"DCCINDEX";
 /// Current index artifact format version.
 pub const INDEX_VERSION: u32 = 1;
 
-/// How a session query derives its candidate cores.
+/// How a query derives its candidate cores.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Serve {
     /// Serve from the attached [`DccIndex`] when it covers the query's
@@ -137,21 +138,23 @@ fn corrupt(message: impl Into<String>) -> DccsError {
 impl DccIndex {
     /// Builds an index over every requested coherence threshold `d`, for
     /// all subset sizes `1..=max_s` (`max_s == 0` or anything above the
-    /// layer count means "all subset sizes"). Single-crew convenience
-    /// wrapper over [`DccIndex::build_on`].
+    /// layer count means "all subset sizes"), sequentially on a fresh
+    /// [`DccsSession`] ([`DccsSession::build_index`] builds on a wider
+    /// crew).
     pub fn build(g: &MultiLayerGraph, ds: &[u32], max_s: usize) -> Self {
-        Self::build_threaded(g, ds, max_s, 1)
+        DccsSession::new(g).build_index(ds, max_s)
     }
 
-    /// [`DccIndex::build`] on a scoped crew of `threads` workers.
-    pub fn build_threaded(g: &MultiLayerGraph, ds: &[u32], max_s: usize, threads: usize) -> Self {
-        with_pool(threads, |pool| Self::build_on(g, ds, max_s, pool))
-    }
-
-    /// Builds the index on an existing executor crew: the subset-lattice
-    /// walk for each `(d, s)` fans its depth-1 branches out over `pool`,
-    /// exactly as a live query would.
-    pub fn build_on(g: &MultiLayerGraph, ds: &[u32], max_s: usize, pool: &PoolRef<'_>) -> Self {
+    /// Builds the index on a query's context and executor crew: the
+    /// subset-lattice walk for each `(d, s)` fans its depth-1 branches out
+    /// over `pool`, exactly as a live query would.
+    pub(crate) fn build_on(
+        ctx: &mut SearchContext,
+        pool: &PoolRef<'_>,
+        g: &MultiLayerGraph,
+        ds: &[u32],
+        max_s: usize,
+    ) -> Self {
         let l = g.num_layers();
         let max_s = if max_s == 0 { l } else { max_s.min(l) };
         let mut ds = ds.to_vec();
@@ -159,13 +162,12 @@ impl DccIndex {
         ds.dedup();
 
         let hierarchy = CoreHierarchy::build(g);
-        let mut ctx = SearchContext::new(1);
         let mut entries = Vec::with_capacity(ds.len() * max_s);
         for &d in &ds {
             let layer_cores: Vec<VertexSet> =
                 (0..l).map(|layer| hierarchy.d_core(layer, d)).collect();
             for s in 1..=max_s {
-                let (candidates, _) = collect_subset_cores(&mut ctx, pool, g, d, s, &layer_cores);
+                let (candidates, _) = collect_subset_cores(ctx, pool, g, d, s, &layer_cores);
                 entries.push(IndexEntry { d, s, candidates });
             }
         }
@@ -437,9 +439,10 @@ impl Reader<'_> {
 /// each emitted candidate is charged against the budget and the cooperative
 /// checkpoint is polled once per candidate plus a final time, so a tripped
 /// deadline/token/budget yields the same flagged partial (selection over
-/// everything emitted so far) the session converts into a typed error.
+/// everything emitted so far) the dispatch layer converts into a typed
+/// error.
 ///
-/// The caller (session serve routing) has already validated the parameters
+/// The caller (the service's serve routing) has already validated the parameters
 /// and checked [`DccIndex::covers`].
 pub(crate) fn serve_from_index_on(
     ctx: &mut SearchContext,
@@ -495,7 +498,8 @@ pub(crate) fn serve_from_index_on(
 mod tests {
     use super::*;
     use crate::config::DccsOptions;
-    use crate::greedy::greedy_dccs_with_options;
+    use crate::engine::with_pool;
+    use crate::greedy::greedy_dccs;
     use mlgraph::MultiLayerGraphBuilder;
 
     /// The greedy module's fixture: two 4-cliques shared across layer pairs
@@ -537,7 +541,7 @@ mod tests {
         let index = DccIndex::build(&g, &[2], 0);
         let hierarchy = CoreHierarchy::build(&g);
         let layer_cores: Vec<VertexSet> = (0..3).map(|i| hierarchy.d_core(i, 2)).collect();
-        let mut ctx = SearchContext::new(1);
+        let mut ctx = SearchContext::default();
         for s in 1..=3usize {
             let (live, _) =
                 with_pool(1, |pool| collect_subset_cores(&mut ctx, pool, &g, 2, s, &layer_cores));
@@ -548,14 +552,13 @@ mod tests {
     #[test]
     fn serve_matches_peel_for_every_k() {
         let g = graph();
-        let opts = DccsOptions::default();
         let index = DccIndex::build(&g, &[2, 3], 0);
-        let mut ctx = SearchContext::new(1);
+        let mut ctx = SearchContext::default();
         for d in [2u32, 3] {
             for s in [1usize, 2, 3] {
                 for k in [1usize, 2, 3, 10] {
                     let params = DccsParams::new(d, s, k);
-                    let peel = greedy_dccs_with_options(&g, &params, &opts);
+                    let peel = greedy_dccs(&g, &params);
                     let served = serve_from_index_on(&mut ctx, &g, &index, &params);
                     assert_eq!(served.cores, peel.cores, "d={d} s={s} k={k}");
                     assert_eq!(served.cover, peel.cover, "d={d} s={s} k={k}");
@@ -578,7 +581,8 @@ mod tests {
     fn threaded_build_matches_sequential_build() {
         let g = graph();
         let seq = DccIndex::build(&g, &[2, 3], 0);
-        let par = DccIndex::build_threaded(&g, &[2, 3], 0, 4);
+        let par =
+            DccsSession::with_options(&g, DccsOptions::with_threads(4)).build_index(&[2, 3], 0);
         assert_eq!(seq, par);
     }
 

@@ -1,11 +1,13 @@
-//! The concurrent query service: many queries, one graph, zero duplicated
-//! preprocessing.
+//! The query service: the one engine entry point. Many queries, one
+//! graph, zero duplicated preprocessing.
 //!
-//! [`DccsSession`](crate::DccsSession) is `&mut self` end-to-end — exactly
-//! right for a single caller sweeping parameters, and exactly wrong for a
-//! server answering many users against one loaded graph, where two
-//! concurrent queries would need two full copies of scratch *and* of the
-//! preprocessing work. This module splits that state into two tiers:
+//! Every query — a [`QueryService`] request, a
+//! [`DccsSession`](crate::DccsSession) query or batch, and the one-shot
+//! `*_dccs` functions, which run on a fresh session — ends in the same
+//! runner here: a pooled per-query context bound to a pinned graph
+//! snapshot, the service's worker crew, and one dispatch layer (serve
+//! routing, limits, panic isolation, the degradation ladder). The state is
+//! split into two tiers:
 //!
 //! * **Shared immutable tier** — a [`GraphSnapshot`]: the graph reference,
 //!   an epoch identifying this published version, the
@@ -13,26 +15,28 @@
 //!   deletion fixpoints and dense index plans, each built once on first
 //!   use), and the optionally attached [`DccIndex`]. Published behind an
 //!   `Arc`, read by any number of queries concurrently.
-//! * **Cheap per-query tier** — a pooled [`SearchContext`] (peel workspace
-//!   plus cover/seed buffers) checked out per query and returned on drop,
-//!   so steady-state queries allocate nothing and never contend beyond a
-//!   `Vec` push/pop.
+//! * **Cheap per-query tier** — a pooled search context (peel workspace,
+//!   cover/seed buffers, dense-index cache) checked out per query, bound to
+//!   the snapshot the query pinned, and returned on drop, so steady-state
+//!   queries allocate nothing and never contend beyond a `Vec` push/pop.
+//!   Its caches are keyed by the snapshot epoch, so a context reused
+//!   across graph versions never mixes them.
 //!
 //! On top sits the [`QueryService`]: a shared (`&self`) handle answering
 //! [`ServiceQuery`]s either inline on the calling thread or as a batch
-//! fanned over a bounded worker crew ([`PersistentPool`]), with a result
-//! cache keyed by `(graph_epoch, index_generation, d, s, k, algorithm,
-//! serve)`. Cache hits are recorded in
+//! fanned over the service's worker crew, with a result cache keyed by
+//! `(graph_epoch, index_generation, d, s, k, algorithm, serve)`. Cache hits
+//! are recorded in
 //! [`SearchStats::served_from_cache`](crate::SearchStats::served_from_cache);
-//! only unlimited, token-less queries consult the cache (a deadline changes
-//! what a query may return, so limited queries always run).
+//! only unlimited, token-less service queries consult the cache (a deadline
+//! changes what a query may return, so limited queries always run), and
+//! session queries never do.
 //!
-//! **Bit-identity** extends naturally: every query executes sequentially on
-//! its own context (worker parallelism is across queries, like
-//! [`DccsSession::run_batch`](crate::DccsSession::run_batch)), the shared
-//! tier memoizes only deterministic pure functions of the graph, and a
-//! cached answer is a clone of the computed one — so service results equal
-//! fresh-session results at any worker count, enforced by
+//! **Bit-identity** extends naturally: every service query executes
+//! sequentially on its own context (worker parallelism is across queries),
+//! the shared tier memoizes only deterministic pure functions of the graph,
+//! and a cached answer is a clone of the computed one — so service results
+//! equal fresh-session results at any worker count, enforced by
 //! `crates/core/tests/service_concurrency.rs`.
 //!
 //! ```
@@ -56,17 +60,21 @@
 //! ```
 
 use crate::algorithm::Algorithm;
+use crate::bottom_up::bottom_up_dccs_on;
 use crate::config::{DccsOptions, DccsParams};
 use crate::engine::{
-    effective_threads, lock, with_pool, IndexChoice, PersistentPool, SearchContext,
-    SharedSearchState,
+    auto_threads, effective_threads, lock, with_pool, IndexChoice, PersistentPool, PoolRef,
+    SearchContext, SharedSearchState,
 };
 use crate::error::DccsError;
+use crate::exact::exact_dccs_on;
 use crate::fault::{self, site};
-use crate::limits::{CancelToken, QueryLimits};
+use crate::greedy::greedy_dccs_on;
+use crate::limits::{CancelToken, LimitKind, QueryLimits, QueryMonitor};
 use crate::result::DccsResult;
-use crate::serve::{DccIndex, Serve};
-use crate::session::{auto_threads, panic_to_error, run_spec_monitored, IndexState, QuerySpec};
+use crate::serve::{serve_from_index_on, DccIndex, Serve, ServePath};
+use crate::session::QuerySpec;
+use crate::top_down::top_down_dccs_on;
 use coreness::PeelWorkspace;
 use mlgraph::{EdgeBatch, MultiLayerGraph, VertexSet};
 use std::collections::HashMap;
@@ -131,11 +139,11 @@ struct IndexSlot {
 /// index depending on coverage, and the two answers differ in their work
 /// counters).
 ///
-/// Snapshots are handed around as `Arc<GraphSnapshot>`: a
-/// [`crate::DccsSession`] owns one (and exposes it via
-/// [`crate::DccsSession::snapshot`]), a [`QueryService`] serves from one,
-/// and both can share the same instance — the session's preprocessing work
-/// is then visible to every service query and vice versa.
+/// Snapshots are handed around as `Arc<GraphSnapshot>`: a [`QueryService`]
+/// serves from one (a [`crate::DccsSession`] exposes its service's via
+/// [`crate::DccsSession::snapshot`]), and several services can share the
+/// same instance — one's preprocessing work is then visible to every
+/// other's queries.
 #[derive(Debug)]
 pub struct GraphSnapshot<'g> {
     g: GraphHandle<'g>,
@@ -153,7 +161,7 @@ impl<'g> GraphSnapshot<'g> {
         Arc::new(GraphSnapshot {
             g: GraphHandle::Borrowed(g),
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
-            state: SharedSearchState::for_graph(g),
+            state: Arc::default(),
             index: Mutex::new(IndexSlot::default()),
         })
     }
@@ -213,7 +221,7 @@ impl<'g> GraphSnapshot<'g> {
 
     /// Stores `index` (already validated by the caller), bumps the
     /// generation, and clears any staleness record.
-    pub(crate) fn install_index(&self, index: Option<Arc<DccIndex>>) {
+    fn install_index(&self, index: Option<Arc<DccIndex>>) {
         let mut slot = lock(&self.index);
         slot.generation += 1;
         slot.index = index;
@@ -312,44 +320,29 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// The pooled per-query tier: idle [`SearchContext`]s (each owning a
-/// `PeelWorkspace` and the cover/seed buffers) checked out per query and
-/// returned on drop. Contexts keep their context-local caches between
-/// checkouts — those only ever memoize deterministic intermediates, so
-/// whichever context a query draws, the answer is the same.
-///
-/// The pool also carries the **graph epoch** its idle contexts' caches may
-/// be bound to. A mutation commit bumps it (and clears the idle contexts'
-/// caches); a context checked out before the commit and returned after it
-/// clears its own cache on the way back in. This closes the one gap in the
-/// contexts' best-effort graph-identity key: after the old graph version is
-/// dropped, a later version could be allocated at the same address with the
-/// same shape.
+/// The pooled per-query tier: idle search contexts (each owning a
+/// `PeelWorkspace`, the cover/seed buffers and a dense-index cache) checked
+/// out per query and returned on drop. A checkout binds the context to the
+/// snapshot the query pinned; its caches are keyed by that snapshot's
+/// epoch, so whichever context a query draws, the answer is the same.
 #[derive(Debug, Default)]
 struct ContextPool {
     idle: Mutex<Vec<SearchContext>>,
-    epoch: AtomicU64,
 }
 
 impl ContextPool {
-    /// Checks out an idle context (or builds a fresh one), configured for a
-    /// sequential run with the shared tier installed.
-    fn checkout(&self, shared: &Arc<SharedSearchState>, index: IndexChoice) -> PooledContext<'_> {
-        let mut ctx = lock(&self.idle).pop().unwrap_or_else(|| SearchContext::new(1));
-        ctx.set_threads(1);
-        ctx.set_index_choice(index);
-        ctx.set_shared(Some(shared.clone()));
-        PooledContext { ctx: Some(ctx), pool: self, epoch: self.epoch.load(Ordering::Relaxed) }
-    }
-
-    /// A mutation commit published `epoch`: every idle context's
-    /// graph-bound caches are cleared, and contexts still checked out will
-    /// clear theirs when returned (their checkout epoch no longer matches).
-    fn invalidate(&self, epoch: u64) {
-        for ctx in lock(&self.idle).iter_mut() {
-            ctx.clear_cache();
-        }
-        self.epoch.store(epoch, Ordering::Relaxed);
+    /// Checks out an idle context (or builds a fresh one) bound to
+    /// `snapshot`, planning its peels under `index`.
+    fn checkout(&self, snapshot: &GraphSnapshot<'_>, index: IndexChoice) -> PooledContext<'_> {
+        let (epoch, state) = (snapshot.epoch(), snapshot.state().clone());
+        let ctx = match lock(&self.idle).pop() {
+            Some(mut ctx) => {
+                ctx.bind(epoch, state, index);
+                ctx
+            }
+            None => SearchContext::new(epoch, state, index),
+        };
+        PooledContext { ctx: Some(ctx), pool: self }
     }
 
     /// Number of idle contexts (diagnostics).
@@ -365,9 +358,6 @@ impl ContextPool {
 struct PooledContext<'p> {
     ctx: Option<SearchContext>,
     pool: &'p ContextPool,
-    /// The pool epoch at checkout; a mismatch at return means a commit
-    /// happened mid-query and this context's caches must not survive.
-    epoch: u64,
 }
 
 impl Deref for PooledContext<'_> {
@@ -385,10 +375,7 @@ impl DerefMut for PooledContext<'_> {
 
 impl Drop for PooledContext<'_> {
     fn drop(&mut self) {
-        if let Some(mut ctx) = self.ctx.take() {
-            if self.pool.epoch.load(Ordering::Relaxed) != self.epoch {
-                ctx.clear_cache();
-            }
+        if let Some(ctx) = self.ctx.take() {
             lock(&self.pool.idle).push(ctx);
         }
     }
@@ -432,15 +419,18 @@ impl CommitReceipt {
 /// construction, so they need no slot.
 type CacheKey = (u64, u64, u32, usize, usize, Algorithm, Serve);
 
-/// A shared (`&self`) query-answering handle over one [`GraphSnapshot`].
+/// A shared (`&self`) query-answering handle over one [`GraphSnapshot`] —
+/// the engine entry point every query path goes through.
 ///
 /// Concurrency model: [`QueryService::query`] may be called from any number
 /// of threads at once — each call checks a context out of the per-query
 /// pool and runs sequentially on the calling thread.
 /// [`QueryService::run_batch`] instead fans its queries over the service's
-/// bounded worker crew (width = the service options' `threads`, spawned on
-/// first use), one query per job, results in submission order. Both paths
-/// answer through the same cache and the same shared tier.
+/// worker crew (width = the service options' `threads`, spawned on first
+/// use), one query per job, results in submission order. Both paths
+/// answer through the same cache and the same shared tier. A
+/// [`crate::DccsSession`] owns a service and runs its queries through the
+/// same runner at the session's thread width, bypassing the cache.
 #[derive(Debug)]
 pub struct QueryService<'g> {
     /// The currently published snapshot. Queries clone the `Arc` once at
@@ -459,6 +449,9 @@ pub struct QueryService<'g> {
     defaults: DccsOptions,
     workers: usize,
     contexts: ContextPool,
+    /// The worker crew of multi-thread queries and batches: spawned on
+    /// first use, re-created only when a caller asks for another width,
+    /// joined on drop. One driver at a time, hence the lock.
     crew: Mutex<Option<PersistentPool>>,
     cache: Mutex<HashMap<CacheKey, DccsResult>>,
     hits: AtomicU64,
@@ -542,7 +535,10 @@ impl<'g> QueryService<'g> {
     }
 
     /// Validates `params` against a snapshot's graph.
-    fn check_on(snapshot: &GraphSnapshot<'g>, params: &DccsParams) -> Result<(), DccsError> {
+    pub(crate) fn check_on(
+        snapshot: &GraphSnapshot<'_>,
+        params: &DccsParams,
+    ) -> Result<(), DccsError> {
         let g = snapshot.graph();
         let (n, l) = (g.num_vertices(), g.num_layers());
         if n == 0 || l == 0 {
@@ -562,9 +558,9 @@ impl<'g> QueryService<'g> {
         self.run_one(&snapshot, query)
     }
 
-    /// The validated answer path: cache probe, then a sequential run on a
-    /// pooled context — entirely against `snapshot`, the graph version
-    /// pinned when the query entered the service.
+    /// The validated service answer path: cache probe, then a sequential
+    /// [`QueryService::run`] — entirely against `snapshot`, the graph
+    /// version pinned when the query entered the service.
     fn run_one(
         &self,
         snapshot: &GraphSnapshot<'g>,
@@ -576,10 +572,9 @@ impl<'g> QueryService<'g> {
         // only unlimited token-less queries are cache-eligible — in either
         // direction.
         let cacheable = query.limits.is_unlimited() && query.token.is_none();
-        let (generation, index, stale_epoch) = snapshot.indexed();
         let key: CacheKey = (
             snapshot.epoch(),
-            generation,
+            snapshot.index_generation(),
             params.d,
             params.s,
             params.k,
@@ -595,48 +590,86 @@ impl<'g> QueryService<'g> {
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let index_state = match (index.as_deref(), stale_epoch) {
+        let opts =
+            DccsOptions { threads: 1, serve: query.serve, limits: query.limits, ..self.defaults };
+        let result = self.run(snapshot, &query.spec, &opts, query.token.clone())?;
+        // The runner reads the index slot on its own; an attach or detach
+        // in between bumps the generation, and an answer derived under the
+        // new index must not be stored under the old generation's key.
+        if cacheable && result.stats.complete && snapshot.index_generation() == key.1 {
+            lock(&self.cache).entry(key).or_insert_with(|| result.clone());
+        }
+        Ok(result)
+    }
+
+    /// The runner every query ends in: dispatches one validated `spec` on a
+    /// context checked out for `snapshot`, at `opts.threads` width (0 =
+    /// auto; [`QueryService::on_engine`]), under the query's limits, serve
+    /// mode and `token`, and stamps the snapshot's epoch on the result. It
+    /// never reads or fills the result cache.
+    pub(crate) fn run(
+        &self,
+        snapshot: &GraphSnapshot<'g>,
+        spec: &QuerySpec,
+        opts: &DccsOptions,
+        token: Option<CancelToken>,
+    ) -> Result<DccsResult, DccsError> {
+        let (_, index, stale_epoch) = snapshot.indexed();
+        let index = match (index.as_deref(), stale_epoch) {
             (Some(index), _) => IndexState::Ready(index),
             (None, Some(index_epoch)) => {
                 IndexState::Stale { index_epoch, graph_epoch: snapshot.epoch() }
             }
             (None, None) => IndexState::Absent,
         };
-        let opts =
-            DccsOptions { threads: 1, serve: query.serve, limits: query.limits, ..self.defaults };
-        let mut ctx = self.contexts.checkout(snapshot.state(), self.defaults.index);
-        let result = with_pool(1, |pool| {
-            run_spec_monitored(
-                &mut ctx,
-                pool,
-                snapshot.graph(),
-                &query.spec,
-                &opts,
-                query.token.clone(),
-                index_state,
-            )
+        let result = self.on_engine(snapshot, opts, |ctx, pool| {
+            run_spec_monitored(ctx, pool, snapshot.graph(), spec, opts, token, index)
         });
-        drop(ctx);
         result.map(|mut result| {
             result.stats.graph_epoch = Some(snapshot.epoch());
-            result.stats.served_from_cache = false;
-            if cacheable && result.stats.complete {
-                lock(&self.cache).entry(key).or_insert_with(|| result.clone());
-            }
             result
         })
+    }
+
+    /// Runs `f` on a pooled context bound to `snapshot` (planning under
+    /// `opts.index`) and a crew of `opts.threads` (0 = auto): a one-thread
+    /// run gets a crew of its own with no workers, so concurrent sequential
+    /// queries never contend; a wider run drives the service's persistent
+    /// crew, spawned on first use and re-created only at a new width.
+    pub(crate) fn on_engine<R>(
+        &self,
+        snapshot: &GraphSnapshot<'g>,
+        opts: &DccsOptions,
+        f: impl FnOnce(&mut SearchContext, &PoolRef<'_>) -> R,
+    ) -> R {
+        let mut ctx = self.contexts.checkout(snapshot, opts.index);
+        let threads = auto_threads(opts.threads);
+        if threads <= 1 {
+            return with_pool(1, |pool| f(&mut ctx, pool));
+        }
+        self.with_crew(threads, |pool| f(&mut ctx, pool))
+    }
+
+    /// Drives the service crew at `threads` (after CI forcing), re-creating
+    /// it when its width differs.
+    fn with_crew<R>(&self, threads: usize, f: impl FnOnce(&PoolRef<'_>) -> R) -> R {
+        let threads = effective_threads(threads);
+        let mut crew = lock(&self.crew);
+        if crew.as_ref().is_none_or(|crew| crew.threads() != threads) {
+            *crew = Some(PersistentPool::new(threads));
+        }
+        f(&crew.as_mut().expect("crew spawned above").pool_ref())
     }
 
     /// Answers a whole batch over the service's worker crew, one query per
     /// job, outcomes in submission order with per-query latencies.
     ///
-    /// Like [`crate::DccsSession::run_batch`]: all queries are validated up
-    /// front (the first invalid one fails the call before any work runs),
-    /// and once running the batch is not all-or-nothing — a limit,
-    /// cancellation, or panic on one query lands in that query's
-    /// [`ServiceOutcome`] slot while every sibling completes. With one
-    /// worker (or one query) the batch runs inline on the calling thread,
-    /// in order.
+    /// All queries are validated up front (the first invalid one fails the
+    /// call before any work runs), and once running the batch is not
+    /// all-or-nothing — a limit, cancellation, or panic on one query lands
+    /// in that query's [`ServiceOutcome`] slot while every sibling
+    /// completes. With one worker (or one query) the batch runs inline on
+    /// the calling thread, in order.
     pub fn run_batch(&self, queries: &[ServiceQuery]) -> Result<Vec<ServiceOutcome>, DccsError> {
         // The whole batch answers on the snapshot published at submission:
         // a commit that lands mid-batch affects only later submissions.
@@ -644,35 +677,42 @@ impl<'g> QueryService<'g> {
         for query in queries {
             Self::check_on(&snapshot, &query.spec.params)?;
         }
-        let run = |query: &ServiceQuery| -> ServiceOutcome {
+        Ok(self.fan_out(queries, |query| self.run_one(&snapshot, query)))
+    }
+
+    /// The batch loop behind [`QueryService::run_batch`] and
+    /// [`crate::DccsSession::run_batch`]: answers every item with `answer`,
+    /// one job per item on the service crew (width = the service's
+    /// `workers`), or inline in order with one worker or one item. Each job
+    /// catches its own panic, so a dying query becomes a
+    /// [`DccsError::TaskPanicked`] in its slot instead of sinking the batch.
+    pub(crate) fn fan_out<T: Sync>(
+        &self,
+        items: &[T],
+        answer: impl Fn(&T) -> Result<DccsResult, DccsError> + Sync,
+    ) -> Vec<ServiceOutcome> {
+        let run = |item: &T| -> ServiceOutcome {
             let start = Instant::now();
             let result = match catch_unwind(AssertUnwindSafe(|| {
                 fault::check(site::BATCH_QUERY);
-                self.run_one(&snapshot, query)
+                answer(item)
             })) {
                 Ok(outcome) => outcome,
                 Err(payload) => Err(panic_to_error(None, payload.as_ref())),
             };
             ServiceOutcome { result, latency: start.elapsed() }
         };
-        let workers = effective_threads(self.workers);
-        if workers <= 1 || queries.len() <= 1 {
-            return Ok(queries.iter().map(run).collect());
+        if effective_threads(self.workers) <= 1 || items.len() <= 1 {
+            return items.iter().map(run).collect();
         }
-        let mut crew = lock(&self.crew);
-        if crew.as_ref().is_none_or(|crew| crew.threads() != workers) {
-            *crew = Some(PersistentPool::new(workers));
-        }
-        let crew = crew.as_mut().expect("crew spawned above");
-        let mut driver_ws = PeelWorkspace::new();
-        let jobs: Vec<_> = queries
+        let jobs: Vec<_> = items
             .iter()
-            .map(|query| {
+            .map(|item| {
                 let run = &run;
-                move |_ws: &mut PeelWorkspace| run(query)
+                move |_ws: &mut PeelWorkspace| run(item)
             })
             .collect();
-        Ok(crew.pool_ref().map(&mut driver_ws, jobs))
+        self.with_crew(self.workers, |pool| pool.map(&mut PeelWorkspace::new(), jobs))
     }
 
     /// Commits a mutation batch, publishing the next graph version as a new
@@ -702,9 +742,10 @@ impl<'g> QueryService<'g> {
     ///    attached [`DccIndex`] is **auto-detached** with its validity epoch
     ///    recorded, so [`Serve::Index`] queries fail typed
     ///    ([`DccsError::IndexStale`]) while [`Serve::Auto`] peels. The
-    ///    result cache and the pooled contexts' graph-bound caches are
-    ///    invalidated (the epoch bump in the cache key makes old entries
-    ///    unreadable; dropping them bounds memory).
+    ///    result cache drops the old epoch's entries (the epoch bump in the
+    ///    cache key makes them unreadable; dropping them bounds memory).
+    ///    Pooled contexts need no invalidation: their caches are keyed by
+    ///    the epoch they were built on.
     ///
     /// Commits serialize against each other; a commit that panics (e.g.
     /// fault injection at `batch.commit`) before the swap leaves the old
@@ -753,7 +794,7 @@ impl<'g> QueryService<'g> {
         // The fault site sits after all fallible work and before the swap:
         // a panic here proves the old snapshot survives a dying commit.
         fault::check(site::BATCH_COMMIT);
-        let state = SharedSearchState::preloaded(&next, entries);
+        let state = SharedSearchState::preloaded(entries);
         let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
         let (generation, old_index, carried_stale) = snapshot.indexed();
         let index_detached = old_index.is_some();
@@ -772,7 +813,6 @@ impl<'g> QueryService<'g> {
             }),
         });
         *lock(&self.snapshot) = next_snapshot;
-        self.contexts.invalidate(epoch);
         // Every cached key carries an older epoch and can never be read
         // again; drop them rather than letting dead entries accumulate.
         lock(&self.cache).retain(|key, _| key.0 == epoch);
@@ -785,6 +825,224 @@ impl<'g> QueryService<'g> {
             index_detached,
         })
     }
+}
+
+/// What the dispatch layer knows about the snapshot's [`DccIndex`] —
+/// richer than `Option<&DccIndex>` so serve routing can distinguish "never
+/// attached" from "attached, then outdated by a mutation commit"
+/// ([`QueryService::commit`]) and report the latter as the typed
+/// [`DccsError::IndexStale`] instead of a generic unavailability.
+#[derive(Clone, Copy, Debug)]
+enum IndexState<'a> {
+    /// No index attached; [`Serve::Index`] queries fail unavailable.
+    Absent,
+    /// An index was attached but a committed mutation batch advanced the
+    /// graph past the epoch it was built for, auto-detaching it;
+    /// [`Serve::Index`] queries fail with [`DccsError::IndexStale`] while
+    /// [`Serve::Auto`] silently peels.
+    Stale {
+        /// Epoch of the graph version the index was valid for.
+        index_epoch: u64,
+        /// Epoch of the graph version the query runs against.
+        graph_epoch: u64,
+    },
+    /// A fingerprint-validated index for the current graph version.
+    Ready(&'a DccIndex),
+}
+
+impl<'a> IndexState<'a> {
+    /// The usable index, if any.
+    fn get(&self) -> Option<&'a DccIndex> {
+        match self {
+            IndexState::Ready(index) => Some(index),
+            _ => None,
+        }
+    }
+}
+
+/// Dispatches one spec on a checked-out context and crew — the single place
+/// the algorithm match lives. The caller has already validated the spec;
+/// the crew is threaded through preprocessing and the search.
+///
+/// Serve routing lives here too: per `opts.serve`, a greedy-compatible
+/// query whose `(d, s)` the attached [`DccIndex`] covers is answered by
+/// [`serve_from_index_on`] — hierarchy lookups feeding the same selection
+/// engine, no re-peeling — and every peeled result is stamped
+/// [`ServePath::Peel`]. Only [`Algorithm::Greedy`] (or [`Algorithm::Auto`],
+/// which the index resolves to greedy) can serve: the search-tree
+/// algorithms interleave pruning with candidate generation and have no
+/// precomputed form.
+fn run_spec_on_pool(
+    ctx: &mut SearchContext,
+    pool: &PoolRef<'_>,
+    g: &MultiLayerGraph,
+    spec: &QuerySpec,
+    opts: &DccsOptions,
+    index: IndexState<'_>,
+) -> Result<DccsResult, DccsError> {
+    let greedy_compatible = matches!(spec.algorithm, Algorithm::Auto | Algorithm::Greedy);
+    let serving = match opts.serve {
+        Serve::Peel => false,
+        Serve::Auto => {
+            greedy_compatible
+                && index.get().is_some_and(|ix| ix.covers(spec.params.d, spec.params.s))
+        }
+        Serve::Index => {
+            let ix = match index {
+                IndexState::Ready(ix) => ix,
+                IndexState::Stale { index_epoch, graph_epoch } => {
+                    return Err(DccsError::IndexStale { index_epoch, graph_epoch })
+                }
+                IndexState::Absent => {
+                    return Err(DccsError::IndexUnavailable {
+                        message: "no index attached to the session".into(),
+                    })
+                }
+            };
+            if !greedy_compatible {
+                return Err(DccsError::IndexUnavailable {
+                    message: format!(
+                        "the index serves greedy selection; explicit {} queries must peel",
+                        spec.algorithm.name()
+                    ),
+                });
+            }
+            if !ix.covers(spec.params.d, spec.params.s) {
+                return Err(DccsError::IndexUnavailable {
+                    message: format!(
+                        "the index has no entry for (d={}, s={})",
+                        spec.params.d, spec.params.s
+                    ),
+                });
+            }
+            true
+        }
+    };
+    if serving {
+        let index = index.get().expect("serving implies a ready index");
+        return Ok(serve_from_index_on(ctx, g, index, &spec.params));
+    }
+    let algorithm = spec.algorithm.resolve(g, &spec.params);
+    let mut result = match algorithm {
+        Algorithm::Greedy => greedy_dccs_on(ctx, pool, g, &spec.params, opts),
+        Algorithm::BottomUp => bottom_up_dccs_on(ctx, pool, g, &spec.params, opts),
+        Algorithm::TopDown => top_down_dccs_on(ctx, pool, g, &spec.params, opts),
+        Algorithm::Exact => exact_dccs_on(ctx, pool, g, &spec.params, opts)?,
+        Algorithm::Auto => unreachable!("resolve never returns Auto"),
+    };
+    result.stats.serve = Some(ServePath::Peel);
+    Ok(result)
+}
+
+/// [`run_spec_on_pool`] under the query's limits and panic isolation, plus
+/// the opt-in degradation ladder: an explicit [`Algorithm::Exact`] query
+/// that blows its candidate budget is rerun as [`Algorithm::Greedy`] (with
+/// whatever wall-clock remains) when [`QueryLimits::degrade`] is set, and
+/// the fallback is recorded in [`crate::SearchStats::degraded_from`].
+fn run_spec_monitored(
+    ctx: &mut SearchContext,
+    pool: &PoolRef<'_>,
+    g: &MultiLayerGraph,
+    spec: &QuerySpec,
+    opts: &DccsOptions,
+    token: Option<CancelToken>,
+    index: IndexState<'_>,
+) -> Result<DccsResult, DccsError> {
+    let query_start = Instant::now();
+    let result = dispatch_limited(ctx, pool, g, spec, opts, token.clone(), index);
+    let degradable = opts.limits.degrade
+        && matches!(result, Err(DccsError::BudgetExceeded { .. }))
+        && spec.algorithm.resolve(g, &spec.params) == Algorithm::Exact;
+    if !degradable {
+        return result;
+    }
+    // The retry keeps every limit; only the deadline needs re-anchoring, to
+    // the wall-clock the original query has left (a fallback must not grant
+    // itself a second full time budget).
+    let mut retry_limits = opts.limits;
+    if let Some(budget) = retry_limits.deadline {
+        retry_limits.deadline = Some(budget.saturating_sub(query_start.elapsed()));
+    }
+    let retry_opts = DccsOptions { limits: retry_limits, ..*opts };
+    let retry_spec = QuerySpec { params: spec.params, algorithm: Algorithm::Greedy };
+    dispatch_limited(ctx, pool, g, &retry_spec, &retry_opts, token, index).map(|mut result| {
+        result.stats.degraded_from = Some(Algorithm::Exact);
+        result
+    })
+}
+
+/// One monitored dispatch attempt: compiles the limits and token into a
+/// [`QueryMonitor`] (skipped entirely for unlimited, token-less queries),
+/// installs it on the context for the duration of the run, converts a
+/// flagged-incomplete result into the matching typed error carrying the
+/// partial, and converts a panicking engine task into
+/// [`DccsError::TaskPanicked`] — replacing the context wholesale, since a
+/// panic can leave mid-query state behind, so the service stays usable.
+fn dispatch_limited(
+    ctx: &mut SearchContext,
+    pool: &PoolRef<'_>,
+    g: &MultiLayerGraph,
+    spec: &QuerySpec,
+    opts: &DccsOptions,
+    token: Option<CancelToken>,
+    index: IndexState<'_>,
+) -> Result<DccsResult, DccsError> {
+    let limited = !opts.limits.is_unlimited() || token.is_some();
+    let monitor =
+        if limited { Some(Arc::new(QueryMonitor::new(&opts.limits, token))) } else { None };
+    ctx.set_monitor(monitor.clone());
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| run_spec_on_pool(ctx, pool, g, spec, opts, index)));
+    let result = match outcome {
+        Ok(result) => {
+            ctx.set_monitor(None);
+            result?
+        }
+        Err(payload) => {
+            // The panic unwound through mid-query engine state; rebuild the
+            // context (same snapshot binding and index override) rather
+            // than trusting whatever the unwind left behind. The shared
+            // tier survives by design: its entries are only ever installed
+            // whole, so a mid-query panic cannot leave one half-built.
+            *ctx = ctx.rebuilt();
+            return Err(panic_to_error(pool.take_last_panic(), payload.as_ref()));
+        }
+    };
+    if result.stats.complete {
+        return Ok(result);
+    }
+    let monitor = monitor.expect("an incomplete result implies a monitor was installed");
+    let partial = Box::new(result);
+    Err(match partial.stats.limit_hit {
+        Some(LimitKind::Deadline) => DccsError::DeadlineExceeded {
+            deadline: opts.limits.deadline.unwrap_or_default(),
+            partial,
+        },
+        Some(LimitKind::Cancelled) => DccsError::Cancelled { partial },
+        Some(LimitKind::CandidateBudget) => DccsError::BudgetExceeded {
+            candidates: monitor.candidates(),
+            limit: monitor.candidate_budget().unwrap_or(0),
+        },
+        Some(LimitKind::DenseMemory) => {
+            let (required_words, limit_words) = monitor.dense_memory();
+            DccsError::MemoryLimit { required_words, limit_words, partial }
+        }
+        None => unreachable!("complete == false implies limit_hit is set"),
+    })
+}
+
+/// Builds the [`DccsError::TaskPanicked`] for a caught engine panic,
+/// preferring the message a pool worker parked (the original panic, not the
+/// driver's generic "job died" rethrow) over the caught payload itself.
+fn panic_to_error(
+    worker_message: Option<String>,
+    payload: &(dyn std::any::Any + Send),
+) -> DccsError {
+    let message = worker_message
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    DccsError::TaskPanicked { message }
 }
 
 #[cfg(test)]
@@ -827,7 +1085,7 @@ mod tests {
         let a = GraphSnapshot::new(&g);
         let b = GraphSnapshot::new(&g);
         assert_ne!(a.epoch(), b.epoch());
-        assert!(a.state().bound_to(&g));
+        assert!(!Arc::ptr_eq(a.state(), b.state()), "each snapshot owns its tier");
     }
 
     #[test]
@@ -1059,6 +1317,42 @@ mod tests {
         assert!(service.query(&forced).is_ok());
     }
 
+    /// The pooled context's caches are keyed by the snapshot epoch, not by
+    /// the candidate universe alone: here a commit rewires layer 1 without
+    /// changing any layer's d-core, so the post-commit query builds a dense
+    /// index over the very universe the pinned pre-commit query then peels.
+    /// Run on that same context, the pinned query must still answer for
+    /// its own graph version.
+    #[test]
+    fn a_pinned_query_after_a_commit_ignores_the_new_epochs_index() {
+        let _guard = commit_lock();
+        let mut b = MultiLayerGraphBuilder::new(10, 2);
+        clique(&mut b, 0, &[0, 1, 2, 3]);
+        clique(&mut b, 0, &[4, 5, 6]);
+        clique(&mut b, 1, &[4, 5, 7]);
+        clique(&mut b, 1, &[6, 8, 9]);
+        let g = b.build();
+        // No vertex deletion: the universe is the union of the per-layer
+        // 2-cores, {0..9} before and after the commit.
+        let opts = DccsOptions { index: IndexChoice::Dense, ..DccsOptions::no_vertex_deletion() };
+        let service = QueryService::new(&g, opts);
+        let spec = QuerySpec::new(DccsParams::new(2, 2, 1)).with_algorithm(Algorithm::Greedy);
+        let query = ServiceQuery::new(spec.params).with_algorithm(spec.algorithm);
+        let pinned = service.snapshot();
+        let mut batch = EdgeBatch::new();
+        batch.insert(1, 4, 6).insert(1, 5, 6);
+        service.commit(&batch).unwrap();
+        let after = service.query(&query).unwrap();
+        assert_eq!(after.cover.to_vec(), vec![4, 5, 6], "the commit closes a coherent triangle");
+        assert_eq!(service.idle_contexts(), 1, "one pooled context serves both versions");
+        let stale = service.run(&pinned, &spec, &opts, None).unwrap();
+        let fresh = DccsSession::with_options(&g, opts).query(spec.params).run().unwrap();
+        assert_eq!(stale.stats.index_path, Some(crate::IndexPath::Dense));
+        assert_eq!(stale.cores, fresh.cores);
+        assert_eq!(stale.cover.to_vec(), fresh.cover.to_vec());
+        assert!(stale.cover.is_empty(), "before the commit no 2-CC spans both layers");
+    }
+
     #[test]
     fn a_panicking_commit_leaves_the_old_snapshot_serving() {
         let _guard = commit_lock();
@@ -1128,7 +1422,7 @@ mod tests {
         let via_session = session.query(params).run().unwrap();
         // The service built over the session's snapshot reuses its tier and
         // reports the same epoch.
-        let service = QueryService::over(session.snapshot().clone(), DccsOptions::default());
+        let service = QueryService::over(session.snapshot(), DccsOptions::default());
         let via_service = service.query(&ServiceQuery::new(params)).unwrap();
         assert_eq!(via_service.stats.graph_epoch, via_session.stats.graph_epoch);
         assert_eq!(via_service.cores, via_session.cores);

@@ -1,18 +1,18 @@
-//! The session-based query API — the crate's primary public surface.
+//! The session front end: one caller sweeping queries over one graph.
 //!
 //! The paper's workload is *sweep-shaped*: its experiments vary `d`, `s`,
 //! and `k` over a fixed graph (Figs. 14–25), and a production deployment
 //! serves many queries against one loaded graph. A [`DccsSession`] is the
-//! durable handle for that pattern: constructed once per graph, it owns the
-//! long-lived engine state — the [`SearchContext`] with the driver's
-//! `PeelWorkspace`, the reused cover/seed buffers, the universe-keyed
-//! `DenseSubgraph` cache, and the per-`d` layer-core and per-`(d, s)`
-//! deletion-fixpoint memos — so consecutive queries reuse everything a
-//! fresh run would have to rebuild, while returning **bit-identical
-//! results** to one-shot calls (the caches only skip recomputing
-//! deterministic intermediates; enforced by
+//! durable handle for that pattern: constructed once per graph, it is a
+//! single-caller client of its own [`QueryService`], so consecutive queries
+//! reuse the service's pooled search context (peel scratch, cover/seed
+//! buffers, the dense-index cache), its worker crew, and the snapshot's
+//! per-`d` layer-core and per-`(d, s)` deletion-fixpoint memos — while
+//! returning **bit-identical results** to one-shot calls (the caches only
+//! skip recomputing deterministic intermediates; enforced by
 //! `crates/core/tests/session_sweep.rs` and
-//! `crates/core/tests/fixpoint_memo.rs`).
+//! `crates/core/tests/fixpoint_memo.rs`). Session queries never read the
+//! service's result cache: a repeated query is computed again.
 //!
 //! Queries go through a builder and return `Result` instead of panicking:
 //!
@@ -38,63 +38,30 @@
 //! ```
 //!
 //! Whole sweeps go through [`DccsSession::run_batch`], which fans the
-//! queries of a sweep out over the session's **persistent** worker crew
-//! (each query runs sequentially on one worker, so per-query results — and
-//! their work counters — are exactly the 1-thread results, in submission
-//! order).
-//!
-//! # Single-crew queries
-//!
-//! The session keeps one [`PersistentPool`] (spawned on the first query
-//! that wants more than one thread) and threads it through preprocessing
-//! *and* the search of every query, so neither phase — nor any later
-//! query at the same width — pays a worker spawn/join. The crew is
-//! re-created only when a query asks for a different width and joined on
-//! drop.
+//! queries of a sweep out over the service's worker crew (each query runs
+//! sequentially on one worker, so per-query results — and their work
+//! counters — are exactly the 1-thread results, in submission order).
 //!
 //! # Threads
 //!
 //! A query's `threads` knob selects the width of the shared executor — the
 //! fork-join batches of preprocessing and the lattice, and the BU/TD
-//! subtree task graphs ([`crate::engine::drive_task_graph`]) — and nothing
-//! else: results are bit-identical at every width. The value `0` means
-//! **auto** (`available_parallelism`, via [`auto_threads`]) everywhere in
-//! the session API; the legacy free functions (`*_with_options`,
-//! [`crate::parallel_greedy_dccs`]) keep their historical `0 ≡ 1`
-//! (sequential) reading, so existing call sites run exactly as they always
-//! did.
+//! subtree task graphs — and nothing else: results are bit-identical at
+//! every width. One rule holds everywhere: `0` means **auto**
+//! (`available_parallelism`, via [`crate::auto_threads`]) and any other
+//! value is taken literally. A multi-thread query drives the service's
+//! persistent crew, which is spawned on first use, re-created only when a
+//! query asks for a different width, and joined on drop.
 
 use crate::algorithm::Algorithm;
-use crate::bottom_up::bottom_up_dccs_on;
 use crate::config::{DccsOptions, DccsParams};
-use crate::engine::{effective_threads, PersistentPool, PoolRef, SearchContext};
 use crate::error::DccsError;
-use crate::exact::exact_dccs_on;
-use crate::fault::{self, site};
-use crate::greedy::greedy_dccs_on;
-use crate::limits::{CancelToken, LimitKind, QueryLimits, QueryMonitor};
+use crate::limits::{CancelToken, QueryLimits};
 use crate::result::DccsResult;
-use crate::serve::{serve_from_index_on, DccIndex, Serve, ServePath};
-use crate::service::GraphSnapshot;
-use crate::top_down::top_down_dccs_on;
-use coreness::PeelWorkspace;
+use crate::serve::{DccIndex, Serve};
+use crate::service::{GraphSnapshot, QueryService};
 use mlgraph::MultiLayerGraph;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Resolves the `threads` knob of the session API: `0` means **auto** —
-/// `std::thread::available_parallelism()` (falling back to 1 when the
-/// platform cannot report it) — while any other value is taken literally
-/// (`1` stays sequential). The direct entry points (`*_with_options`) keep
-/// the legacy behavior of treating `0` as `1`.
-pub fn auto_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-}
 
 /// One query of a batch: the `(d, s, k)` parameters plus the algorithm to
 /// run them with ([`Algorithm::Auto`] by default).
@@ -126,33 +93,13 @@ impl QuerySpec {
 #[derive(Debug)]
 pub struct DccsSession<'g> {
     g: &'g MultiLayerGraph,
-    /// The session's epoch-versioned shared tier ([`GraphSnapshot`]): the
-    /// layer-core, fixpoint and index-plan memos live here (installed
-    /// into every context the session runs queries on, including fresh
-    /// batch-job contexts), and the attached [`DccIndex`] is mirrored into
-    /// it — so a session *is* a single-tenant
-    /// [`crate::service::QueryService`] client over its own snapshot, and
-    /// [`DccsSession::snapshot`] hands the same tier to concurrent readers.
-    snapshot: Arc<GraphSnapshot<'g>>,
-    ctx: SearchContext,
+    /// The engine every query runs on: the snapshot with its shared tier
+    /// and attached [`DccIndex`], the context pool, and the worker crew.
+    service: QueryService<'g>,
     opts: DccsOptions,
-    /// The session's persistent worker crew ([`PersistentPool`]): spawned
-    /// on the first query that wants more than one thread, then threaded
-    /// through preprocessing and search of **every** subsequent query (and
-    /// through whole `run_batch` sweeps), so repeated small queries stop
-    /// paying a worker spawn/join per phase. Re-created only when a query
-    /// asks for a different width; `None` while every query has been
-    /// sequential.
-    crew: Option<PersistentPool>,
     /// The externally shared kill switch attached to every query of this
     /// session (see [`DccsSession::set_cancel_token`]); `None` by default.
     token: Option<CancelToken>,
-    /// The attached precomputed d-CC hierarchy ([`DccIndex`]), fingerprint-
-    /// validated against `g` at attach time. Shared by `Arc` so batch jobs
-    /// on the crew read it without copying. `None` until
-    /// [`DccsSession::attach_index`]; queries then serve from it per the
-    /// [`Serve`] knob.
-    index: Option<Arc<DccIndex>>,
 }
 
 impl<'g> DccsSession<'g> {
@@ -163,21 +110,17 @@ impl<'g> DccsSession<'g> {
     }
 
     /// A session over `g` whose queries default to `opts`. An `opts.threads`
-    /// of `0` means auto ([`auto_threads`]).
+    /// of `0` means auto ([`crate::auto_threads`]).
     pub fn with_options(g: &'g MultiLayerGraph, opts: DccsOptions) -> Self {
-        let snapshot = GraphSnapshot::new(g);
-        let mut ctx = SearchContext::new(auto_threads(opts.threads));
-        ctx.set_index_choice(opts.index);
-        ctx.set_shared(Some(snapshot.state().clone()));
-        DccsSession { g, snapshot, ctx, opts, crew: None, token: None, index: None }
+        DccsSession { g, service: QueryService::new(g, opts), opts, token: None }
     }
 
     /// The session's epoch-versioned [`GraphSnapshot`] — the shared
-    /// immutable tier its queries run against. Hand a clone of the `Arc` to
-    /// a [`crate::service::QueryService`] (or another session-free reader)
-    /// to share the preprocessing work this session has already paid for.
-    pub fn snapshot(&self) -> &Arc<GraphSnapshot<'g>> {
-        &self.snapshot
+    /// immutable tier its queries run against. Hand it to a
+    /// [`QueryService::over`] (or another reader) to share the
+    /// preprocessing work this session has already paid for.
+    pub fn snapshot(&self) -> Arc<GraphSnapshot<'g>> {
+        self.service.snapshot()
     }
 
     /// Attaches a [`CancelToken`] to every subsequent query (and batch) of
@@ -201,20 +144,17 @@ impl<'g> DccsSession<'g> {
         &self.opts
     }
 
-    /// Builds a [`DccIndex`] for the session's graph on its persistent
-    /// crew (spawned on demand at the session's thread width), covering
-    /// every requested `d` for subset sizes `1..=max_s` (`max_s == 0`
-    /// means all subset sizes). The index is returned, not attached —
-    /// save it with [`DccIndex::save`] and/or hand it to
-    /// [`DccsSession::attach_index`].
+    /// Builds a [`DccIndex`] for the session's graph on the service's crew
+    /// at the session's thread width, covering every requested `d` for
+    /// subset sizes `1..=max_s` (`max_s == 0` means all subset sizes). The
+    /// index is returned, not attached — save it with [`DccIndex::save`]
+    /// and/or hand it to [`DccsSession::attach_index`].
     pub fn build_index(&mut self, ds: &[u32], max_s: usize) -> DccIndex {
-        let threads = auto_threads(self.opts.threads);
-        self.ensure_crew(threads);
+        let snapshot = self.service.snapshot();
         let g = self.g;
-        match &mut self.crew {
-            Some(crew) => DccIndex::build_on(g, ds, max_s, &crew.pool_ref()),
-            None => crate::engine::with_pool(1, |pool| DccIndex::build_on(g, ds, max_s, pool)),
-        }
+        self.service.on_engine(&snapshot, &self.opts, |ctx, pool| {
+            DccIndex::build_on(ctx, pool, g, ds, max_s)
+        })
     }
 
     /// Attaches `index` after validating its fingerprint against the
@@ -223,22 +163,17 @@ impl<'g> DccsSession<'g> {
     /// attached. Subsequent queries consult the index per the [`Serve`]
     /// knob on their options.
     pub fn attach_index(&mut self, index: DccIndex) -> Result<(), DccsError> {
-        index.matches(self.g)?;
-        let index = Arc::new(index);
-        self.snapshot.install_index(Some(index.clone()));
-        self.index = Some(index);
-        Ok(())
+        self.service.attach_index(index)
     }
 
     /// Detaches the index; subsequent queries always peel.
     pub fn detach_index(&mut self) {
-        self.snapshot.install_index(None);
-        self.index = None;
+        self.service.detach_index();
     }
 
     /// The attached index, if any.
-    pub fn index(&self) -> Option<&DccIndex> {
-        self.index.as_deref()
+    pub fn index(&self) -> Option<Arc<DccIndex>> {
+        self.service.snapshot().index()
     }
 
     /// Starts building a query for `params`. Nothing runs until
@@ -248,68 +183,7 @@ impl<'g> DccsSession<'g> {
         Query { session: self, spec: QuerySpec::new(params), opts, token: None }
     }
 
-    /// Checks that the graph is non-empty and `params` are valid for it.
-    fn check(&self, params: &DccsParams) -> Result<(), DccsError> {
-        let (n, l) = (self.g.num_vertices(), self.g.num_layers());
-        if n == 0 || l == 0 {
-            return Err(DccsError::EmptyGraph { num_vertices: n, num_layers: l });
-        }
-        params.validate(l)
-    }
-
-    /// Makes sure the persistent crew matches `threads` (after the CI
-    /// forcing override); sequential queries never spawn one. An existing
-    /// crew of a different width is torn down and replaced — sweeps at a
-    /// fixed width, the common case, reuse one crew for their lifetime.
-    fn ensure_crew(&mut self, threads: usize) {
-        let effective = effective_threads(threads);
-        if effective <= 1 {
-            return;
-        }
-        if self.crew.as_ref().is_none_or(|crew| crew.threads() != effective) {
-            self.crew = Some(PersistentPool::new(effective));
-        }
-    }
-
-    /// Runs one validated query on the session context and the persistent
-    /// crew. `opts.threads` must already be resolved (≥ 1).
-    fn run_checked(
-        &mut self,
-        spec: &QuerySpec,
-        opts: &DccsOptions,
-    ) -> Result<DccsResult, DccsError> {
-        self.ctx.set_threads(opts.threads);
-        self.ctx.set_index_choice(opts.index);
-        let parallel = effective_threads(opts.threads) > 1;
-        if parallel {
-            self.ensure_crew(opts.threads);
-        }
-        let token = self.token.clone();
-        let index = self.index.clone();
-        let index = IndexState::from_option(index.as_deref());
-        let epoch = self.snapshot.epoch();
-        let ctx = &mut self.ctx;
-        let g = self.g;
-        let result = match &mut self.crew {
-            // A sequential query must not fan out on a crew left over from
-            // an earlier wider query — the crew stays alive (a later wide
-            // query reuses it) but this query bypasses it.
-            Some(crew) if parallel => {
-                run_spec_monitored(ctx, &crew.pool_ref(), g, spec, opts, token, index)
-            }
-            // Truly sequential (no forcing either): a width-1 scoped pool
-            // spawns no thread and runs every batch inline.
-            _ => crate::engine::with_pool(1, |pool| {
-                run_spec_monitored(ctx, pool, g, spec, opts, token, index)
-            }),
-        };
-        result.map(|mut result| {
-            result.stats.graph_epoch = Some(epoch);
-            result
-        })
-    }
-
-    /// Runs a whole sweep through **one** executor crew.
+    /// Runs a whole sweep through the service's batch loop.
     ///
     /// All specs are validated up front (the first invalid spec fails the
     /// whole call before any work runs — a malformed sweep is a caller
@@ -320,313 +194,27 @@ impl<'g> DccsSession<'g> {
     /// submission order.
     ///
     /// With an effective thread count of 1 — or a single spec — the queries
-    /// run in order on the session context, compounding its caches. With
-    /// more threads, the session's persistent crew serves the entire batch
-    /// and each query becomes one job, executed sequentially on one worker —
-    /// inter-query parallelism, which is where a sweep's wall-clock actually
-    /// goes. Either way each result is bit-identical to running its spec as
-    /// a one-shot query (per-query execution is thread-invariant).
+    /// run in order on the calling thread. With more threads, the service's
+    /// crew serves the entire batch and each query becomes one job,
+    /// executed sequentially on one worker — inter-query parallelism, which
+    /// is where a sweep's wall-clock actually goes. Either way each result
+    /// is bit-identical to running its spec as a one-shot query
+    /// (per-query execution is thread-invariant).
     #[allow(clippy::type_complexity)]
     pub fn run_batch(
         &mut self,
         specs: &[QuerySpec],
     ) -> Result<Vec<Result<DccsResult, DccsError>>, DccsError> {
+        let snapshot = self.service.snapshot();
         for spec in specs {
-            self.check(&spec.params)?;
+            QueryService::check_on(&snapshot, &spec.params)?;
         }
-        let threads = auto_threads(self.opts.threads);
-        if threads <= 1 || specs.len() <= 1 {
-            let opts = DccsOptions { threads, ..self.opts };
-            let outcomes = specs
-                .iter()
-                .map(|spec| {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        fault::check(site::BATCH_QUERY);
-                        self.run_checked(spec, &opts)
-                    })) {
-                        Ok(outcome) => outcome,
-                        Err(payload) => Err(panic_to_error(None, payload.as_ref())),
-                    }
-                })
-                .collect();
-            return Ok(outcomes);
-        }
-        // The persistent crew serves the whole sweep; each query is one
-        // sequential job, so its result (and stats) equal the 1-thread run
-        // by construction. Each job catches its own panics: a dying query
-        // becomes a `TaskPanicked` in its slot instead of sinking the sweep.
-        self.ensure_crew(threads);
-        let g = self.g;
-        let token = self.token.clone();
-        let index = self.index.clone();
-        let shared = self.snapshot.state().clone();
-        let epoch = self.snapshot.epoch();
         let opts = DccsOptions { threads: 1, ..self.opts };
-        let crew = self.crew.as_mut().expect("ensure_crew spawns for threads > 1");
-        let jobs: Vec<_> = specs
-            .iter()
-            .map(|&spec| {
-                let opts = &opts;
-                let token = token.clone();
-                let index = index.clone();
-                let shared = shared.clone();
-                move |_ws: &mut PeelWorkspace| match catch_unwind(AssertUnwindSafe(|| {
-                    fault::check(site::BATCH_QUERY);
-                    let mut ctx = SearchContext::new(1);
-                    ctx.set_index_choice(opts.index);
-                    ctx.set_shared(Some(shared));
-                    crate::engine::with_pool(1, |pool| {
-                        let index = IndexState::from_option(index.as_deref());
-                        run_spec_monitored(&mut ctx, pool, g, &spec, opts, token, index)
-                    })
-                })) {
-                    Ok(outcome) => outcome,
-                    Err(payload) => Err(panic_to_error(None, payload.as_ref())),
-                }
-            })
-            .collect();
-        let mut outcomes = crew.pool_ref().map(&mut self.ctx.ws, jobs);
-        for result in outcomes.iter_mut().flatten() {
-            result.stats.graph_epoch = Some(epoch);
-        }
-        Ok(outcomes)
+        let (service, token) = (&self.service, &self.token);
+        let outcomes =
+            service.fan_out(specs, |spec| service.run(&snapshot, spec, &opts, token.clone()));
+        Ok(outcomes.into_iter().map(|outcome| outcome.result).collect())
     }
-}
-
-/// What the dispatch layer knows about the caller's [`DccIndex`] — richer
-/// than `Option<&DccIndex>` so serve routing can distinguish "never
-/// attached" from "attached, then outdated by a mutation commit"
-/// ([`crate::QueryService::commit`]) and report the latter as the typed
-/// [`DccsError::IndexStale`] instead of a generic unavailability.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum IndexState<'a> {
-    /// No index attached; [`Serve::Index`] queries fail unavailable.
-    Absent,
-    /// An index was attached but a committed mutation batch advanced the
-    /// graph past the epoch it was built for, auto-detaching it;
-    /// [`Serve::Index`] queries fail with [`DccsError::IndexStale`] while
-    /// [`Serve::Auto`] silently peels.
-    Stale {
-        /// Epoch of the graph version the index was valid for.
-        index_epoch: u64,
-        /// Epoch of the graph version the query runs against.
-        graph_epoch: u64,
-    },
-    /// A fingerprint-validated index for the current graph version.
-    Ready(&'a DccIndex),
-}
-
-impl<'a> IndexState<'a> {
-    /// The static-graph embedding: sessions never outdate their index, so
-    /// an attached index is always [`IndexState::Ready`].
-    pub(crate) fn from_option(index: Option<&'a DccIndex>) -> Self {
-        match index {
-            Some(index) => IndexState::Ready(index),
-            None => IndexState::Absent,
-        }
-    }
-
-    /// The usable index, if any.
-    fn get(&self) -> Option<&'a DccIndex> {
-        match self {
-            IndexState::Ready(index) => Some(index),
-            _ => None,
-        }
-    }
-}
-
-/// Dispatches one spec on an existing context and executor crew — the
-/// single place the algorithm match lives, shared by the session's
-/// single-query and batch paths. The caller has already validated the spec
-/// and configured the context's thread count and index override; the crew
-/// is threaded through preprocessing and the search (the single-crew query
-/// path).
-///
-/// Serve routing lives here too: per `opts.serve`, a greedy-compatible
-/// query whose `(d, s)` the attached [`DccIndex`] covers is answered by
-/// [`serve_from_index_on`] — hierarchy lookups feeding the same selection
-/// engine, no re-peeling — and every peeled result is stamped
-/// [`ServePath::Peel`]. Only [`Algorithm::Greedy`] (or [`Algorithm::Auto`],
-/// which the index resolves to greedy) can serve: the search-tree
-/// algorithms interleave pruning with candidate generation and have no
-/// precomputed form.
-fn run_spec_on_pool(
-    ctx: &mut SearchContext,
-    pool: &PoolRef<'_>,
-    g: &MultiLayerGraph,
-    spec: &QuerySpec,
-    opts: &DccsOptions,
-    index: IndexState<'_>,
-) -> Result<DccsResult, DccsError> {
-    let greedy_compatible = matches!(spec.algorithm, Algorithm::Auto | Algorithm::Greedy);
-    let serving = match opts.serve {
-        Serve::Peel => false,
-        Serve::Auto => {
-            greedy_compatible
-                && index.get().is_some_and(|ix| ix.covers(spec.params.d, spec.params.s))
-        }
-        Serve::Index => {
-            let ix = match index {
-                IndexState::Ready(ix) => ix,
-                IndexState::Stale { index_epoch, graph_epoch } => {
-                    return Err(DccsError::IndexStale { index_epoch, graph_epoch })
-                }
-                IndexState::Absent => {
-                    return Err(DccsError::IndexUnavailable {
-                        message: "no index attached to the session".into(),
-                    })
-                }
-            };
-            if !greedy_compatible {
-                return Err(DccsError::IndexUnavailable {
-                    message: format!(
-                        "the index serves greedy selection; explicit {} queries must peel",
-                        spec.algorithm.name()
-                    ),
-                });
-            }
-            if !ix.covers(spec.params.d, spec.params.s) {
-                return Err(DccsError::IndexUnavailable {
-                    message: format!(
-                        "the index has no entry for (d={}, s={})",
-                        spec.params.d, spec.params.s
-                    ),
-                });
-            }
-            true
-        }
-    };
-    if serving {
-        let index = index.get().expect("serving implies a ready index");
-        return Ok(serve_from_index_on(ctx, g, index, &spec.params));
-    }
-    let algorithm = spec.algorithm.resolve(g, &spec.params);
-    let mut result = match algorithm {
-        Algorithm::Greedy => greedy_dccs_on(ctx, pool, g, &spec.params, opts),
-        Algorithm::BottomUp => bottom_up_dccs_on(ctx, pool, g, &spec.params, opts),
-        Algorithm::TopDown => top_down_dccs_on(ctx, pool, g, &spec.params, opts),
-        Algorithm::Exact => exact_dccs_on(ctx, pool, g, &spec.params, opts)?,
-        Algorithm::Auto => unreachable!("resolve never returns Auto"),
-    };
-    result.stats.serve = Some(ServePath::Peel);
-    Ok(result)
-}
-
-/// [`run_spec_on_pool`] under the query's limits and panic isolation, plus
-/// the opt-in degradation ladder: an explicit [`Algorithm::Exact`] query
-/// that blows its candidate budget is rerun as [`Algorithm::Greedy`] (with
-/// whatever wall-clock remains) when [`QueryLimits::degrade`] is set, and
-/// the fallback is recorded in [`crate::SearchStats::degraded_from`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_monitored(
-    ctx: &mut SearchContext,
-    pool: &PoolRef<'_>,
-    g: &MultiLayerGraph,
-    spec: &QuerySpec,
-    opts: &DccsOptions,
-    token: Option<CancelToken>,
-    index: IndexState<'_>,
-) -> Result<DccsResult, DccsError> {
-    let query_start = Instant::now();
-    let result = dispatch_limited(ctx, pool, g, spec, opts, token.clone(), index);
-    let degradable = opts.limits.degrade
-        && matches!(result, Err(DccsError::BudgetExceeded { .. }))
-        && spec.algorithm.resolve(g, &spec.params) == Algorithm::Exact;
-    if !degradable {
-        return result;
-    }
-    // The retry keeps every limit; only the deadline needs re-anchoring, to
-    // the wall-clock the original query has left (a fallback must not grant
-    // itself a second full time budget).
-    let mut retry_limits = opts.limits;
-    if let Some(budget) = retry_limits.deadline {
-        retry_limits.deadline = Some(budget.saturating_sub(query_start.elapsed()));
-    }
-    let retry_opts = DccsOptions { limits: retry_limits, ..*opts };
-    let retry_spec = QuerySpec { params: spec.params, algorithm: Algorithm::Greedy };
-    dispatch_limited(ctx, pool, g, &retry_spec, &retry_opts, token, index).map(|mut result| {
-        result.stats.degraded_from = Some(Algorithm::Exact);
-        result
-    })
-}
-
-/// One monitored dispatch attempt: compiles the limits and token into a
-/// [`QueryMonitor`] (skipped entirely for unlimited, token-less queries),
-/// installs it on the context for the duration of the run, converts a
-/// flagged-incomplete result into the matching typed error carrying the
-/// partial, and converts a panicking engine task into
-/// [`DccsError::TaskPanicked`] — replacing the context wholesale, since a
-/// panic can leave mid-query state behind, so the session stays usable.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_limited(
-    ctx: &mut SearchContext,
-    pool: &PoolRef<'_>,
-    g: &MultiLayerGraph,
-    spec: &QuerySpec,
-    opts: &DccsOptions,
-    token: Option<CancelToken>,
-    index: IndexState<'_>,
-) -> Result<DccsResult, DccsError> {
-    let limited = !opts.limits.is_unlimited() || token.is_some();
-    let monitor =
-        if limited { Some(Arc::new(QueryMonitor::new(&opts.limits, token))) } else { None };
-    ctx.set_monitor(monitor.clone());
-    let outcome =
-        catch_unwind(AssertUnwindSafe(|| run_spec_on_pool(ctx, pool, g, spec, opts, index)));
-    let result = match outcome {
-        Ok(result) => {
-            ctx.set_monitor(None);
-            result?
-        }
-        Err(payload) => {
-            // The panic unwound through mid-query engine state; rebuild the
-            // context (same width, index override, and shared tier) rather
-            // than trusting whatever the unwind left behind. The shared
-            // tier survives by design: its entries are only ever installed
-            // whole, so a mid-query panic cannot leave one half-built.
-            let threads = ctx.threads();
-            let shared = ctx.shared().cloned();
-            *ctx = SearchContext::new(threads);
-            ctx.set_index_choice(opts.index);
-            ctx.set_shared(shared);
-            return Err(panic_to_error(pool.take_last_panic(), payload.as_ref()));
-        }
-    };
-    if result.stats.complete {
-        return Ok(result);
-    }
-    let monitor = monitor.expect("an incomplete result implies a monitor was installed");
-    let partial = Box::new(result);
-    Err(match partial.stats.limit_hit {
-        Some(LimitKind::Deadline) => DccsError::DeadlineExceeded {
-            deadline: opts.limits.deadline.unwrap_or_default(),
-            partial,
-        },
-        Some(LimitKind::Cancelled) => DccsError::Cancelled { partial },
-        Some(LimitKind::CandidateBudget) => DccsError::BudgetExceeded {
-            candidates: monitor.candidates(),
-            limit: monitor.candidate_budget().unwrap_or(0),
-        },
-        Some(LimitKind::DenseMemory) => {
-            let (required_words, limit_words) = monitor.dense_memory();
-            DccsError::MemoryLimit { required_words, limit_words, partial }
-        }
-        None => unreachable!("complete == false implies limit_hit is set"),
-    })
-}
-
-/// Builds the [`DccsError::TaskPanicked`] for a caught engine panic,
-/// preferring the message a pool worker parked (the original panic, not the
-/// driver's generic "job died" rethrow) over the caught payload itself.
-pub(crate) fn panic_to_error(
-    worker_message: Option<String>,
-    payload: &(dyn std::any::Any + Send),
-) -> DccsError {
-    let message = worker_message
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    DccsError::TaskPanicked { message }
 }
 
 /// A configured-but-not-yet-run query, produced by [`DccsSession::query`].
@@ -650,8 +238,8 @@ impl Query<'_, '_> {
     }
 
     /// Sets the executor width for this query: `0` means auto
-    /// ([`auto_threads`]), `1` sequential. Results are identical at every
-    /// thread count.
+    /// ([`crate::auto_threads`]), `1` sequential. Results are identical at
+    /// every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.threads = threads;
         self
@@ -702,25 +290,18 @@ impl Query<'_, '_> {
     /// comes back as [`DccsError::TaskPanicked`] with the session still
     /// usable.
     pub fn run(self) -> Result<DccsResult, DccsError> {
-        self.session.check(&self.spec.params)?;
-        let opts = DccsOptions { threads: auto_threads(self.opts.threads), ..self.opts };
-        if let Some(token) = self.token {
-            // A per-query token substitutes for the session token for this
-            // run only.
-            let saved = self.session.token.take();
-            self.session.token = Some(token);
-            let result = self.session.run_checked(&self.spec, &opts);
-            self.session.token = saved;
-            return result;
-        }
-        self.session.run_checked(&self.spec, &opts)
+        let session = self.session;
+        let snapshot = session.service.snapshot();
+        QueryService::check_on(&snapshot, &self.spec.params)?;
+        let token = self.token.or_else(|| session.token.clone());
+        session.service.run(&snapshot, &self.spec, &self.opts, token)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bottom_up_dccs, greedy_dccs};
+    use crate::{auto_threads, bottom_up_dccs, greedy_dccs, ServePath};
     use mlgraph::MultiLayerGraphBuilder;
 
     fn clique(b: &mut MultiLayerGraphBuilder, layer: usize, vs: &[u32]) {
@@ -770,6 +351,14 @@ mod tests {
                 assert_eq!(swept.stats, fresh.stats, "{label}");
             }
         }
+        // An identical repeat is computed again — sessions never read the
+        // service's result cache — and only its preprocessing is memoized.
+        let params = DccsParams::new(2, 2, 2);
+        let first = session.query(params).run().unwrap();
+        let repeat = session.query(params).run().unwrap();
+        assert!(!repeat.stats.served_from_cache);
+        assert!(repeat.stats.preprocess_memo_hit);
+        assert_eq!(repeat.stats, first.stats);
     }
 
     #[test]

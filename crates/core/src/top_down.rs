@@ -25,7 +25,7 @@
 //! # Execution model
 //!
 //! The search tree runs as a deterministic subtree-level task graph on the
-//! shared executor ([`crate::engine::drive_task_graph`]): each node is one
+//! shared executor ([`crate::engine`]): each node is one
 //! task whose evaluation computes **all** of its children (`RefineU` +
 //! `RefineC` — `TD-Gen` needs every child before it can order them), on
 //! whichever worker grabs the task. Results are committed on the driver in
@@ -40,54 +40,33 @@
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::TopKDiversified;
-use crate::engine::{drive_task_graph, with_pool, PoolRef, SearchContext};
+use crate::engine::{drive_task_graph, PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::index::VertexIndex;
 use crate::limits::QueryMonitor;
 use crate::preprocess::init_topk_in;
 use crate::refine::{refine_c, refine_u};
 use crate::result::{CoherentCore, DccsResult, SearchStats};
+use crate::session::DccsSession;
 use coreness::PeelWorkspace;
 use mlgraph::{Layer, MultiLayerGraph, VertexSet};
 use std::time::Instant;
 
-/// Runs `TD-DCCS` with default options.
-///
-/// A one-shot wrapper over the engine state [`crate::DccsSession`] keeps
-/// alive between queries; it retains the historical panic on invalid
-/// parameters. Prefer the session API for repeated queries.
+/// Runs `TD-DCCS` with default options as a one-shot query on a fresh
+/// [`DccsSession`]; panics on invalid parameters. Repeated queries and
+/// sweeps should keep one session instead.
 pub fn top_down_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
-    top_down_dccs_with_options(g, params, &DccsOptions::default())
+    DccsSession::new(g)
+        .query(*params)
+        .algorithm(Algorithm::TopDown)
+        .run()
+        .expect("invalid DCCS parameters")
 }
 
-/// Runs `TD-DCCS` with explicit options (used by the Fig. 28 ablation and
-/// to set the executor width via `opts.threads`) — a one-shot wrapper over
-/// the context the session API reuses.
-pub fn top_down_dccs_with_options(
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> DccsResult {
-    let mut ctx = SearchContext::from_options(opts);
-    top_down_dccs_in(&mut ctx, g, params, opts)
-}
-
-/// Runs `TD-DCCS` on an existing [`SearchContext`], reusing its scratch
-/// across a parameter sweep. Spins up one scoped crew for the whole query;
-/// session callers with a persistent crew go through [`top_down_dccs_on`].
-pub fn top_down_dccs_in(
-    ctx: &mut SearchContext,
-    g: &MultiLayerGraph,
-    params: &DccsParams,
-    opts: &DccsOptions,
-) -> DccsResult {
-    with_pool(ctx.threads(), |pool| top_down_dccs_on(ctx, pool, g, params, opts))
-}
-
-/// [`top_down_dccs_in`] on an existing executor crew — the single-crew
-/// query path: preprocessing and the subtree task graph share `pool`, so
-/// neither phase pays its own worker spawn/join.
-pub fn top_down_dccs_on(
+/// `TD-DCCS` on a query's context and executor crew: preprocessing and the
+/// subtree task graph share `pool`, so neither phase pays its own worker
+/// spawn/join.
+pub(crate) fn top_down_dccs_on(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,
@@ -375,6 +354,11 @@ mod tests {
     use crate::greedy::greedy_dccs;
     use mlgraph::MultiLayerGraphBuilder;
 
+    fn top_down_with(g: &MultiLayerGraph, params: &DccsParams, opts: &DccsOptions) -> DccsResult {
+        let mut session = DccsSession::with_options(g, *opts);
+        session.query(*params).algorithm(Algorithm::TopDown).run().unwrap()
+    }
+
     fn clique(b: &mut MultiLayerGraphBuilder, layer: usize, vs: &[u32]) {
         for i in 0..vs.len() {
             for j in (i + 1)..vs.len() {
@@ -435,8 +419,7 @@ mod tests {
             let params = DccsParams::new(d, s, k);
             let seq = top_down_dccs(&g, &params);
             for threads in [2, 4] {
-                let par =
-                    top_down_dccs_with_options(&g, &params, &DccsOptions::with_threads(threads));
+                let par = top_down_with(&g, &params, &DccsOptions::with_threads(threads));
                 assert_eq!(par.cores, seq.cores, "threads={threads} d={d} s={s} k={k}");
                 assert_eq!(par.stats, seq.stats, "threads={threads} d={d} s={s} k={k}");
             }
@@ -460,7 +443,7 @@ mod tests {
         let params = DccsParams::new(3, 3, 2);
         let with_index = top_down_dccs(&g, &params);
         let opts = DccsOptions { use_refine_c: false, ..DccsOptions::default() };
-        let without_index = top_down_dccs_with_options(&g, &params, &opts);
+        let without_index = top_down_with(&g, &params, &opts);
         assert_eq!(with_index.cover_size(), without_index.cover_size());
     }
 
@@ -475,7 +458,7 @@ mod tests {
             DccsOptions::no_init_topk(),
             DccsOptions::no_preprocessing(),
         ] {
-            let r = top_down_dccs_with_options(&g, &params, &opts);
+            let r = top_down_with(&g, &params, &opts);
             assert_eq!(r.cover_size(), reference);
         }
     }
@@ -489,7 +472,7 @@ mod tests {
             potential_pruning: false,
             ..DccsOptions::default()
         };
-        let unpruned = top_down_dccs_with_options(&g, &params, &opts);
+        let unpruned = top_down_with(&g, &params, &opts);
         let pruned = top_down_dccs(&g, &params);
         assert_eq!(unpruned.cover_size(), pruned.cover_size());
         assert!(pruned.stats.dcc_calls <= unpruned.stats.dcc_calls + 4);

@@ -16,8 +16,8 @@
 //! multi-worker queue, slot, and merge paths.
 
 use dccs::{
-    bottom_up_dccs, bottom_up_dccs_with_options, greedy_dccs, greedy_dccs_with_options,
-    top_down_dccs, top_down_dccs_with_options, DccsOptions, DccsParams, DccsResult, IndexPath,
+    bottom_up_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsOptions, DccsParams, DccsResult,
+    DccsSession, IndexPath,
 };
 use mlgraph::{MultiLayerGraph, MultiLayerGraphBuilder, Vertex};
 use proptest::prelude::*;
@@ -48,13 +48,18 @@ fn assert_identical(a: &DccsResult, b: &DccsResult, label: &str) {
     assert_eq!(a.stats, b.stats, "{label}: work counters differ");
 }
 
-type AlgoFn = fn(&MultiLayerGraph, &DccsParams, &DccsOptions) -> DccsResult;
+/// One query through a fresh session configured with `opts`.
+fn run(
+    algo: Algorithm,
+    g: &MultiLayerGraph,
+    params: &DccsParams,
+    opts: &DccsOptions,
+) -> DccsResult {
+    DccsSession::with_options(g, *opts).query(*params).algorithm(algo).run().unwrap()
+}
 
-const ALGORITHMS: [(&str, AlgoFn); 3] = [
-    ("GD", greedy_dccs_with_options as AlgoFn),
-    ("BU", bottom_up_dccs_with_options as AlgoFn),
-    ("TD", top_down_dccs_with_options as AlgoFn),
-];
+const ALGORITHMS: [(&str, Algorithm); 3] =
+    [("GD", Algorithm::Greedy), ("BU", Algorithm::BottomUp), ("TD", Algorithm::TopDown)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -68,9 +73,9 @@ proptest! {
     ) {
         let params = DccsParams::new(d, s, k);
         for (name, algo) in ALGORITHMS {
-            let seq = algo(&g, &params, &DccsOptions::with_threads(1));
+            let seq = run(algo, &g, &params, &DccsOptions::with_threads(1));
             for threads in [2usize, 4, 8] {
-                let par = algo(&g, &params, &DccsOptions::with_threads(threads));
+                let par = run(algo, &g, &params, &DccsOptions::with_threads(threads));
                 assert_identical(&seq, &par, &format!("{name} d={d} s={s} k={k} t={threads}"));
             }
         }
@@ -85,9 +90,9 @@ proptest! {
     ) {
         let params = DccsParams::new(d, s, k);
         let opts = DccsOptions::with_threads(1);
-        assert_identical(&greedy_dccs(&g, &params), &greedy_dccs_with_options(&g, &params, &opts), "GD");
-        assert_identical(&bottom_up_dccs(&g, &params), &bottom_up_dccs_with_options(&g, &params, &opts), "BU");
-        assert_identical(&top_down_dccs(&g, &params), &top_down_dccs_with_options(&g, &params, &opts), "TD");
+        assert_identical(&greedy_dccs(&g, &params), &run(Algorithm::Greedy, &g, &params, &opts), "GD");
+        assert_identical(&bottom_up_dccs(&g, &params), &run(Algorithm::BottomUp, &g, &params, &opts), "BU");
+        assert_identical(&top_down_dccs(&g, &params), &run(Algorithm::TopDown, &g, &params, &opts), "TD");
     }
 
     #[test]
@@ -106,9 +111,9 @@ proptest! {
             DccsOptions { use_refine_c: false, ..DccsOptions::default() },
         ] {
             for (name, algo) in ALGORITHMS {
-                let seq = algo(&g, &params, &DccsOptions { threads: 1, ..base });
+                let seq = run(algo, &g, &params, &DccsOptions { threads: 1, ..base });
                 for threads in [4usize, 8] {
-                    let par = algo(&g, &params, &DccsOptions { threads, ..base });
+                    let par = run(algo, &g, &params, &DccsOptions { threads, ..base });
                     assert_identical(&seq, &par, &format!("{name} ablation d={d} s={s} t={threads}"));
                 }
             }
@@ -126,7 +131,7 @@ proptest! {
 #[test]
 fn panicking_batch_job_leaves_the_crew_and_queue_intact() {
     use dccs::fault::{self, site, FaultMode};
-    use dccs::{Algorithm, DccsError, DccsSession, QuerySpec};
+    use dccs::{DccsError, QuerySpec};
 
     // Two 6-cliques shared by 3 layers: enough structure for real queries.
     let mut b = MultiLayerGraphBuilder::new(16, 3);

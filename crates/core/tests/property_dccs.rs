@@ -8,8 +8,8 @@
 //! bounds.
 
 use dccs::{
-    bottom_up_dccs, bottom_up_dccs_with_options, exact_dccs, greedy_dccs, top_down_dccs,
-    top_down_dccs_with_options, DccsOptions, DccsParams,
+    bottom_up_dccs, exact_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsOptions, DccsParams,
+    DccsSession,
 };
 use mlgraph::{MultiLayerGraph, Vertex};
 use proptest::prelude::*;
@@ -93,7 +93,11 @@ proptest! {
             layer_pruning: false,
             ..DccsOptions::default()
         };
-        let unpruned = bottom_up_dccs_with_options(&g, &params, &no_pruning);
+        let unpruned = DccsSession::with_options(&g, no_pruning)
+            .query(params)
+            .algorithm(Algorithm::BottomUp)
+            .run()
+            .unwrap();
         check_cores_are_valid(&g, &params, &unpruned);
         // Pruning is an optimization within the same 1/4-approximate scheme;
         // the pruned run never needs more core computations.
@@ -109,7 +113,11 @@ proptest! {
         let params = DccsParams::new(d, s.min(4), 2);
         let with_index = top_down_dccs(&g, &params);
         let opts = DccsOptions { use_refine_c: false, ..DccsOptions::default() };
-        let plain = top_down_dccs_with_options(&g, &params, &opts);
+        let plain = DccsSession::with_options(&g, opts)
+            .query(params)
+            .algorithm(Algorithm::TopDown)
+            .run()
+            .unwrap();
         // Same algorithm, two implementations of the core-extraction step.
         prop_assert_eq!(with_index.cover_size(), plain.cover_size());
         check_cores_are_valid(&g, &params, &with_index);

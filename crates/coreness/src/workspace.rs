@@ -373,13 +373,14 @@ impl PeelWorkspace {
     /// The cascade drains the removal queue **one whole frontier at a
     /// time**: the queued victims are grouped into 64-bit removal words,
     /// removed from `alive` together, and — when the frontier is wide
-    /// enough ([`CASCADE_BATCH_CROSSOVER`]) — each non-zero removal word is
-    /// applied against every surviving row as a word-AND + popcount, so a
-    /// survivor's degree drops by `|row ∧ removed|` in a handful of word
-    /// ops instead of one scalar decrement per lost edge. Narrow frontiers
-    /// keep the per-victim `row ∧ alive` walk. Peeling is confluent, so
-    /// both paths — and any batching of the removal order — produce the
-    /// same final set and the same surviving degrees.
+    /// enough (`|alive| · nz ≤ 2 · batch · W` for `nz` non-zero removal
+    /// words, `batch` victims and `W` words per row) — each non-zero
+    /// removal word is applied against every surviving row as a word-AND +
+    /// popcount, so a survivor's degree drops by `|row ∧ removed|` in a
+    /// handful of word ops instead of one scalar decrement per lost edge.
+    /// Narrow frontiers keep the per-victim `row ∧ alive` walk. Peeling is
+    /// confluent, so both paths — and any batching of the removal order —
+    /// produce the same final set and the same surviving degrees.
     ///
     /// `layers` are original layer indices into the dense subgraph's layer
     /// axis.

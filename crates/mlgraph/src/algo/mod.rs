@@ -1,11 +1,6 @@
-//! Small generic graph algorithms used by tests, the baseline, and analysis
-//! tooling: BFS, connected components, diameter estimation, and density
-//! measures.
+//! Density measures over vertex subsets, used by the analysis tooling and
+//! the quasi-clique baseline comparison.
 
-mod bfs;
-mod components;
 mod density;
 
-pub use bfs::{bfs_distances, bfs_reachable, diameter_lower_bound};
-pub use components::{connected_components, largest_component, ComponentLabels};
 pub use density::{average_degree_within, edge_density_within, min_degree_within};

@@ -26,8 +26,8 @@
 //!   (Erdős–Rényi, planted communities, power-law, temporal snapshots).
 //! * [`sample`] — vertex-fraction / layer-fraction down-sampling used by the
 //!   scalability experiments.
-//! * [`algo`] — small generic graph algorithms (BFS, connected components,
-//!   density) used by tests and the analysis tooling.
+//! * [`algo`] — density measures over vertex subsets, used by the analysis
+//!   tooling and the quasi-clique baseline comparison.
 //!
 //! Vertices are dense `u32` indices in `0..n`. All APIs treat layers as
 //! `usize` indices in `0..l`.

@@ -3,9 +3,19 @@
 
 use datasets::{generate, DatasetId, Scale};
 use dccs::{
-    analyze_result, bottom_up_dccs, bottom_up_dccs_with_options, Algorithm, DccsOptions,
-    DccsParams, DccsSession,
+    analyze_result, bottom_up_dccs, Algorithm, DccsOptions, DccsParams, DccsResult, DccsSession,
 };
+use mlgraph::MultiLayerGraph;
+
+/// One query through a fresh session configured with `opts`.
+fn run(
+    algorithm: Algorithm,
+    g: &MultiLayerGraph,
+    params: DccsParams,
+    opts: DccsOptions,
+) -> DccsResult {
+    DccsSession::with_options(g, opts).query(params).algorithm(algorithm).run().unwrap()
+}
 
 #[test]
 fn every_ablation_variant_produces_valid_results() {
@@ -47,10 +57,9 @@ fn disabling_preprocessing_increases_explored_candidates() {
     let ds = generate(DatasetId::German, Scale::Tiny);
     let params = DccsParams::new(3, 3, 10);
     let with_pre = bottom_up_dccs(&ds.graph, &params);
-    let without_ir = bottom_up_dccs_with_options(&ds.graph, &params, &DccsOptions::no_init_topk());
+    let without_ir = run(Algorithm::BottomUp, &ds.graph, params, DccsOptions::no_init_topk());
     assert!(without_ir.stats.dcc_calls >= with_pre.stats.dcc_calls);
-    // The session path with the same override is bit-identical to the
-    // legacy free-function path.
+    // A per-query override is bit-identical to a session-wide default.
     let via_session = DccsSession::new(&ds.graph)
         .query(params)
         .algorithm(Algorithm::BottomUp)
@@ -73,12 +82,12 @@ fn vertex_deletion_only_removes_hopeless_vertices() {
         let params = DccsParams::new(d, s, 5);
         let gd_with = dccs::greedy_dccs(&ds.graph, &params);
         let gd_without =
-            dccs::greedy_dccs_with_options(&ds.graph, &params, &DccsOptions::no_vertex_deletion());
+            run(Algorithm::Greedy, &ds.graph, params, DccsOptions::no_vertex_deletion());
         assert_eq!(gd_with.cover_size(), gd_without.cover_size(), "greedy d={d} s={s}");
 
         let bu_with = bottom_up_dccs(&ds.graph, &params);
         let bu_without =
-            bottom_up_dccs_with_options(&ds.graph, &params, &DccsOptions::no_vertex_deletion());
+            run(Algorithm::BottomUp, &ds.graph, params, DccsOptions::no_vertex_deletion());
         let min = bu_with.cover_size().min(bu_without.cover_size());
         let max = bu_with.cover_size().max(bu_without.cover_size());
         assert!(4 * min >= max, "bottom-up d={d} s={s}: {min} vs {max}");
