@@ -17,6 +17,7 @@
 //! one-line errors with a nonzero exit code — never a panic backtrace.
 
 use datasets::{generate, DatasetId, Scale};
+use dccs::fault::FaultPlan;
 use dccs::{
     Algorithm, DccIndex, DccsError, DccsOptions, DccsParams, DccsSession, IndexChoice,
     QueryService, Serve,
@@ -177,6 +178,8 @@ struct Options {
     /// `apply` only: commit N generated temporal evolution batches.
     stream: Option<usize>,
     opts: DccsOptions,
+    /// The `DCCS_FAULT_INJECT` plan, installed on every engine a command makes.
+    fault: Option<FaultPlan>,
 }
 
 impl Options {
@@ -203,6 +206,7 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         batch: None,
         stream: None,
         opts: DccsOptions::default(),
+        fault: fault_plan(std::env::var("DCCS_FAULT_INJECT"))?,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -314,6 +318,17 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         }
     }
     Ok(out)
+}
+
+/// Parses the `DCCS_FAULT_INJECT` value (see `dccs::fault`): unset means
+/// no plan, and a malformed spec or unknown site is a usage error.
+fn fault_plan(var: Result<String, std::env::VarError>) -> Result<Option<FaultPlan>, CliError> {
+    let usage = |e: String| CliError::Usage(format!("DCCS_FAULT_INJECT: {e}"));
+    match var {
+        Ok(spec) => FaultPlan::parse(&spec).map(Some).map_err(usage),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(e) => Err(usage(e.to_string())),
+    }
 }
 
 fn load_graph(opts: &Options) -> Result<MultiLayerGraph, CliError> {
@@ -428,6 +443,7 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
     let g = load_graph(opts)?;
     let params = params_for(opts, &g);
     let mut session = DccsSession::with_options(&g, opts.opts);
+    session.set_fault_plan(opts.fault.clone());
     if let Some(path) = &opts.load_index {
         // Corrupt files and fingerprint mismatches both surface here as
         // one-line typed errors (exit 1) before any query runs.
@@ -468,7 +484,8 @@ fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     use std::io::{BufRead as _, Write as _};
 
     let g = load_graph(opts)?;
-    let service = QueryService::new(&g, opts.opts);
+    let mut service = QueryService::new(&g, opts.opts);
+    service.set_fault_plan(opts.fault.clone());
     if let Some(path) = &opts.load_index {
         service.attach_index(DccIndex::load(path)?)?;
     }
@@ -754,7 +771,8 @@ fn apply_and_query(
     g: &MultiLayerGraph,
     batches: &[EdgeBatch],
 ) -> Result<(), CliError> {
-    let service = QueryService::new(g, opts.opts);
+    let mut service = QueryService::new(g, opts.opts);
+    service.set_fault_plan(opts.fault.clone());
     for batch in batches {
         let receipt = service.commit(batch)?;
         println!(
@@ -797,6 +815,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
             };
             let g = load_graph(&opts)?;
             let mut session = DccsSession::with_options(&g, opts.opts);
+            session.set_fault_plan(opts.fault);
             let index = session.build_index(&opts.ds, opts.max_s.unwrap_or(0));
             index.save(output)?;
             let bytes = index.to_bytes().len();
@@ -847,6 +866,7 @@ fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     // no run may contend with another, and `--threads` spreads each
     // individual search over the executor as before.
     let mut session = DccsSession::with_options(&g, opts.opts);
+    session.set_fault_plan(opts.fault.clone());
     println!("algorithm  time(s)    cover  candidates");
     for algorithm in [Algorithm::Greedy, Algorithm::BottomUp, Algorithm::TopDown] {
         let r = session.query(params).algorithm(algorithm).run()?;
@@ -1141,6 +1161,25 @@ mod tests {
             "--degrade",
         ])
         .is_ok());
+    }
+
+    #[test]
+    fn fault_specs_arm_the_engine_and_malformed_ones_are_usage_errors() {
+        use std::env::VarError;
+        assert!(fault_plan(Err(VarError::NotPresent)).unwrap().is_none());
+        for bad in ["bu.evl:panic", "bu.eval:explode", "bu.eval", "bu.eval:panic:0"] {
+            let err = fault_plan(Ok(bad.into())).map(|_| ()).unwrap_err();
+            assert!(matches!(&err, CliError::Usage(msg) if msg.contains(bad)), "{bad}: {err:?}");
+        }
+        // A parsed plan reaches the engine of the command that runs.
+        let args =
+            ["--dataset", "ppi", "--scale", "tiny", "-d", "2", "-s", "2", "--algorithm", "bu"];
+        let mut run_opts = opts(&args).unwrap();
+        run_opts.fault = fault_plan(Ok("bu.eval:panic".into())).unwrap();
+        match cmd_run(&run_opts) {
+            Err(CliError::Runtime(msg)) => assert!(msg.contains("injected fault at bu.eval")),
+            other => panic!("expected the injected panic as a runtime error, got: {other:?}"),
+        }
     }
 
     #[test]

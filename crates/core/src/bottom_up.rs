@@ -99,7 +99,7 @@ pub(crate) fn bottom_up_dccs_on(
     let order_ref = &order;
     let cores_ref = &cores_by_pos;
     let eval = move |task: BuTask, ws: &mut PeelWorkspace| -> BuNodeEval {
-        fault::check(site::BU_EVAL);
+        fault::fire(mon, site::BU_EVAL);
         let BuTask { positions, core: c_l, excluded, bounds } = task;
         // A tripped limit: skip the peels entirely. The commit sees no
         // children and spawns nothing, so the outstanding subtree drains.
@@ -163,7 +163,7 @@ pub(crate) fn bottom_up_dccs_on(
         // set, Lemma-4 exclusions are derived from the kept set, and the
         // survivors are spawned as new tasks under the current bounds.
         drive_task_graph(pool, &mut ctx.ws, vec![root], &eval, |ev: BuNodeEval, _ws, spawn| {
-            fault::check(site::GRAPH_COMMIT);
+            fault::fire(mon, site::GRAPH_COMMIT);
             // Once a limit trips, commit nothing more: children evaluated
             // after the hit may be probe-aborted supersets, and `topk`
             // already holds the best-so-far partial the caller gets back.

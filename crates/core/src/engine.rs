@@ -436,9 +436,10 @@ pub(crate) struct SearchContext {
     /// Reused seed-core output buffer for `InitTopK`.
     pub(crate) seed: VertexSet,
     /// The active query's limit monitor, installed by the dispatch layer
-    /// for the duration of one query. `None` (the default, and for every
-    /// unlimited query without a cancel token) keeps all checkpoint sites
-    /// on their no-monitor fast path.
+    /// for the duration of one query; it also carries the service's fault
+    /// plan. `None` (the default, and for every unlimited query without a
+    /// cancel token on an unarmed service) keeps all checkpoint and fault
+    /// sites on their no-monitor fast path.
     pub(crate) monitor: Option<Arc<QueryMonitor>>,
 }
 
@@ -504,8 +505,8 @@ impl SearchContext {
         let ws = &mut self.ws;
         let key = (params.d, params.s, opts.vertex_deletion);
         let (pre, hit) = tier.fixpoint(key, monitor.is_some(), || {
-            let initial =
-                tier.layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool));
+            let initial = tier
+                .layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool, monitor));
             preprocess_from_monitored(g, params, opts, ws, initial.to_vec(), pool, monitor)
         });
         stats.vertices_deleted = pre.vertices_deleted;

@@ -1,37 +1,40 @@
 //! Deterministic fault injection for robustness tests.
 //!
 //! The engine's panic-isolation and limit paths are hard to exercise
-//! organically, so a handful of **instrumented sites** (see [`site`]) call
-//! [`check`] at the same coarse boundaries the query monitor polls. A site
-//! is inert unless a fault has been **armed** — programmatically via
-//! [`arm`] from a test, or through the `DCCS_FAULT_INJECT` environment
-//! variable for end-to-end and CI runs:
+//! organically, so a handful of **instrumented sites** (see [`site`]) sit
+//! at the same coarse boundaries the query monitor polls. A site fires
+//! only the [`FaultPlan`] installed on the service its query runs on
+//! ([`crate::QueryService::set_fault_plan`], or
+//! [`crate::DccsSession::set_fault_plan`], which forwards to the session's
+//! service): no other service sees the plan, so tests that arm faults run
+//! beside each other freely. A plan is written `<site>:<mode>[:<count>]`:
 //!
 //! ```text
-//! DCCS_FAULT_INJECT=<site>:<mode>[:<count>]
 //!     site   one of the names in [`site`] (e.g. bu.eval)
 //!     mode   panic       — panic at the site
 //!            delay<ms>   — sleep <ms> milliseconds at the site (e.g. delay50)
-//!     count  how many times the fault fires before disarming (default 1)
+//!     count  how many times the fault fires (default 1)
 //! ```
 //!
-//! Examples: `DCCS_FAULT_INJECT=bu.eval:panic` panics the first bottom-up
-//! task evaluation; `DCCS_FAULT_INJECT=lattice.branch:delay200:3` delays the
-//! first three lattice branch walks by 200 ms (used to make deadline tests
-//! deterministic). An unparseable value is ignored. The disarmed fast path
-//! is one relaxed atomic load, so production queries pay nothing.
+//! Examples: `bu.eval:panic` panics the first bottom-up task evaluation;
+//! `lattice.branch:delay200:3` delays the first three lattice branch walks
+//! by 200 ms (used to make deadline tests deterministic). The `dccs` CLI is
+//! the only reader of the `DCCS_FAULT_INJECT` environment variable: it
+//! parses the value with [`FaultPlan::parse`] and installs the plan on the
+//! engine each command creates.
 //!
-//! This is a **test hook**: faults are process-global (one armed fault at a
-//! time, last [`arm`] wins) and the panics it injects are ordinary Rust
+//! While a plan is installed every query of its service runs under a query
+//! monitor, which carries the plan to the sites; on an unarmed service a
+//! site tests one `Option`. The panics a plan injects are ordinary Rust
 //! panics, converted by the engine's isolation layer into
 //! [`crate::DccsError::TaskPanicked`].
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use crate::limits::QueryMonitor;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The instrumented site names accepted by [`arm`] and
-/// `DCCS_FAULT_INJECT`.
+/// The instrumented site names a [`FaultPlan`] can target.
 pub mod site {
     /// Top of each vertex-deletion fixpoint round.
     pub const PREPROCESS_ROUND: &str = "preprocess.round";
@@ -55,6 +58,18 @@ pub mod site {
     pub const BATCH_COMMIT: &str = "batch.commit";
     /// Start of the greedy max-k-cover selection.
     pub const SELECT: &str = "select";
+    /// Every site above.
+    pub const ALL: [&str; 9] = [
+        PREPROCESS_ROUND,
+        PREPROCESS_LAYER,
+        LATTICE_BRANCH,
+        BU_EVAL,
+        TD_EVAL,
+        GRAPH_COMMIT,
+        BATCH_QUERY,
+        BATCH_COMMIT,
+        SELECT,
+    ];
 }
 
 /// What an armed fault does when its site is reached.
@@ -66,106 +81,69 @@ pub enum FaultMode {
     Delay(Duration),
 }
 
-struct Armed {
+/// A fault to inject: the site it targets, what it does there, and how many
+/// more times it fires. Clones share the remaining shots, so every query,
+/// batch job and commit of the service holding the plan draws on one
+/// count; once it is spent the plan is inert.
+#[derive(Clone, Debug)]
+pub struct FaultPlan {
     site: String,
     mode: FaultMode,
-    remaining: u32,
+    remaining: Arc<AtomicU32>,
 }
 
-/// Fast-path gate. `IDLE` means no fault is armed and [`check`] returns
-/// after one relaxed load; `UNINIT` (the initial state) forces the first
-/// check through [`slot`] so a `DCCS_FAULT_INJECT` spec from the
-/// environment gets parsed even when [`arm`] is never called.
-const STATE_UNINIT: u8 = 0;
-const STATE_IDLE: u8 = 1;
-const STATE_ARMED: u8 = 2;
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-fn slot() -> &'static Mutex<Option<Armed>> {
-    static SLOT: OnceLock<Mutex<Option<Armed>>> = OnceLock::new();
-    SLOT.get_or_init(|| {
-        let armed = std::env::var("DCCS_FAULT_INJECT").ok().and_then(|spec| parse_spec(&spec));
-        let state = if armed.is_some() { STATE_ARMED } else { STATE_IDLE };
-        STATE.store(state, Ordering::Relaxed);
-        Mutex::new(armed)
-    })
-}
-
-/// Parses a `DCCS_FAULT_INJECT` spec (`<site>:<mode>[:<count>]`); returns
-/// `None` (ignore) on anything unparseable.
-fn parse_spec(spec: &str) -> Option<Armed> {
-    let mut parts = spec.split(':');
-    let site = parts.next()?.trim();
-    if site.is_empty() {
-        return None;
+impl FaultPlan {
+    /// A plan firing `mode` at `site` `shots` times (at least once).
+    pub fn new(site: &str, mode: FaultMode, shots: u32) -> Self {
+        let remaining = Arc::new(AtomicU32::new(shots.max(1)));
+        FaultPlan { site: site.to_string(), mode, remaining }
     }
-    let mode_token = parts.next()?.trim();
-    let mode = if mode_token == "panic" {
-        FaultMode::Panic
-    } else if let Some(ms) = mode_token.strip_prefix("delay") {
-        FaultMode::Delay(Duration::from_millis(ms.parse().ok()?))
-    } else {
-        return None;
-    };
-    let remaining = match parts.next() {
-        Some(count) => count.trim().parse().ok().filter(|&c| c > 0)?,
-        None => 1,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(Armed { site: site.to_string(), mode, remaining })
-}
 
-/// Arms a fault at `site`, firing `count` times before disarming. Replaces
-/// any previously armed fault (one at a time, process-global). Test use
-/// only — see the module docs.
-pub fn arm(site: &str, mode: FaultMode, count: u32) {
-    let mut slot = slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    *slot = Some(Armed { site: site.to_string(), mode, remaining: count.max(1) });
-    STATE.store(STATE_ARMED, Ordering::Relaxed);
-}
-
-/// Disarms any armed fault.
-pub fn disarm() {
-    let mut slot = slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    *slot = None;
-    STATE.store(STATE_IDLE, Ordering::Relaxed);
-}
-
-/// The instrumented-site hook: fires the armed fault when `site` matches,
-/// otherwise returns immediately (one relaxed load when nothing is armed).
-#[inline]
-pub fn check(site: &str) {
-    if STATE.load(Ordering::Relaxed) == STATE_IDLE {
-        return;
-    }
-    fire(site);
-}
-
-#[cold]
-fn fire(site: &str) {
-    let mode = {
-        let mut slot = slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let Some(armed) = slot.as_mut() else {
-            // First touch with no env spec: settle into the fast path.
-            STATE.store(STATE_IDLE, Ordering::Relaxed);
-            return;
+    /// Parses `<site>:<mode>[:<count>]` (see the module docs), rejecting an
+    /// unknown site, an unknown mode, a zero or non-numeric count, and
+    /// trailing fields.
+    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+        let bad = || format!("expected <site>:panic|delay<ms>[:<count>], got `{spec}`");
+        let mut parts = spec.split(':').map(str::trim);
+        let name = parts.next().unwrap_or_default();
+        if !site::ALL.contains(&name) {
+            return Err(format!("unknown fault site `{name}` in `{spec}`"));
+        }
+        let mode = match parts.next().ok_or_else(bad)? {
+            "panic" => FaultMode::Panic,
+            token => {
+                let ms = token.strip_prefix("delay").and_then(|ms| ms.parse().ok());
+                FaultMode::Delay(Duration::from_millis(ms.ok_or_else(bad)?))
+            }
         };
-        if armed.site != site {
+        let shots = parts.next().map_or(Some(1), |count| count.parse().ok().filter(|&c| c > 0));
+        match (shots, parts.next()) {
+            (Some(shots), None) => Ok(FaultPlan::new(name, mode, shots)),
+            _ => Err(bad()),
+        }
+    }
+
+    /// Fires the plan if it targets `site` and has a shot left.
+    pub(crate) fn fire(&self, site: &str) {
+        let take_shot = |n: u32| n.checked_sub(1);
+        if site != self.site
+            || self.remaining.fetch_update(Ordering::Relaxed, Ordering::Relaxed, take_shot).is_err()
+        {
             return;
         }
-        let mode = armed.mode;
-        armed.remaining -= 1;
-        if armed.remaining == 0 {
-            *slot = None;
-            STATE.store(STATE_IDLE, Ordering::Relaxed);
+        match self.mode {
+            FaultMode::Panic => panic!("injected fault at {site}"),
+            FaultMode::Delay(duration) => std::thread::sleep(duration),
         }
-        mode
-    };
-    match mode {
-        FaultMode::Panic => panic!("injected fault at {site}"),
-        FaultMode::Delay(duration) => std::thread::sleep(duration),
+    }
+}
+
+/// The engine's site hook: fires the plan the query's monitor carries, if
+/// any.
+#[inline]
+pub(crate) fn fire(monitor: Option<&QueryMonitor>, site: &str) {
+    if let Some(plan) = monitor.and_then(|m| m.fault.as_ref()) {
+        plan.fire(site);
     }
 }
 
@@ -173,60 +151,54 @@ fn fire(site: &str) {
 mod tests {
     use super::*;
 
-    /// Sites no engine code checks: a unit test running a query beside
-    /// these tests can never absorb (or trip over) their armed shots.
-    const TEST_SITE: &str = "test.site";
-    const OTHER_TEST_SITE: &str = "test.other";
-
-    // These tests mutate process-global state; keep them serialized.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
-    fn specs_parse_and_bad_specs_are_ignored() {
-        let armed = parse_spec("bu.eval:panic").unwrap();
-        assert_eq!(armed.site, "bu.eval");
-        assert_eq!(armed.mode, FaultMode::Panic);
-        assert_eq!(armed.remaining, 1);
-        let armed = parse_spec("lattice.branch:delay250:3").unwrap();
-        assert_eq!(armed.mode, FaultMode::Delay(Duration::from_millis(250)));
-        assert_eq!(armed.remaining, 3);
-        for bad in ["", "panic", "x:explode", "x:delay", "x:delayABC", "x:panic:0", "x:panic:1:2"] {
-            assert!(parse_spec(bad).is_none(), "spec {bad:?} must be ignored");
+    fn specs_parse_and_bad_specs_are_rejected() {
+        let plan = FaultPlan::parse("bu.eval:panic").unwrap();
+        assert_eq!((plan.site.as_str(), plan.mode), (site::BU_EVAL, FaultMode::Panic));
+        assert_eq!(plan.remaining.load(Ordering::Relaxed), 1);
+        let plan = FaultPlan::parse("lattice.branch:delay250:3").unwrap();
+        assert_eq!(plan.mode, FaultMode::Delay(Duration::from_millis(250)));
+        assert_eq!(plan.remaining.load(Ordering::Relaxed), 3);
+        for bad in [
+            "",
+            "panic",
+            "bu.evl:panic",
+            "bu.eval",
+            "bu.eval:explode",
+            "bu.eval:delay",
+            "bu.eval:delayABC",
+            "bu.eval:panic:0",
+            "bu.eval:panic:1:2",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "spec {bad:?} must be rejected");
         }
     }
 
     #[test]
     fn armed_panic_fires_once_then_disarms() {
-        let _guard = lock();
-        arm(TEST_SITE, FaultMode::Panic, 1);
-        let caught = std::panic::catch_unwind(|| check(TEST_SITE));
+        let plan = FaultPlan::new(site::BU_EVAL, FaultMode::Panic, 1);
+        let caught = std::panic::catch_unwind(|| plan.fire(site::BU_EVAL));
         assert!(caught.is_err(), "armed site must panic");
-        // Disarmed after one shot; a second check is inert.
-        check(TEST_SITE);
-        disarm();
+        // The one shot is spent; a second reach is inert.
+        plan.fire(site::BU_EVAL);
     }
 
     #[test]
     fn mismatched_site_does_not_fire() {
-        let _guard = lock();
-        arm(TEST_SITE, FaultMode::Panic, 1);
-        check(OTHER_TEST_SITE); // must not panic
-        disarm();
-        check(TEST_SITE); // disarmed: must not panic either
+        let plan = FaultPlan::new(site::BU_EVAL, FaultMode::Panic, 1);
+        plan.fire(site::TD_EVAL); // must not panic, nor spend the shot
+        assert_eq!(plan.remaining.load(Ordering::Relaxed), 1);
+        // A query with no monitor never reaches a plan at all.
+        fire(None, site::BU_EVAL);
     }
 
     #[test]
     fn delay_mode_sleeps_without_panicking() {
-        let _guard = lock();
-        arm(TEST_SITE, FaultMode::Delay(Duration::from_millis(5)), 2);
+        let plan = FaultPlan::new(site::SELECT, FaultMode::Delay(Duration::from_millis(5)), 2);
         let t0 = std::time::Instant::now();
-        check(TEST_SITE);
-        check(TEST_SITE);
+        plan.fire(site::SELECT);
+        plan.clone().fire(site::SELECT); // a clone draws on the same shots
         assert!(t0.elapsed() >= Duration::from_millis(10));
-        check(TEST_SITE); // third check: disarmed
-        disarm();
+        assert_eq!(plan.remaining.load(Ordering::Relaxed), 0, "a third reach is inert");
     }
 }

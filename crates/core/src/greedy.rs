@@ -76,7 +76,7 @@ pub(crate) fn greedy_dccs_on(
         stats.complete = false;
     }
 
-    fault::check(site::SELECT);
+    fault::fire(ctx.monitor().map(|m| m.as_ref()), site::SELECT);
     let select_start = Instant::now();
     let cores = select_greedy(g.num_vertices(), candidates, params.k, &mut stats, &mut ctx.cover);
     stats.phase.select = select_start.elapsed();
@@ -254,7 +254,7 @@ mod tests {
         let g = graph();
         let opts = DccsOptions::no_vertex_deletion();
         let mut ctx = SearchContext::default();
-        let monitor = Arc::new(QueryMonitor::new(&QueryLimits::none(), None));
+        let monitor = Arc::new(QueryMonitor::new(&QueryLimits::none(), None, None));
         monitor.probe().cancel(); // the clock latch, without the clock
         ctx.set_monitor(Some(Arc::clone(&monitor)));
         let params = DccsParams::new(3, 1, 3);

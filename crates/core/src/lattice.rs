@@ -199,7 +199,7 @@ pub(crate) fn collect_subset_cores(
 
     let monitor = monitor.as_deref();
     let run_branch = |ws: &mut PeelWorkspace, from: Layer, to: Layer| {
-        fault::check(site::LATTICE_BRANCH);
+        fault::fire(monitor, site::LATTICE_BRANCH);
         // Install the cascade-frontier probe for this job and always clear
         // it before the workspace serves anyone else's jobs.
         ws.set_probe(monitor.map(QueryMonitor::probe));
@@ -618,7 +618,7 @@ mod tests {
             // Force the dense path: its cascade polls once per frontier, so
             // the countdown can land mid-peel.
             let mut ctx = SearchContext::new(0, Arc::default(), crate::IndexChoice::Dense);
-            let monitor = Arc::new(QueryMonitor::new(&QueryLimits::none(), None));
+            let monitor = Arc::new(QueryMonitor::new(&QueryLimits::none(), None, None));
             monitor.probe().trip_after_polls(n);
             ctx.set_monitor(Some(Arc::clone(&monitor)));
             let (cores, _) = with_pool(1, |pool| {

@@ -4,7 +4,8 @@
 //! A [`QueryLimits`] value rides on [`crate::DccsOptions`] and bounds one
 //! query; a [`CancelToken`] is the externally shared kill switch a serving
 //! layer can trip from another thread. Internally the dispatch layer compiles
-//! both into a `QueryMonitor` — a `Sync` bundle of atomics the algorithms poll
+//! both, plus the service's [`FaultPlan`] when one is installed, into a
+//! `QueryMonitor` — a `Sync` bundle of atomics the algorithms poll
 //! at **coarse boundaries only**: per task-graph commit and evaluation, per
 //! lattice subtree, per preprocessing fixpoint round, and (through the
 //! [`coreness::CancelProbe`] installed on each worker's peel workspace) per
@@ -18,6 +19,7 @@
 //! the matching typed [`crate::DccsError`] variant, carrying the partial
 //! result so callers degrade gracefully instead of losing all work.
 
+use crate::fault::FaultPlan;
 use coreness::CancelProbe;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,7 +85,8 @@ impl QueryLimits {
     }
 
     /// Whether every limit is off (the monitor is skipped entirely then,
-    /// unless a [`CancelToken`] is attached).
+    /// unless a [`CancelToken`] is attached or the service has a fault plan
+    /// installed).
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.candidate_budget.is_none() && self.max_dense_words.is_none()
     }
@@ -177,12 +180,19 @@ pub(crate) struct QueryMonitor {
     mem_required: AtomicUsize,
     /// The ceiling that rejected it.
     mem_limit: AtomicUsize,
+    /// The fault plan installed on the query's service, carried to the
+    /// instrumented sites ([`crate::fault`]).
+    pub(crate) fault: Option<FaultPlan>,
 }
 
 impl QueryMonitor {
-    /// Compiles `limits` (deadline anchored at "now") and an optional token
-    /// into a monitor.
-    pub(crate) fn new(limits: &QueryLimits, token: Option<CancelToken>) -> Self {
+    /// Compiles `limits` (deadline anchored at "now"), an optional token and
+    /// an optional fault plan into a monitor.
+    pub(crate) fn new(
+        limits: &QueryLimits,
+        token: Option<CancelToken>,
+        fault: Option<FaultPlan>,
+    ) -> Self {
         let probe = match limits.deadline {
             Some(budget) => CancelProbe::with_deadline(Instant::now() + budget),
             None => CancelProbe::new(),
@@ -196,6 +206,7 @@ impl QueryMonitor {
             hit: AtomicU8::new(HIT_NONE),
             mem_required: AtomicUsize::new(0),
             mem_limit: AtomicUsize::new(0),
+            fault,
         }
     }
 
@@ -310,7 +321,7 @@ mod tests {
 
     #[test]
     fn monitor_latches_the_first_hit() {
-        let monitor = QueryMonitor::new(&QueryLimits::default(), None);
+        let monitor = QueryMonitor::new(&QueryLimits::default(), None, None);
         assert_eq!(monitor.check(), None);
         monitor.record(LimitKind::CandidateBudget);
         monitor.record(LimitKind::Deadline);
@@ -321,7 +332,7 @@ mod tests {
     #[test]
     fn monitor_sees_token_cancellation() {
         let token = CancelToken::new();
-        let monitor = QueryMonitor::new(&QueryLimits::default(), Some(token.clone()));
+        let monitor = QueryMonitor::new(&QueryLimits::default(), Some(token.clone()), None);
         assert_eq!(monitor.check(), None);
         token.cancel();
         assert_eq!(monitor.check(), Some(LimitKind::Cancelled));
@@ -334,7 +345,7 @@ mod tests {
         // byte stays unset until the next `check`. The latched-byte read
         // alone must never be used to decide whether emitted state is
         // trustworthy.
-        let monitor = QueryMonitor::new(&QueryLimits::default(), None);
+        let monitor = QueryMonitor::new(&QueryLimits::default(), None, None);
         monitor.probe().cancel();
         assert_eq!(monitor.hit(), None, "the byte alone misses a probe-only trip");
         assert_eq!(monitor.check(), Some(LimitKind::Deadline));
@@ -344,7 +355,7 @@ mod tests {
     #[test]
     fn monitor_trips_on_a_passed_deadline() {
         let limits = QueryLimits::none().with_deadline(Duration::ZERO);
-        let monitor = QueryMonitor::new(&limits, None);
+        let monitor = QueryMonitor::new(&limits, None, None);
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(monitor.check(), Some(LimitKind::Deadline));
     }
@@ -352,7 +363,7 @@ mod tests {
     #[test]
     fn candidate_budget_charges_accumulate() {
         let limits = QueryLimits::none().with_candidate_budget(10);
-        let monitor = QueryMonitor::new(&limits, None);
+        let monitor = QueryMonitor::new(&limits, None, None);
         monitor.charge_candidates(6);
         assert_eq!(monitor.hit(), None);
         monitor.charge_candidates(5);
@@ -362,7 +373,7 @@ mod tests {
 
     #[test]
     fn dense_memory_trip_records_the_sizes() {
-        let monitor = QueryMonitor::new(&QueryLimits::default(), None);
+        let monitor = QueryMonitor::new(&QueryLimits::default(), None, None);
         monitor.trip_dense_memory(4096, 1024);
         assert_eq!(monitor.hit(), Some(LimitKind::DenseMemory));
         assert_eq!(monitor.dense_memory(), (4096, 1024));

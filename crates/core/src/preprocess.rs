@@ -86,16 +86,18 @@ pub fn preprocess(g: &MultiLayerGraph, params: &DccsParams, opts: &DccsOptions) 
 /// query repeating a `(d, s)` skips preprocessing entirely, and one at a
 /// new `s` but a known `d` re-runs only the fixpoint.
 pub fn initial_layer_cores(g: &MultiLayerGraph, d: u32, ws: &mut PeelWorkspace) -> Vec<VertexSet> {
-    with_pool(1, |pool| initial_layer_cores_on(g, d, ws, pool))
+    with_pool(1, |pool| initial_layer_cores_on(g, d, ws, pool, None))
 }
 
-/// [`initial_layer_cores`] as one fork-join batch on a query's crew. With
-/// no workers on the crew the plain sequential loop runs on `ws`.
+/// [`initial_layer_cores`] as one fork-join batch on a query's crew, with
+/// the query's monitor carrying its fault plan to each layer job. With no
+/// workers on the crew the plain sequential loop runs on `ws`.
 pub(crate) fn initial_layer_cores_on(
     g: &MultiLayerGraph,
     d: u32,
     ws: &mut PeelWorkspace,
     pool: &PoolRef<'_>,
+    monitor: Option<&QueryMonitor>,
 ) -> Vec<VertexSet> {
     let n = g.num_vertices();
     let l = g.num_layers();
@@ -103,7 +105,7 @@ pub(crate) fn initial_layer_cores_on(
     if pool.workers() == 0 || l <= 1 {
         let mut layer_cores: Vec<VertexSet> = vec![VertexSet::new(n); l];
         for (i, core) in layer_cores.iter_mut().enumerate() {
-            fault::check(site::PREPROCESS_LAYER);
+            fault::fire(monitor, site::PREPROCESS_LAYER);
             d_core_within_into(ws, g.layer(i), d, &active, core);
         }
         return layer_cores;
@@ -112,7 +114,7 @@ pub(crate) fn initial_layer_cores_on(
     let jobs: Vec<_> = (0..l)
         .map(|i| {
             move |wws: &mut PeelWorkspace| {
-                fault::check(site::PREPROCESS_LAYER);
+                fault::fire(monitor, site::PREPROCESS_LAYER);
                 let mut core = VertexSet::new(n);
                 d_core_within_into(wws, g.layer(i), d, active, &mut core);
                 core
@@ -169,7 +171,7 @@ pub(crate) fn preprocess_from_monitored(
     let sequential = pool.workers() == 0 || g.num_layers() <= 1;
     let converged = !opts.vertex_deletion
         || loop {
-            fault::check(site::PREPROCESS_ROUND);
+            fault::fire(monitor, site::PREPROCESS_ROUND);
             if monitor.is_some_and(|m| m.check().is_some()) {
                 break false;
             }
@@ -186,7 +188,7 @@ pub(crate) fn preprocess_from_monitored(
                 // Re-peel every layer core into its existing set: the fixpoint
                 // loop allocates nothing after the first iteration.
                 for (i, core) in layer_cores.iter_mut().enumerate() {
-                    fault::check(site::PREPROCESS_LAYER);
+                    fault::fire(monitor, site::PREPROCESS_LAYER);
                     d_core_within_into(ws, g.layer(i), params.d, &active, core);
                 }
             } else {
@@ -201,7 +203,7 @@ pub(crate) fn preprocess_from_monitored(
                         let mut core = std::mem::replace(slot, VertexSet::new(0));
                         let shared_active = Arc::clone(&shared_active);
                         move |wws: &mut PeelWorkspace| {
-                            fault::check(site::PREPROCESS_LAYER);
+                            fault::fire(monitor, site::PREPROCESS_LAYER);
                             d_core_within_into(
                                 wws,
                                 g.layer(i),
@@ -395,7 +397,7 @@ mod tests {
         let mut ws = PeelWorkspace::new();
         let initial = initial_layer_cores(&g, 2, &mut ws);
         let limits = crate::QueryLimits::none().with_deadline(std::time::Duration::ZERO);
-        let monitor = QueryMonitor::new(&limits, None);
+        let monitor = QueryMonitor::new(&limits, None, None);
         with_pool(1, |pool| {
             let (pre, converged) = preprocess_from_monitored(
                 &g,
@@ -428,7 +430,7 @@ mod tests {
                 let seq = preprocess_from(&g, &params, &opts, &mut ws, initial.clone());
                 for threads in [2usize, 4] {
                     let (par_initial, (par, _)) = with_pool(threads, |pool| {
-                        let initial = initial_layer_cores_on(&g, d, &mut ws, pool);
+                        let initial = initial_layer_cores_on(&g, d, &mut ws, pool, None);
                         let cores = initial.clone();
                         let pre = preprocess_from_monitored(
                             &g, &params, &opts, &mut ws, cores, pool, None,

@@ -487,7 +487,7 @@ pub(crate) fn serve_from_index_on(
         }
     }
 
-    fault::check(site::SELECT);
+    fault::fire(monitor, site::SELECT);
     let select_start = Instant::now();
     let cores = select_greedy(g.num_vertices(), candidates, params.k, &mut stats, &mut ctx.cover);
     stats.phase.select = select_start.elapsed();

@@ -56,6 +56,7 @@
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::error::DccsError;
+use crate::fault::FaultPlan;
 use crate::limits::{CancelToken, QueryLimits};
 use crate::result::DccsResult;
 use crate::serve::{DccIndex, Serve};
@@ -133,6 +134,12 @@ impl<'g> DccsSession<'g> {
         self.token = token;
     }
 
+    /// Installs a [`FaultPlan`] on the session's service (`None` disarms);
+    /// see [`QueryService::set_fault_plan`].
+    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+        self.service.set_fault_plan(plan);
+    }
+
     /// The graph this session queries.
     pub fn graph(&self) -> &'g MultiLayerGraph {
         self.g
@@ -152,8 +159,12 @@ impl<'g> DccsSession<'g> {
     pub fn build_index(&mut self, ds: &[u32], max_s: usize) -> DccIndex {
         let snapshot = self.service.snapshot();
         let g = self.g;
+        let monitor = self.service.fault_monitor();
         self.service.on_engine(&snapshot, &self.opts, |ctx, pool| {
-            DccIndex::build_on(ctx, pool, g, ds, max_s)
+            ctx.set_monitor(monitor);
+            let index = DccIndex::build_on(ctx, pool, g, ds, max_s);
+            ctx.set_monitor(None);
+            index
         })
     }
 

@@ -139,7 +139,7 @@ pub(crate) fn top_down_dccs_on(
     // (`RefineU` then `RefineC` or a plain peel), in removable-position
     // order. Runs on any worker and reads only the task payload.
     let eval = move |task: TdTask, ws: &mut PeelWorkspace| -> TdNodeEval {
-        fault::check(site::TD_EVAL);
+        fault::fire(mon, site::TD_EVAL);
         let TdTask { positions, potential } = task;
         // A tripped limit: skip the refinement entirely. The commit sees no
         // children and spawns nothing, so the outstanding subtree drains.
@@ -185,7 +185,7 @@ pub(crate) fn top_down_dccs_on(
         // set, update R from leaves and Lemma-7 representatives, and spawn
         // the children that must be expanded.
         drive_task_graph(pool, &mut ctx.ws, vec![root], &eval, |mut ev: TdNodeEval, ws, spawn| {
-            fault::check(site::GRAPH_COMMIT);
+            fault::fire(mon, site::GRAPH_COMMIT);
             // Once a limit trips, commit nothing more: children evaluated
             // after the hit may be probe-aborted supersets, and `topk`
             // already holds the best-so-far partial the caller gets back.

@@ -10,34 +10,16 @@
 //! is latched once per process), so the repair path is also proven
 //! kernel-invariant. Deterministic tests cover the nastiest shapes — a batch
 //! that empties a layer and a follow-up that refills it — and fault
-//! injection at `batch.commit`, proving a panicking commit leaves the old
-//! snapshot serving.
+//! injection at `batch.commit`, armed on the test's own service, proving a
+//! panicking commit leaves the old snapshot serving.
 
-use dccs::fault::{self, site, FaultMode};
+use dccs::fault::{site, FaultMode, FaultPlan};
 use dccs::{
     Algorithm, DccsOptions, DccsParams, DccsResult, DccsSession, QueryService, Serve, ServiceQuery,
 };
 use mlgraph::{EdgeBatch, MultiLayerGraph, MultiLayerGraphBuilder, Vertex};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes every test in this file around the process-global fault slot
-/// (same idiom as `fault_injection.rs`; separate test binaries cannot
-/// collide). Tests that never arm a fault take it too: a commit running
-/// beside an armed test would absorb its one shot.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// RAII disarm so a panicking assertion never leaks an armed fault.
-struct Disarm;
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        fault::disarm();
-    }
-}
 
 const N: usize = 12;
 const LAYERS: usize = 3;
@@ -140,7 +122,6 @@ proptest! {
         base in small_multilayer(),
         sequence in batch_sequence(),
     ) {
-        let _guard = lock();
         let probes = probes();
         for workers in [1usize, 2, 4] {
             let service = QueryService::new(&base, DccsOptions::with_threads(workers));
@@ -206,7 +187,6 @@ fn clique_graph() -> MultiLayerGraph {
 /// then has to grow back from nothing.
 #[test]
 fn emptying_a_layer_and_refilling_it_round_trips() {
-    let _guard = lock();
     let g = clique_graph();
     let probes = probes();
     for workers in [1usize, 2, 4] {
@@ -252,7 +232,6 @@ fn emptying_a_layer_and_refilling_it_round_trips() {
 /// modes keep working across commits.
 #[test]
 fn rejected_batches_leave_the_epoch_and_answers_alone() {
-    let _guard = lock();
     let g = clique_graph();
     let service = QueryService::new(&g, DccsOptions::default());
     let probes = probes();
@@ -302,12 +281,10 @@ fn rejected_batches_leave_the_epoch_and_answers_alone() {
 /// and the service must accept a clean retry of the same batch.
 #[test]
 fn a_panicking_commit_is_invisible_and_retryable() {
-    let _guard = lock();
-    let _disarm = Disarm;
     let g = clique_graph();
     let probes = probes();
     for workers in [1usize, 2, 4] {
-        let service = QueryService::new(&g, DccsOptions::with_threads(workers));
+        let mut service = QueryService::new(&g, DccsOptions::with_threads(workers));
         let before = service.run_batch(&probes).unwrap();
         let epoch = service.epoch();
 
@@ -315,9 +292,9 @@ fn a_panicking_commit_is_invisible_and_retryable() {
         for (u, v) in [(4u32, 8u32), (5, 9), (6, 10)] {
             batch.insert(0, u, v);
         }
-        fault::arm(site::BATCH_COMMIT, FaultMode::Panic, 1);
+        service.set_fault_plan(Some(FaultPlan::new(site::BATCH_COMMIT, FaultMode::Panic, 1)));
         let unwound = catch_unwind(AssertUnwindSafe(|| service.commit(&batch)));
-        fault::disarm();
+        service.set_fault_plan(None);
         assert!(unwound.is_err(), "workers={workers}: the armed commit must panic");
 
         // The failed commit published nothing: same epoch, same answers.
@@ -354,7 +331,6 @@ fn a_panicking_commit_is_invisible_and_retryable() {
 /// nothing is served from a cache.
 #[test]
 fn pinned_snapshots_survive_later_commits() {
-    let _guard = lock();
     let g = clique_graph();
     let service = QueryService::new(&g, DccsOptions::default());
     let probe = ServiceQuery::new(DccsParams::new(2, 2, 2)).with_serve(Serve::Peel);

@@ -11,9 +11,8 @@
 //! graphs exercise the full grid, including the ablation presets whose
 //! pruning interacts with commit order.
 //!
-//! CI additionally runs this suite under `RUST_TEST_THREADS=1` with
-//! `DCCS_FORCE_THREADS=4`, so even a single-core runner drives the
-//! multi-worker queue, slot, and merge paths.
+//! CI additionally runs this suite with `DCCS_FORCE_THREADS=4`, so even a
+//! single-core runner drives the multi-worker queue, slot, and merge paths.
 
 use dccs::{
     bottom_up_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsOptions, DccsParams, DccsResult,
@@ -123,14 +122,12 @@ proptest! {
 
 /// Executor panic safety at every crew width: a pooled batch job that
 /// panics must not take down its worker, leak queued jobs, or poison the
-/// session. Uses the `batch.query` fault site, which only `run_batch` jobs
-/// reach — the free-function proptests above run concurrently in this
-/// binary and must never consume the armed fault. (Worker panics at the
-/// algorithm-level sites are exercised in `fault_injection.rs`, where the
-/// whole binary serializes on one lock.)
+/// session. Arms the `batch.query` fault site, which only `run_batch` jobs
+/// reach, on the test's own session. (Worker panics at the algorithm-level
+/// sites are exercised in `fault_injection.rs`.)
 #[test]
 fn panicking_batch_job_leaves_the_crew_and_queue_intact() {
-    use dccs::fault::{self, site, FaultMode};
+    use dccs::fault::{site, FaultMode, FaultPlan};
     use dccs::{DccsError, QuerySpec};
 
     // Two 6-cliques shared by 3 layers: enough structure for real queries.
@@ -153,9 +150,9 @@ fn panicking_batch_job_leaves_the_crew_and_queue_intact() {
     for threads in [1usize, 2, 4] {
         let opts = DccsOptions::with_threads(threads);
         let mut session = DccsSession::with_options(&g, opts);
-        fault::arm(site::BATCH_QUERY, FaultMode::Panic, 1);
+        session.set_fault_plan(Some(FaultPlan::new(site::BATCH_QUERY, FaultMode::Panic, 1)));
         let batch = session.run_batch(&specs).expect("validation passes");
-        fault::disarm();
+        session.set_fault_plan(None);
         // One job absorbed the panic; the queue kept draining: every other
         // slot holds its correct, complete result.
         let dead: Vec<usize> = (0..batch.len()).filter(|&i| batch[i].is_err()).collect();

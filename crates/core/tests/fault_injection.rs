@@ -5,33 +5,20 @@
 //! Delay injection makes the deadline path deterministic, and a panicking
 //! batch spec must stay confined to its own result slot.
 //!
-//! The fault hook is process-global (one armed fault at a time), so every
-//! test serializes on one mutex and disarms on the way out.
+//! Each test arms a fault plan on its own session or service, which no
+//! other test's queries see, so the tests run in parallel; the last test
+//! proves that isolation.
 
-use dccs::fault::{self, site, FaultMode};
+use dccs::fault::{site, FaultMode, FaultPlan};
 use dccs::{
     Algorithm, DccsError, DccsOptions, DccsParams, DccsResult, DccsSession, LimitKind, QueryLimits,
-    QuerySpec,
+    QueryService, QuerySpec, ServiceQuery,
 };
-use mlgraph::{MultiLayerGraph, MultiLayerGraphBuilder, Vertex};
+use mlgraph::{EdgeBatch, MultiLayerGraph, MultiLayerGraphBuilder, Vertex};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Barrier;
 use std::time::Duration;
-
-/// Serializes tests that arm the process-global fault slot.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// RAII disarm: a panicking assertion must not leave a fault armed for the
-/// next test.
-struct Disarm;
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        fault::disarm();
-    }
-}
 
 /// A 4-layer graph with planted quasi-cliques so every algorithm has real
 /// work at d = 2: an 8-clique on layers 0–2, a 6-clique on layers 1–3, and
@@ -80,8 +67,6 @@ const SITES: [(&str, Algorithm, u32, usize); 7] = [
 
 #[test]
 fn every_fault_site_converts_to_a_typed_error_and_the_session_recovers() {
-    let _guard = lock();
-    let _disarm = Disarm;
     let g = test_graph();
     for (fault_site, algorithm, d, s) in SITES {
         let params = DccsParams::new(d, s, 3);
@@ -89,7 +74,7 @@ fn every_fault_site_converts_to_a_typed_error_and_the_session_recovers() {
             let label = format!("{fault_site} threads={threads}");
             let opts = DccsOptions::with_threads(threads);
             let mut session = DccsSession::with_options(&g, opts);
-            fault::arm(fault_site, FaultMode::Panic, 1);
+            session.set_fault_plan(Some(FaultPlan::new(fault_site, FaultMode::Panic, 1)));
             let err = session
                 .query(params)
                 .algorithm(algorithm)
@@ -102,7 +87,7 @@ fn every_fault_site_converts_to_a_typed_error_and_the_session_recovers() {
                 ),
                 other => panic!("{label}: expected TaskPanicked, got: {other}"),
             }
-            fault::disarm();
+            session.set_fault_plan(None);
             // The crew survived and the session's rebuilt state is
             // invisible: the same query now matches a fresh session.
             let after = session.query(params).algorithm(algorithm).run().unwrap();
@@ -118,8 +103,6 @@ fn every_fault_site_converts_to_a_typed_error_and_the_session_recovers() {
 
 #[test]
 fn delay_injection_trips_the_deadline_deterministically() {
-    let _guard = lock();
-    let _disarm = Disarm;
     let g = test_graph();
     let params = DccsParams::new(2, 2, 3);
     let opts = DccsOptions::with_threads(1);
@@ -127,7 +110,8 @@ fn delay_injection_trips_the_deadline_deterministically() {
     // Every lattice branch walk sleeps 60 ms against a 10 ms deadline: the
     // first post-delay checkpoint must stop the query, regardless of
     // machine speed.
-    fault::arm(site::LATTICE_BRANCH, FaultMode::Delay(Duration::from_millis(60)), 50);
+    let delay = FaultMode::Delay(Duration::from_millis(60));
+    session.set_fault_plan(Some(FaultPlan::new(site::LATTICE_BRANCH, delay, 50)));
     let err = session
         .query(params)
         .algorithm(Algorithm::Greedy)
@@ -140,7 +124,7 @@ fn delay_injection_trips_the_deadline_deterministically() {
     assert_eq!(deadline, Duration::from_millis(10));
     assert!(!partial.stats.complete, "partial results are flagged incomplete");
     assert_eq!(partial.stats.limit_hit, Some(LimitKind::Deadline));
-    fault::disarm();
+    session.set_fault_plan(None);
     // Unlimited rerun on the same session: complete and bit-identical.
     let after = session.query(params).algorithm(Algorithm::Greedy).run().unwrap();
     assert!(after.stats.complete);
@@ -154,8 +138,6 @@ fn delay_injection_trips_the_deadline_deterministically() {
 
 #[test]
 fn a_panicking_batch_spec_stays_in_its_own_slot() {
-    let _guard = lock();
-    let _disarm = Disarm;
     let g = test_graph();
     let specs = [
         QuerySpec::new(DccsParams::new(2, 2, 3)).with_algorithm(Algorithm::Greedy),
@@ -171,15 +153,15 @@ fn a_panicking_batch_spec_stays_in_its_own_slot() {
     for threads in [1usize, 4] {
         let opts = DccsOptions::with_threads(threads);
         let mut session = DccsSession::with_options(&g, opts);
-        fault::arm(site::BATCH_QUERY, FaultMode::Panic, 1);
+        session.set_fault_plan(Some(FaultPlan::new(site::BATCH_QUERY, FaultMode::Panic, 1)));
         let batch = session.run_batch(&specs).expect("valid specs pass up-front validation");
-        fault::disarm();
+        session.set_fault_plan(None);
         assert_eq!(batch.len(), specs.len());
-        // Exactly one slot died (at 1 thread it is deterministically the
-        // first); every other slot still holds its correct result.
+        // Exactly one slot died (the first, on one worker); every other slot
+        // still holds its correct result.
         let dead: Vec<usize> = (0..batch.len()).filter(|&i| batch[i].is_err()).collect();
         assert_eq!(dead.len(), 1, "threads={threads}: exactly one spec absorbs the panic");
-        if threads == 1 {
+        if QueryService::new(&g, opts).workers() == 1 {
             assert_eq!(dead[0], 0, "the sequential path fails the first spec");
         }
         for (i, slot) in batch.iter().enumerate() {
@@ -232,8 +214,6 @@ proptest! {
         d in 1u32..3,
         s in 1usize..4,
     ) {
-        let _guard = lock();
-        let _disarm = Disarm;
         let params = DccsParams::new(d, s, 2);
         for (fault_site, algorithm) in [
             (site::GRAPH_COMMIT, Algorithm::BottomUp),
@@ -242,9 +222,9 @@ proptest! {
             for threads in [1usize, 2] {
                 let opts = DccsOptions::with_threads(threads);
                 let mut session = DccsSession::with_options(&g, opts);
-                fault::arm(fault_site, FaultMode::Panic, 1);
+                session.set_fault_plan(Some(FaultPlan::new(fault_site, FaultMode::Panic, 1)));
                 let _ = session.query(params).algorithm(algorithm).run();
-                fault::disarm();
+                session.set_fault_plan(None);
                 let after = session.query(params).algorithm(algorithm).run().unwrap();
                 let fresh = DccsSession::with_options(&g, opts)
                     .query(params)
@@ -259,4 +239,60 @@ proptest! {
             }
         }
     }
+}
+
+/// A plan belongs to the one service it is installed on. Service A, armed
+/// with a many-shot `bu.eval` panic and then a many-shot `batch.commit`
+/// panic, runs on one thread while service B, unarmed and over the same
+/// snapshot, queries and commits in lockstep on another. Every A query
+/// dies and A's commit publishes nothing, while B's answers equal fresh
+/// sessions and B's commit publishes. A process-global plan fails B.
+#[test]
+fn a_plan_armed_on_one_service_never_fires_in_another() {
+    let g = test_graph();
+    let snapshot = dccs::GraphSnapshot::new(&g);
+    let mut armed = QueryService::over(snapshot.clone(), DccsOptions::default());
+    let unarmed = QueryService::over(snapshot, DccsOptions::default());
+    let epoch = unarmed.epoch();
+    let queries: Vec<ServiceQuery> = (1..=3)
+        .map(|s| ServiceQuery::new(DccsParams::new(2, s, 3)).with_algorithm(Algorithm::BottomUp))
+        .collect();
+    let mut batch = EdgeBatch::new();
+    batch.insert(0, 20, 22);
+    let many = |site| Some(FaultPlan::new(site, FaultMode::Panic, u32::MAX));
+    armed.set_fault_plan(many(site::BU_EVAL));
+    // Each phase starts once A's plan for it is in place, and A re-arms
+    // only after B's queries are done. The threads assert nothing, so a
+    // failure on one side cannot strand the other at a barrier.
+    let barrier = Barrier::new(2);
+    let ((a_answers, a_commit), (b_answers, b_commit)) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            barrier.wait();
+            let answers: Vec<_> = queries.iter().map(|q| armed.query(q)).collect();
+            barrier.wait();
+            armed.set_fault_plan(many(site::BATCH_COMMIT));
+            barrier.wait();
+            (answers, catch_unwind(AssertUnwindSafe(|| armed.commit(&batch))))
+        });
+        let b = scope.spawn(|| {
+            barrier.wait();
+            let answers: Vec<_> = queries.iter().map(|q| unarmed.query(q)).collect();
+            barrier.wait();
+            barrier.wait();
+            (answers, catch_unwind(AssertUnwindSafe(|| unarmed.commit(&batch))))
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for (i, answer) in a_answers.iter().enumerate() {
+        let err = answer.as_ref().err();
+        assert!(matches!(err, Some(DccsError::TaskPanicked { .. })), "A query {i}: got {err:?}");
+    }
+    assert!(a_commit.is_err() && armed.epoch() == epoch, "A's armed commit dies unpublished");
+    for (query, got) in queries.iter().zip(b_answers) {
+        let params = query.spec.params;
+        let want = DccsSession::new(&g).query(params).algorithm(Algorithm::BottomUp).run();
+        assert_identical(&got.expect("B is unarmed"), &want.unwrap(), &format!("B {params:?}"));
+    }
+    let receipt = b_commit.expect("B's commit must not panic").expect("B's batch is valid");
+    assert!(receipt.epoch > epoch && unarmed.epoch() == receipt.epoch, "B's commit publishes");
 }

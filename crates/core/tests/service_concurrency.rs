@@ -5,34 +5,17 @@
 //! specs run sequentially through fresh single-tenant sessions. Fault
 //! injection (`batch.query`, `bu.eval`) and mid-flight cancellation must
 //! stay confined to their own query: siblings and the shared snapshot
-//! survive, and a clean rerun still matches the sequential reference.
+//! survive, and a clean rerun still matches the sequential reference. Each
+//! fault test arms its own service, so every test here runs in parallel.
 
-use dccs::fault::{self, site, FaultMode};
+use dccs::fault::{site, FaultMode, FaultPlan};
 use dccs::{
     Algorithm, CancelToken, DccIndex, DccsError, DccsOptions, DccsParams, DccsResult, DccsSession,
     QueryLimits, QueryService, Serve, ServiceQuery,
 };
 use mlgraph::{MultiLayerGraph, MultiLayerGraphBuilder, Vertex};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Serializes every test in this file around the process-global fault slot
-/// (same idiom as `fault_injection.rs`; this is a separate test binary, so
-/// the two files' faults cannot collide). Tests that never arm a fault take
-/// it too: a query running beside an armed test would absorb its one shot.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// RAII disarm so a panicking assertion never leaks an armed fault.
-struct Disarm;
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        fault::disarm();
-    }
-}
 
 fn small_multilayer(
     n: usize,
@@ -97,7 +80,6 @@ proptest! {
         g in small_multilayer(14, 3, 50),
         queries in prop::collection::vec(query_strategy(), 1..8),
     ) {
-        let _guard = lock();
         let reference = sequential_reference(&g, &queries);
         for workers in [1usize, 2, 4, 8] {
             let service = QueryService::new(&g, DccsOptions::with_threads(workers));
@@ -115,7 +97,6 @@ proptest! {
         g in small_multilayer(12, 3, 40),
         queries in prop::collection::vec(query_strategy(), 1..5),
     ) {
-        let _guard = lock();
         let reference = sequential_reference(&g, &queries);
         let service = QueryService::new(&g, DccsOptions::default());
         // Four threads issue the same interleaved mix concurrently through
@@ -156,7 +137,6 @@ fn clique_graph() -> MultiLayerGraph {
 
 #[test]
 fn mixed_serve_modes_with_an_attached_index_match_indexed_sessions() {
-    let _guard = lock();
     let g = clique_graph();
     let queries: Vec<ServiceQuery> = [
         (2u32, 2usize, 2usize, Serve::Index),
@@ -191,7 +171,6 @@ fn mixed_serve_modes_with_an_attached_index_match_indexed_sessions() {
 
 #[test]
 fn limit_tripped_queries_do_not_affect_batch_siblings() {
-    let _guard = lock();
     let g = clique_graph();
     let tripped = CancelToken::new();
     tripped.cancel();
@@ -231,8 +210,6 @@ fn limit_tripped_queries_do_not_affect_batch_siblings() {
 
 #[test]
 fn a_poisoned_batch_query_stays_in_its_slot_and_the_snapshot_survives() {
-    let _guard = lock();
-    let _disarm = Disarm;
     let g = clique_graph();
     let queries: Vec<ServiceQuery> = [(2u32, 2usize, 2usize), (3, 2, 2), (2, 3, 1), (2, 1, 2)]
         .into_iter()
@@ -255,12 +232,12 @@ fn a_poisoned_batch_query_stays_in_its_slot_and_the_snapshot_survives() {
                 Some(_) => sequential_reference(&g, &queries),
                 None => reference.clone(),
             };
-            let service = QueryService::new(&g, DccsOptions::with_threads(workers));
+            let mut service = QueryService::new(&g, DccsOptions::with_threads(workers));
             // Warm nothing: the fault must hit a cold snapshot and leave it
             // usable. One armed shot panics exactly one query.
-            fault::arm(fault_site, FaultMode::Panic, 1);
+            service.set_fault_plan(Some(FaultPlan::new(fault_site, FaultMode::Panic, 1)));
             let outcomes = service.run_batch(&queries).unwrap();
-            fault::disarm();
+            service.set_fault_plan(None);
             let panicked: Vec<usize> = outcomes
                 .iter()
                 .enumerate()
@@ -288,7 +265,6 @@ fn a_poisoned_batch_query_stays_in_its_slot_and_the_snapshot_survives() {
 
 #[test]
 fn mid_flight_cancellation_under_concurrency_is_confined_to_the_token() {
-    let _guard = lock();
     let g = clique_graph();
     let token = CancelToken::new();
     // Half the mix carries the shared token, half does not; limits disable

@@ -4,7 +4,6 @@
 //! so the `datasets` crate composes these generators into synthetic
 //! analogues. All generators are deterministic given their seed.
 //!
-//! * [`multi_layer_er`] — independent Erdős–Rényi (G(n, m)) layers.
 //! * [`planted_communities`] — background noise plus planted dense modules
 //!   recurring on chosen subsets of layers (the structure d-CCs detect).
 //! * [`chung_lu_layers`] — power-law expected-degree layers sharing a common
@@ -13,12 +12,10 @@
 //!   modelling the time-window snapshot graphs (German/Wiki/English/Stack).
 
 mod chung_lu;
-mod erdos_renyi;
 mod planted;
 mod temporal;
 
 pub use chung_lu::{chung_lu_layers, ChungLuConfig};
-pub use erdos_renyi::{multi_layer_er, ErConfig};
 pub use planted::{planted_communities, PlantedCommunity, PlantedConfig, PlantedOutput};
 pub use temporal::{temporal_batches, temporal_snapshots, TemporalConfig};
 

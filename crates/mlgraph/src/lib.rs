@@ -23,7 +23,7 @@
 //! * [`io`] — text edge-list and binary snapshot readers/writers plus DOT
 //!   export.
 //! * [`generators`] — seeded synthetic multi-layer graph generators
-//!   (Erdős–Rényi, planted communities, power-law, temporal snapshots).
+//!   (planted communities, power-law, temporal snapshots).
 //! * [`sample`] — vertex-fraction / layer-fraction down-sampling used by the
 //!   scalability experiments.
 //! * [`algo`] — density measures over vertex subsets, used by the analysis
