@@ -323,7 +323,7 @@ fn main() {
     let large = large_scale_suite(tier_vertices, warm_queries);
     for m in &large {
         println!(
-            "{:>16} n={} L={} edges={}  d={} s={}  gen {:>8.3}s  preprocess {:>8.3}s (warm {:>8.6}s)  cold {:>8.3}s  {:>7.2} q/s  [{:?}] index {} B  scratch {} B  rss {} B  alloc-peak {} B",
+            "{:>16} n={} L={} edges={}  d={} s={}  gen {:>8.3}s  preprocess {:>8.3}s (warm {:>8.6}s)  cold {:>8.3}s  {:>7.2} q/s  commit {:>8.3}ms  [{:?}] index {} B  scratch {} B  rss {} B  alloc-peak {} B",
             m.dataset,
             m.vertices,
             m.layers,
@@ -335,6 +335,7 @@ fn main() {
             m.warm_preprocess_secs,
             m.cold_query_secs,
             m.throughput_qps(),
+            m.commit_ms,
             m.index_path,
             m.index_bytes,
             m.peel_scratch_bytes,

@@ -1,6 +1,7 @@
 //! The million-vertex bench tier: end-to-end generation, preprocessing,
-//! and warm-session query throughput on streaming Chung–Lu graphs, with
-//! peak-RSS and allocator-peak memory accounting.
+//! warm-session query throughput and warm-service commit latency on
+//! streaming Chung–Lu graphs, with peak-RSS and allocator-peak memory
+//! accounting.
 //!
 //! The standard `BENCH_dcc.json` groups measure the engine on paper-scale
 //! analogues (hundreds to tens of thousands of vertices). This tier drives
@@ -18,9 +19,11 @@
 //!   [`install_alloc_probe`] (0 when no probe is installed, e.g. under
 //!   `cargo test`, where the library cannot own the global allocator).
 
-use dccs::{Algorithm, DccsParams, DccsSession, IndexPath};
+use dccs::{
+    Algorithm, DccsOptions, DccsParams, DccsSession, IndexPath, QueryService, ServiceQuery,
+};
 use mlgraph::generators::{chung_lu_layers, ChungLuConfig};
-use mlgraph::MultiLayerGraph;
+use mlgraph::{EdgeBatch, MultiLayerGraph, Vertex};
 use serde_json::Value;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -118,6 +121,10 @@ pub struct LargeScaleMeasurement {
     pub peak_rss_bytes: usize,
     /// Peak allocated bytes over generation + queries (0 without a probe).
     pub peak_alloc_bytes: usize,
+    /// Median wall time of [`COMMIT_PROBES`] mixed 16-edge commits on a
+    /// warm [`QueryService`] holding this record's `d`, in milliseconds
+    /// ([`median_commit_ms`]; 0 until [`large_scale_suite`] fills it in).
+    pub commit_ms: f64,
 }
 
 impl LargeScaleMeasurement {
@@ -152,6 +159,7 @@ impl LargeScaleMeasurement {
             ("peel_scratch_bytes", Value::from(self.peel_scratch_bytes)),
             ("peak_rss_bytes", Value::from(self.peak_rss_bytes)),
             ("peak_alloc_bytes", Value::from(self.peak_alloc_bytes)),
+            ("commit_ms", Value::from(self.commit_ms)),
         ])
     }
 }
@@ -226,7 +234,65 @@ pub fn measure_large_scale(
         peel_scratch_bytes: cold.stats.peel_scratch_bytes,
         peak_rss_bytes: peak_rss_bytes(),
         peak_alloc_bytes: alloc_peak_bytes(),
+        commit_ms: 0.0,
     }
+}
+
+/// Commits timed per record by [`median_commit_ms`].
+pub const COMMIT_PROBES: usize = 8;
+
+/// Median wall time, in milliseconds, of [`COMMIT_PROBES`] chained commits
+/// on a warm [`QueryService`] over `g`. One greedy query at `(d, s, k)`
+/// first materializes the service's layer cores for `d`, so every commit
+/// repairs them. Each batch has 16 edges on random layers, drawn from a
+/// fixed seed: 12 inserts of absent pairs and 4 deletes of present edges of
+/// the version it lands on. Each commit keeps the version it replaces
+/// pinned across the call, as an in-flight reader would, so freeing it is
+/// not timed.
+pub fn median_commit_ms(g: &MultiLayerGraph, d: u32, s: usize, k: usize) -> f64 {
+    let service = QueryService::new(g, DccsOptions::default());
+    let params = DccsParams::new(d, s.min(g.num_layers()).max(1), k);
+    service
+        .query(&ServiceQuery::new(params).with_algorithm(Algorithm::Greedy))
+        .expect("unlimited large-scale warm-up query");
+    let mut state = 0xC0_331Du64;
+    let mut below = |bound: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let mut times: Vec<f64> = (0..COMMIT_PROBES)
+        .map(|_| {
+            let pinned = service.snapshot();
+            let version = pinned.graph();
+            let (n, l) = (version.num_vertices(), version.num_layers());
+            let mut batch = EdgeBatch::new();
+            let mut inserts = 0;
+            while inserts < 12 {
+                let (layer, u, v) = (below(l), below(n) as Vertex, below(n) as Vertex);
+                if u != v && !version.layer(layer).has_edge(u, v) {
+                    batch.insert(layer, u, v);
+                    inserts += 1;
+                }
+            }
+            let mut deletes = 0;
+            while deletes < 4 {
+                let (layer, u) = (below(l), below(n) as Vertex);
+                let neighbors = version.layer(layer).neighbors(u);
+                if !neighbors.is_empty() {
+                    batch.delete(layer, u, neighbors[below(neighbors.len())]);
+                    deletes += 1;
+                }
+            }
+            let start = Instant::now();
+            service.commit(&batch).expect("probe batches are valid");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    (times[COMMIT_PROBES / 2 - 1] + times[COMMIT_PROBES / 2]) / 2.0
 }
 
 /// The Chung–Lu shape of the tier at `vertices`: 3 layers at average
@@ -247,7 +313,8 @@ pub fn large_scale_config(vertices: usize) -> ChungLuConfig {
 /// The large-scale suite: one streaming Chung–Lu graph at `vertices`,
 /// measured under two query shapes (a 2-layer-subset sweep and the
 /// full-layer-set query). Generation is timed once and the allocator peak
-/// spans generation plus all queries of the run.
+/// spans generation plus all queries of the run. The commit probes run
+/// after every record's queries, so the memory columns stay the queries'.
 pub fn large_scale_suite(vertices: usize, warm_queries: usize) -> Vec<LargeScaleMeasurement> {
     reset_alloc_peak();
     let config = large_scale_config(vertices);
@@ -255,10 +322,14 @@ pub fn large_scale_suite(vertices: usize, warm_queries: usize) -> Vec<LargeScale
     let g = chung_lu_layers(&config).expect("large-scale Chung-Lu config is valid");
     let generate_secs = gen_start.elapsed().as_secs_f64();
     let name = format!("ChungLu-{}x{}", g.num_vertices(), g.num_layers());
-    [(3u32, 2usize, 8usize), (2, 3, 8)]
+    let mut measurements: Vec<LargeScaleMeasurement> = [(3u32, 2usize, 8usize), (2, 3, 8)]
         .iter()
         .map(|&(d, s, k)| measure_large_scale(&g, &name, generate_secs, d, s, k, warm_queries))
-        .collect()
+        .collect();
+    for m in &mut measurements {
+        m.commit_ms = median_commit_ms(&g, m.d, m.s, m.k);
+    }
+    measurements
 }
 
 #[cfg(test)]
@@ -285,6 +356,7 @@ mod tests {
             assert!(m.edges > 2_000, "average degree 7 implies edges >> n");
             assert!(m.generate_secs > 0.0 && m.cold_query_secs > 0.0);
             assert!(m.warm_secs > 0.0 && m.throughput_qps() > 0.0);
+            assert!(m.commit_ms > 0.0);
             assert_eq!(m.warm_queries, 2);
             // No probe installed under cargo test: allocator peak reads 0.
             assert_eq!(m.peak_alloc_bytes, 0);
@@ -294,6 +366,7 @@ mod tests {
             assert!(text.contains("\"index_path\""));
             assert!(text.contains("\"peak_rss_bytes\""));
             assert!(text.contains("\"peak_alloc_bytes\""));
+            assert!(text.contains("\"commit_ms\""));
         }
     }
 

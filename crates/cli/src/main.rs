@@ -1609,6 +1609,44 @@ mod tests {
     }
 
     #[test]
+    fn serve_stream_rejects_vertex_ids_beyond_u32() {
+        // Layer 0 is a K4 on {0,1,2,3} missing edge (0, 1), layer 1 the
+        // full K4, so the 3-CC is empty. Vertex id 2^32 + 1 would wrap to 1
+        // and complete the K4 if it were cast instead of checked.
+        let mut b = mlgraph::MultiLayerGraphBuilder::new(5, 2);
+        for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            if (u, v) != (0, 1) {
+                b.add_edge(0, u, v).unwrap();
+            }
+            b.add_edge(1, u, v).unwrap();
+        }
+        let g = b.build();
+        let service = QueryService::new(&g, DccsOptions::default());
+        let defaults = ndjson::RequestDefaults {
+            d: 3,
+            s: 2,
+            k: 1,
+            algorithm: Algorithm::Auto,
+            serve: Serve::Auto,
+            limits: dccs::QueryLimits::none(),
+        };
+        let lines: Vec<String> =
+            [r#"{"id":1}"#, r#"{"id":2,"op":"apply","insert":[[0,0,4294967297]]}"#, r#"{"id":3}"#]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+        let responses = serve_stream(&service, &defaults, &lines).unwrap();
+        assert_eq!(responses.len(), 3);
+        assert!(responses[1].starts_with(r#"{"id":2,"ok":false"#), "{}", responses[1]);
+        assert!(responses[1].contains("vertex id 4294967297 exceeds"), "{}", responses[1]);
+        // Nothing was committed: the stream answers on, with the same cover.
+        for i in [0, 2] {
+            assert!(responses[i].contains(r#""ok":true,"cover":0"#), "{}", responses[i]);
+        }
+        assert_eq!(service.snapshot().graph().layer(0).num_edges(), 5);
+    }
+
+    #[test]
     fn percentiles_use_nearest_rank() {
         assert_eq!(percentile(&[], 0.5), 0.0);
         assert_eq!(percentile(&[7.0], 0.99), 7.0);

@@ -442,8 +442,13 @@ fn edges_into(v: &Value, name: &str, batch: &mut EdgeBatch, insert: bool) -> Res
             return Err(bad());
         };
         let layer = as_usize(layer).ok_or_else(bad)? as Layer;
-        let u = as_u64(u).ok_or_else(bad)? as Vertex;
-        let w = as_u64(w).ok_or_else(bad)? as Vertex;
+        let vertex = |x: &Value| -> Result<Vertex, String> {
+            let id = as_u64(x).ok_or_else(bad)?;
+            Vertex::try_from(id).map_err(|_| {
+                format!("`{name}` vertex id {id} exceeds the {} id limit", Vertex::MAX)
+            })
+        };
+        let (u, w) = (vertex(u)?, vertex(w)?);
         if insert {
             batch.insert(layer, u, w);
         } else {

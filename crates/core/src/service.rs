@@ -746,19 +746,23 @@ impl<'g> QueryService<'g> {
     /// whole):
     ///
     /// 1. **Validate and apply** — [`MultiLayerGraph::apply_batch`] rebuilds
-    ///    only the touched layers; a malformed batch is rejected as
+    ///    the touched layers by block-copying the runs of untouched
+    ///    vertices and merging only the changed lists, and copies the
+    ///    untouched layers; a malformed batch is rejected as
     ///    [`DccsError::BatchInvalid`] with nothing published. A batch whose
     ///    every operation is a no-op short-circuits: the current snapshot
     ///    stays published and its epoch is returned.
     /// 2. **Repair the shared tier** — every per-`d` layer-core entry the
-    ///    old tier had materialized is repaired incrementally
-    ///    ([`coreness::PeelWorkspace::repair_d_core`]: bounded reach-set
-    ///    growth for inserts, cascade re-peel within the old core for
-    ///    deletes) on the touched layers only; untouched layers carry over.
-    ///    The next epoch's queries start warm instead of re-peeling from
-    ///    scratch. Memoized deletion fixpoints are dropped, not repaired:
-    ///    the next epoch recomputes each from the repaired cores on first
-    ///    use, so a commit does no fixpoint work.
+    ///    old tier had materialized is repaired incrementally on the
+    ///    touched layers only; untouched layers carry over. The repair
+    ///    ([`coreness::PeelWorkspace::repair_d_core_delta`], given each
+    ///    [`mlgraph::LayerDelta`]'s inserted and deleted edges) checks only
+    ///    the region flooded from the inserted endpoints and the deleted
+    ///    endpoints inside the old core, then cascades from the vertices
+    ///    that fall below `d`. The next epoch's queries start warm instead
+    ///    of re-peeling from scratch. Memoized deletion fixpoints are
+    ///    dropped, not repaired: the next epoch recomputes each from the
+    ///    repaired cores on first use, so a commit does no fixpoint work.
     /// 3. **Publish atomically** — the new snapshot (graph, repaired tier,
     ///    fresh epoch) swaps in under the snapshot lock. A previously
     ///    attached [`DccIndex`] is **auto-detached** with its validity epoch
@@ -802,11 +806,12 @@ impl<'g> QueryService<'g> {
             let mut repaired: Vec<VertexSet> = (*cores).clone();
             for delta in &applied.layers {
                 let mut out = VertexSet::new(n);
-                ws.repair_d_core(
+                ws.repair_d_core_delta(
                     next.layer(delta.layer),
                     d,
                     &cores[delta.layer],
                     &delta.inserted,
+                    &delta.deleted,
                     &mut out,
                 );
                 repaired[delta.layer] = out;

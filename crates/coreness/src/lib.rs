@@ -7,10 +7,10 @@
 //!   of one layer.
 //! * [`d_core`] / [`d_core_within`] — the d-core of a layer, optionally
 //!   restricted to a candidate vertex set.
-//! * [`repair_d_core`] / [`repair_core_numbers`] — incremental maintenance
-//!   after an edge delta: bounded subcore traversal on insert, cascade
-//!   re-peel / capped-h-operator worklist on delete, with the full peels
-//!   above kept as the frozen oracle.
+//! * [`repair_d_core`] and [`PeelWorkspace::repair_d_core_delta`] —
+//!   incremental d-core maintenance after an edge delta, checking only the
+//!   region the delta can affect, with the full peels above kept as the
+//!   frozen oracle.
 //! * [`d_coherent_core`] — the `dCC` procedure: the d-coherent core
 //!   `C_L^d(G)` of a multi-layer graph w.r.t. a layer subset `L`, computed by
 //!   multi-layer peeling restricted to a candidate set (O((n + m)·|L|)).
@@ -53,7 +53,7 @@ pub use dcc::{
 pub use hierarchy::CoreHierarchy;
 pub use peel::{
     core_numbers, core_numbers_within, core_numbers_within_into, d_core, d_core_within,
-    d_core_within_into, degeneracy, repair_core_numbers, repair_d_core,
+    d_core_within_into, degeneracy, repair_d_core,
 };
 pub use validate::{is_d_dense, is_d_dense_multilayer, is_maximal_d_coherent_core};
 pub use workspace::{CancelProbe, PeelWorkspace};

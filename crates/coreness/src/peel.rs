@@ -76,11 +76,11 @@ pub fn degeneracy(g: &Csr) -> u32 {
     core_numbers(g).into_iter().max().unwrap_or(0)
 }
 
-/// Incrementally repairs a layer's d-core after an edge delta, on the
-/// calling thread's shared workspace. `layer` is the layer *after* the
-/// delta, `old_core` its exact d-core before it, `inserted` the canonical
-/// edges the delta added (deletions are discovered by the re-peel). See
-/// [`PeelWorkspace::repair_d_core`].
+/// Incrementally repairs a layer's d-core after an edge delta whose
+/// deletions are not known, on the calling thread's shared workspace.
+/// `layer` is the layer *after* the delta, `old_core` its exact d-core
+/// before it, `inserted` the canonical edges the delta added; every
+/// candidate is checked. See [`PeelWorkspace::repair_d_core`].
 pub fn repair_d_core(
     layer: &Csr,
     d: u32,
@@ -90,19 +90,6 @@ pub fn repair_d_core(
     let mut out = VertexSet::new(layer.num_vertices());
     with_thread_workspace(|ws| ws.repair_d_core(layer, d, old_core, inserted, &mut out));
     out
-}
-
-/// Incrementally repairs per-vertex core numbers after an edge delta, on
-/// the calling thread's shared workspace. `g` is the layer *after* the
-/// delta and `core` the exact core numbers before it, repaired in place.
-/// See [`PeelWorkspace::repair_core_numbers`].
-pub fn repair_core_numbers(
-    g: &Csr,
-    inserted: &[(mlgraph::Vertex, mlgraph::Vertex)],
-    deleted: &[(mlgraph::Vertex, mlgraph::Vertex)],
-    core: &mut [u32],
-) {
-    with_thread_workspace(|ws| ws.repair_core_numbers(g, inserted, deleted, core));
 }
 
 #[cfg(test)]

@@ -134,8 +134,9 @@ pub struct PeelWorkspace {
     /// Removal queue of the cascade.
     queue: Vec<Vertex>,
     /// Epoch-stamped queued marks (`queued[v] == epoch` ⇔ v was enqueued
-    /// this cascade); bumping the epoch resets all marks in O(1), so a
-    /// cascade touches no per-vertex state outside the candidate set.
+    /// this cascade; in a d-core repair, ⇔ v's degree is known); bumping
+    /// the epoch resets all marks in O(1), so a cascade touches no
+    /// per-vertex state outside the candidate set.
     queued: Vec<u32>,
     /// Current queued-mark epoch.
     epoch: u32,
@@ -599,28 +600,73 @@ impl PeelWorkspace {
         }
     }
 
-    /// Incrementally repairs a single-layer d-core after an edge delta,
-    /// writing the d-core of the **new** layer into `out` without touching
-    /// vertices far from the change.
+    /// Incrementally repairs a single-layer d-core after an edge delta
+    /// whose deletions are not known, writing the d-core of the **new**
+    /// layer into `out`.
     ///
     /// `layer` is the layer *after* the delta, `old_core` the exact d-core
-    /// of the layer before it, and `inserted` the canonical edges added by
-    /// the delta (deleted edges need not be listed: deletions only shrink
-    /// the core, which the re-peel below discovers on its own). The repair
-    /// peels within `old_core ∪ R`, where `R` is the set of vertices outside
-    /// the old core reachable from an inserted edge's endpoints through
-    /// non-core vertices: any connected chunk of the new d-core outside
-    /// `old_core` that avoided `R` entirely would use only pre-existing
-    /// edges, so together with `old_core` it would have been a d-dense set
-    /// of the old layer — contradicting the old core's maximality. The work
-    /// is therefore bounded by the old core plus the insertion-affected
-    /// region, not the layer.
+    /// of the layer before it, and `inserted` the canonical edges the delta
+    /// added. This is [`PeelWorkspace::repair_d_core_delta`]'s candidate
+    /// set `old_core ∪ R`, but without the deleted edges any candidate may
+    /// have lost a neighbour, so every candidate is checked, as a peel of
+    /// that set would.
     pub fn repair_d_core(
         &mut self,
         layer: &Csr,
         d: u32,
         old_core: &VertexSet,
         inserted: &[(Vertex, Vertex)],
+        out: &mut VertexSet,
+    ) {
+        self.repair(layer, d, old_core, inserted, None, out);
+    }
+
+    /// Incrementally repairs a single-layer d-core after an edge delta,
+    /// writing the d-core of the **new** layer into `out` in time bounded
+    /// by the region the delta can affect, not by the layer.
+    ///
+    /// `layer` is the layer *after* the delta, `old_core` the exact d-core
+    /// of the layer before it, and `inserted` / `deleted` the delta's
+    /// canonical, effective edges, as [`mlgraph::LayerDelta`] holds them.
+    ///
+    /// The new core lies inside `old_core ∪ R`, where `R` is flooded from
+    /// the inserted endpoints outside the old core through vertices outside
+    /// it whose new-layer degree is at least `d`. A new-core vertex outside
+    /// `old_core ∪ R` has no inserted edge (it would seed `R`) and no
+    /// neighbour in `R` (it would have been flooded), so the new core's
+    /// part outside `old_core ∪ R`, together with `old_core`, would have
+    /// been d-dense in the old layer, contradicting the old core's
+    /// maximality. Deletions only shrink the core, so this holds for any
+    /// delta.
+    ///
+    /// Inside `old_core ∪ R`, an old-core vertex with no deleted edge keeps
+    /// at least `d` neighbours, so only `R` and the deleted endpoints inside
+    /// `old_core` are checked. The removal cascade computes any other
+    /// vertex's degree only when it first reaches it. Its stamps live in the
+    /// workspace's epoch-marked scratch, so a call does no `O(n)` work
+    /// beyond copying `old_core` into `out`.
+    pub fn repair_d_core_delta(
+        &mut self,
+        layer: &Csr,
+        d: u32,
+        old_core: &VertexSet,
+        inserted: &[(Vertex, Vertex)],
+        deleted: &[(Vertex, Vertex)],
+        out: &mut VertexSet,
+    ) {
+        self.repair(layer, d, old_core, inserted, Some(deleted), out);
+    }
+
+    /// The repair behind [`PeelWorkspace::repair_d_core`] (`deleted` is
+    /// `None`: every candidate is checked) and
+    /// [`PeelWorkspace::repair_d_core_delta`].
+    fn repair(
+        &mut self,
+        layer: &Csr,
+        d: u32,
+        old_core: &VertexSet,
+        inserted: &[(Vertex, Vertex)],
+        deleted: Option<&[(Vertex, Vertex)]>,
         out: &mut VertexSet,
     ) {
         let n = layer.num_vertices();
@@ -635,206 +681,92 @@ impl PeelWorkspace {
         } else {
             out.copy_from(old_core);
         }
-        if !inserted.is_empty() {
-            // Grow the candidate set by the insertion-affected region R.
-            self.reserve_multi(n, 1);
-            let epoch = self.next_epoch();
-            let queued = &mut self.queued[..n];
-            let queue = &mut self.queue;
-            queue.clear();
-            for &(u, v) in inserted {
-                for w in [u, v] {
-                    if !old_core.contains(w) && queued[w as usize] != epoch {
-                        queued[w as usize] = epoch;
-                        queue.push(w);
-                        out.insert(w);
-                    }
-                }
-            }
-            while let Some(w) = queue.pop() {
-                for &x in layer.neighbors(w) {
-                    if !old_core.contains(x) && queued[x as usize] != epoch {
-                        queued[x as usize] = epoch;
-                        queue.push(x);
-                        out.insert(x);
-                    }
-                }
-            }
-        }
-        self.peel_layer_in_place(layer, d, out);
-    }
-
-    /// Incrementally repairs per-vertex core numbers after an edge delta.
-    ///
-    /// `g` is the layer *after* the delta; `core` holds the exact core
-    /// numbers of the layer before it and is repaired in place. Runs in two
-    /// phases over the delta, never re-peeling the whole layer:
-    ///
-    /// 1. **Deletions** — a worklist iteration of the capped h-operator
-    ///    (`c(v) ← min(c(v), h-index of neighbor values)`) on the graph
-    ///    without the inserted edges, seeded from the deleted endpoints.
-    ///    Old core numbers are a pointwise upper bound there, the operator
-    ///    is monotone, every fixpoint below an upper bound is below the
-    ///    true core numbers, and core numbers themselves are a fixpoint —
-    ///    so the worklist converges exactly, touching only vertices whose
-    ///    value actually changes (plus their neighborhoods).
-    /// 2. **Insertions** — the classical per-edge subcore traversal: for an
-    ///    edge with endpoint cores ≥ `K = min` of the two, only vertices
-    ///    with core exactly `K` reachable from the min-core endpoints
-    ///    through core-`K` vertices can rise (by at most 1); candidates
-    ///    whose qualified degree cannot reach `K + 1` are evicted with a
-    ///    cascade, survivors are promoted.
-    ///
-    /// Edges in `inserted`/`deleted` must be canonical, deduplicated,
-    /// disjoint, and effective, as produced by `mlgraph`'s batch commit.
-    pub fn repair_core_numbers(
-        &mut self,
-        g: &Csr,
-        inserted: &[(Vertex, Vertex)],
-        deleted: &[(Vertex, Vertex)],
-        core: &mut [u32],
-    ) {
-        let n = g.num_vertices();
-        assert_eq!(core.len(), n, "core numbers must cover the vertex universe");
-        // Inserted edges not yet applied; phase 1 runs on the new layer with
-        // all of them masked out, phase 2 unmasks them one at a time.
-        let mut pending: std::collections::HashSet<(Vertex, Vertex)> =
-            inserted.iter().copied().collect();
-        let canon = |a: Vertex, b: Vertex| if a < b { (a, b) } else { (b, a) };
         self.reserve_multi(n, 1);
-        if self.removed.len() < n {
-            self.removed.resize(n, false);
-        }
-        self.removed[..n].fill(false);
+        let epoch = self.next_epoch();
+        let probe = self.probe.as_deref();
+        let degrees = &mut self.degrees[..n];
+        // `known[v] == epoch` ⇔ `degrees[v]` is v's exact degree in `out`.
+        let known = &mut self.queued[..n];
+        let queue = &mut self.queue;
+        queue.clear();
 
-        if !deleted.is_empty() {
-            // Phase 1: `removed` doubles as the in-queue flag.
-            let in_queue = &mut self.removed[..n];
-            let queue = &mut self.queue;
-            queue.clear();
-            for &(u, v) in deleted {
-                for w in [u, v] {
-                    if !in_queue[w as usize] {
-                        in_queue[w as usize] = true;
-                        queue.push(w);
+        // Flood R into `out`, listing it in `queue`; a non-core vertex is
+        // visited once it is in `out`.
+        let floodable = |x: Vertex| !old_core.contains(x) && layer.degree(x) >= d as usize;
+        for &(u, v) in inserted {
+            for w in [u, v] {
+                if floodable(w) && out.insert(w) {
+                    queue.push(w);
+                }
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let w = queue[head];
+            head += 1;
+            for &x in layer.neighbors(w) {
+                if floodable(x) && out.insert(x) {
+                    queue.push(x);
+                }
+            }
+        }
+
+        // Seed the cascade with the checked candidates below the threshold;
+        // a vertex is checked at most once.
+        let mut check = |v: Vertex, out: &VertexSet| {
+            if known[v as usize] == epoch {
+                return false;
+            }
+            known[v as usize] = epoch;
+            let deg = layer.degree_within(v, out) as u32;
+            degrees[v as usize] = deg;
+            deg < d
+        };
+        match deleted {
+            Some(deleted) => {
+                queue.retain(|&x| check(x, out));
+                for &(u, v) in deleted {
+                    for w in [u, v] {
+                        if old_core.contains(w) && check(w, out) {
+                            queue.push(w);
+                        }
                     }
                 }
             }
-            while let Some(v) = queue.pop() {
-                in_queue[v as usize] = false;
-                let c = core[v as usize] as usize;
-                if c == 0 {
+            None => {
+                queue.clear();
+                queue.extend(out.iter().filter(|&v| check(v, out)));
+            }
+        }
+
+        // Each vertex is queued once: when its known degree first falls
+        // below `d`, which degrees only ever decrease through.
+        let mut ticks = 0usize;
+        while let Some(v) = queue.pop() {
+            // Cooperative cancellation, as in the peels: an early return
+            // leaves `out` a superset of the new core.
+            ticks += 1;
+            if ticks.is_multiple_of(PROBE_STRIDE) && probe.is_some_and(CancelProbe::is_hit) {
+                return;
+            }
+            out.remove(v);
+            for &u in layer.neighbors(v) {
+                if !out.contains(u) {
                     continue;
                 }
-                // h = max h ≤ c with #{u ∈ N(v) : core(u) ≥ h} ≥ h, via a
-                // count of neighbor values clamped to c.
-                self.bins.clear();
-                self.bins.resize(c + 1, 0);
-                for &u in g.neighbors(v) {
-                    if pending.contains(&canon(v, u)) {
-                        continue;
+                let du = &mut degrees[u as usize];
+                if known[u as usize] != epoch {
+                    known[u as usize] = epoch;
+                    *du = layer.degree_within(u, out) as u32;
+                    if *du < d {
+                        queue.push(u);
                     }
-                    self.bins[(core[u as usize] as usize).min(c)] += 1;
-                }
-                let mut h = c;
-                let mut cum = 0usize;
-                while h > 0 {
-                    cum += self.bins[h];
-                    if cum >= h {
-                        break;
-                    }
-                    h -= 1;
-                }
-                if h < c {
-                    core[v as usize] = h as u32;
-                    for &u in g.neighbors(v) {
-                        if pending.contains(&canon(v, u)) {
-                            continue;
-                        }
-                        if core[u as usize] > h as u32 && !in_queue[u as usize] {
-                            in_queue[u as usize] = true;
-                            queue.push(u);
-                        }
+                } else {
+                    *du -= 1;
+                    if *du == d - 1 {
+                        queue.push(u);
                     }
                 }
-            }
-        }
-
-        for &(eu, ev) in inserted {
-            pending.remove(&(eu, ev));
-            let k = core[eu as usize].min(core[ev as usize]);
-            // Collect the candidate subcore S: core-k vertices reachable
-            // from the min-core endpoint(s) through core-k vertices.
-            let epoch = self.next_epoch();
-            let queued = &mut self.queued[..n];
-            let queue = &mut self.queue;
-            queue.clear();
-            self.order.clear();
-            for w in [eu, ev] {
-                if core[w as usize] == k && queued[w as usize] != epoch {
-                    queued[w as usize] = epoch;
-                    queue.push(w);
-                }
-            }
-            while let Some(w) = queue.pop() {
-                self.order.push(w);
-                for &x in g.neighbors(w) {
-                    if pending.contains(&canon(w, x)) {
-                        continue;
-                    }
-                    if core[x as usize] == k && queued[x as usize] != epoch {
-                        queued[x as usize] = epoch;
-                        queue.push(x);
-                    }
-                }
-            }
-            // Qualified degree: neighbors that could support core k + 1.
-            if self.bin_degree.len() < n {
-                self.bin_degree.resize(n, 0);
-            }
-            for &w in &self.order {
-                let mut cd = 0u32;
-                for &x in g.neighbors(w) {
-                    if pending.contains(&canon(w, x)) {
-                        continue;
-                    }
-                    let cx = core[x as usize];
-                    if cx > k || (cx == k && queued[x as usize] == epoch) {
-                        cd += 1;
-                    }
-                }
-                self.bin_degree[w as usize] = cd;
-            }
-            // Evict candidates that cannot reach k + 1, cascading.
-            let evicted = &mut self.removed[..n];
-            queue.clear();
-            for &w in &self.order {
-                if self.bin_degree[w as usize] <= k {
-                    evicted[w as usize] = true;
-                    queue.push(w);
-                }
-            }
-            while let Some(w) = queue.pop() {
-                for &x in g.neighbors(w) {
-                    if pending.contains(&canon(w, x)) {
-                        continue;
-                    }
-                    if core[x as usize] == k && queued[x as usize] == epoch && !evicted[x as usize]
-                    {
-                        let cd = &mut self.bin_degree[x as usize];
-                        *cd -= 1;
-                        if *cd <= k {
-                            evicted[x as usize] = true;
-                            queue.push(x);
-                        }
-                    }
-                }
-            }
-            for &w in &self.order {
-                if !evicted[w as usize] {
-                    core[w as usize] = k + 1;
-                }
-                evicted[w as usize] = false;
             }
         }
     }
@@ -1168,73 +1100,42 @@ mod tests {
 
     /// Incremental d-core repair must be bit-identical to a full re-peel of
     /// the mutated layer, across random graphs, deltas, and thresholds —
-    /// including delete-only, insert-only, and layer-emptying deltas.
+    /// including delete-only, insert-only, and layer-emptying deltas, and a
+    /// delta whose inserted and deleted edges share an endpoint. Both calls
+    /// run on every case: deletions unknown and deletions known.
     #[test]
     fn repair_d_core_matches_full_peel() {
         let mut rng = Lcg(7);
         let mut ws = PeelWorkspace::new();
-        for round in 0..30 {
+        let mut check = |g: &Csr, inserted: &[(Vertex, Vertex)], deleted: &[(Vertex, Vertex)]| {
+            let n = g.num_vertices();
+            let next = g.rebuild_with_delta(inserted, deleted);
+            for d in 0..=4u32 {
+                let old_core = crate::peel::d_core(g, d);
+                let oracle = crate::peel::d_core(&next, d).to_vec();
+                let mut repaired = VertexSet::new(n);
+                ws.repair_d_core(&next, d, &old_core, inserted, &mut repaired);
+                assert_eq!(repaired.to_vec(), oracle, "d={d} ins={inserted:?} del={deleted:?}");
+                ws.repair_d_core_delta(&next, d, &old_core, inserted, deleted, &mut repaired);
+                assert_eq!(repaired.to_vec(), oracle, "d={d} ins={inserted:?} del={deleted:?}");
+            }
+        };
+        for _ in 0..30 {
             let n = 20 + rng.below(40);
             let g = random_csr(&mut rng, n, n * 2);
             let (dels, ins) = (rng.below(8), rng.below(8));
             let (inserted, deleted) = random_delta(&mut rng, &g, dels, ins);
-            let next = g.rebuild_with_delta(&inserted, &deleted);
-            for d in 0..=4u32 {
-                let old_core = crate::peel::d_core(&g, d);
-                let mut repaired = VertexSet::new(n);
-                ws.repair_d_core(&next, d, &old_core, &inserted, &mut repaired);
-                let oracle = crate::peel::d_core(&next, d);
-                assert_eq!(
-                    repaired.to_vec(),
-                    oracle.to_vec(),
-                    "round={round} d={d} ins={inserted:?} del={deleted:?}"
-                );
-            }
+            check(&g, &inserted, &deleted);
         }
+        // Vertex 0 of a 4-clique loses one clique edge and gains an edge to
+        // the pendant vertex 4 in the same delta.
+        let clique = Csr::from_edges(6, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)]);
+        check(&clique, &[(0, 4)], &[(0, 1)]);
         // Empty the layer entirely, then refill it.
         let g = random_csr(&mut rng, 12, 20);
         let all: Vec<(Vertex, Vertex)> = g.edges().collect();
-        let emptied = g.rebuild_with_delta(&[], &all);
-        let mut repaired = VertexSet::new(12);
-        for d in 1..=3u32 {
-            ws.repair_d_core(&emptied, d, &crate::peel::d_core(&g, d), &[], &mut repaired);
-            assert!(repaired.is_empty(), "d-core of an empty layer must be empty");
-            ws.repair_d_core(&g, d, &crate::peel::d_core(&emptied, d), &all, &mut repaired);
-            assert_eq!(repaired.to_vec(), crate::peel::d_core(&g, d).to_vec(), "refill d={d}");
-        }
-    }
-
-    /// Incremental core-number repair must agree with the bin-sort
-    /// decomposition of the mutated layer, across random deltas and across
-    /// a chain of successive deltas repaired in place.
-    #[test]
-    fn repair_core_numbers_matches_recompute() {
-        let mut rng = Lcg(13);
-        let mut ws = PeelWorkspace::new();
-        for round in 0..30 {
-            let n = 20 + rng.below(40);
-            let g = random_csr(&mut rng, n, n * 2);
-            let (dels, ins) = (rng.below(10), rng.below(10));
-            let (inserted, deleted) = random_delta(&mut rng, &g, dels, ins);
-            let next = g.rebuild_with_delta(&inserted, &deleted);
-            let mut core = crate::peel::core_numbers(&g);
-            ws.repair_core_numbers(&next, &inserted, &deleted, &mut core);
-            assert_eq!(
-                core,
-                crate::peel::core_numbers(&next),
-                "round={round} ins={inserted:?} del={deleted:?}"
-            );
-        }
-        // Chain: repair the same vector through 10 successive deltas.
-        let mut g = random_csr(&mut rng, 40, 90);
-        let mut core = crate::peel::core_numbers(&g);
-        for step in 0..10 {
-            let (inserted, deleted) = random_delta(&mut rng, &g, 5, 5);
-            let next = g.rebuild_with_delta(&inserted, &deleted);
-            ws.repair_core_numbers(&next, &inserted, &deleted, &mut core);
-            assert_eq!(core, crate::peel::core_numbers(&next), "chain step {step}");
-            g = next;
-        }
+        check(&g, &[], &all);
+        check(&g.rebuild_with_delta(&[], &all), &all, &[]);
     }
 
     #[test]

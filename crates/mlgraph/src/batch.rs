@@ -6,10 +6,13 @@
 //! (ranges, self loops, insert/delete conflicts), canonicalizes and
 //! deduplicates it, drops no-op operations (inserting a present edge,
 //! deleting an absent one), and only then rebuilds the touched layers via
-//! [`Csr::rebuild_with_delta`] — untouched layers are cloned as-is. The
-//! receiver is never modified: commit is "build the next version, then swap",
-//! which is what lets the service tier keep answering queries on the old
-//! snapshot while a commit is in flight.
+//! [`Csr::rebuild_with_delta`], which block-copies the runs of vertices the
+//! delta leaves alone and merges only the changed adjacency lists. Untouched
+//! layers are copied whole, not shared, so a commit costs a copy of every
+//! layer plus work proportional to the delta. The receiver is never
+//! modified: commit is "build the next version, then swap", which is what
+//! lets the service tier keep answering queries on the old snapshot while a
+//! commit is in flight.
 
 use crate::csr::Csr;
 use crate::error::{GraphError, Result};
@@ -87,15 +90,20 @@ impl EdgeBatch {
                     ),
                 });
             }
-            let parse_num = |field: &str, what: &str| -> Result<u64> {
-                field.parse::<u64>().map_err(|_| GraphError::Parse {
+            let invalid = |field: &str, what: &str| GraphError::Parse {
+                line,
+                message: format!("invalid {what} `{field}`"),
+            };
+            let layer = fields[1].parse::<Layer>().map_err(|_| invalid(fields[1], "layer"))?;
+            let parse_vertex = |field: &str| -> Result<Vertex> {
+                let id = field.parse::<u64>().map_err(|_| invalid(field, "vertex"))?;
+                Vertex::try_from(id).map_err(|_| GraphError::Parse {
                     line,
-                    message: format!("invalid {what} `{field}`"),
+                    message: format!("vertex id {id} exceeds the {} id limit", Vertex::MAX),
                 })
             };
-            let layer = parse_num(fields[1], "layer")? as Layer;
-            let u = parse_num(fields[2], "vertex")? as Vertex;
-            let v = parse_num(fields[3], "vertex")? as Vertex;
+            let u = parse_vertex(fields[2])?;
+            let v = parse_vertex(fields[3])?;
             match fields[0] {
                 "add" => batch.insert(layer, u, v),
                 "del" => batch.delete(layer, u, v),
@@ -162,7 +170,7 @@ impl MultiLayerGraph {
     /// edge appearing in both the insert and delete lists of one layer (the
     /// batch would be order-dependent). Duplicate operations, inserts of
     /// edges already present, and deletes of absent edges are silently
-    /// dropped; layers with no effective change are cloned rather than
+    /// dropped; layers with no effective change are copied rather than
     /// rebuilt.
     pub fn apply_batch(&self, batch: &EdgeBatch) -> Result<(MultiLayerGraph, AppliedBatch)> {
         let n = self.num_vertices();
@@ -382,5 +390,25 @@ mod tests {
                 other => panic!("expected parse error for {text:?}, got {other:?}"),
             }
         }
+    }
+
+    /// A vertex id above `u32::MAX` fails with the line it sits on; it must
+    /// not wrap around to a small id and commit a different edge.
+    #[test]
+    fn from_text_rejects_vertex_ids_beyond_u32() {
+        for (text, line, id) in [
+            ("add 0 1 2\n\nadd 0 0 4294967297\n", 3, 4294967297u64),
+            ("del 1 4294967296 1", 1, 4294967296),
+        ] {
+            match EdgeBatch::from_text(text) {
+                Err(GraphError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{text:?}");
+                    assert!(message.contains(&format!("vertex id {id} exceeds")), "{message}");
+                }
+                other => panic!("expected parse error for {text:?}, got {other:?}"),
+            }
+        }
+        let max = EdgeBatch::from_text("add 0 0 4294967295").unwrap();
+        assert_eq!(max.inserts(), &[(0, 0, u32::MAX)]);
     }
 }

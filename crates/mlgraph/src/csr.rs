@@ -64,8 +64,15 @@ impl Csr {
         Csr { offsets: vec![0; n + 1], neighbors: Vec::new(), num_edges: 0 }
     }
 
-    /// Rebuilds this layer with an edge delta applied, in one pass over the
-    /// adjacency arrays (no global re-sort of the surviving edges).
+    /// Rebuilds this layer with an edge delta applied. The result equals
+    /// [`Csr::from_edges`] of the mutated edge list, bit for bit.
+    ///
+    /// The delta is sorted into one `(vertex, neighbour, insert?)` entry per
+    /// endpoint. Each run of vertices the delta does not touch is copied as
+    /// one adjacency slice, with its offsets shifted by the running size
+    /// change; only the touched vertices' lists are merged with their
+    /// entries. The cost is two block copies of the arrays plus
+    /// `O(|delta| · log |delta|)`, with no per-vertex allocation.
     ///
     /// Both lists must be canonical (`u < v`), deduplicated, and *effective*:
     /// every inserted edge absent from this layer, every deleted edge present,
@@ -77,52 +84,57 @@ impl Csr {
         deleted: &[(Vertex, Vertex)],
     ) -> Csr {
         let n = self.num_vertices();
-        // Mirror each canonical delta edge into both endpoints' lists.
-        let mut ins: Vec<Vec<Vertex>> = vec![Vec::new(); n];
+        // Mirror each canonical delta edge into both endpoints' entries.
+        let mut delta: Vec<(Vertex, Vertex, bool)> =
+            Vec::with_capacity(2 * (inserted.len() + deleted.len()));
         for &(u, v) in inserted {
             debug_assert!(u < v && (v as usize) < n, "insert ({u},{v}) not canonical/in range");
             debug_assert!(!self.has_edge(u, v), "insert ({u},{v}) already present");
-            ins[u as usize].push(v);
-            ins[v as usize].push(u);
+            delta.extend([(u, v, true), (v, u, true)]);
         }
-        let mut del: Vec<Vec<Vertex>> = vec![Vec::new(); n];
         for &(u, v) in deleted {
             debug_assert!(u < v && (v as usize) < n, "delete ({u},{v}) not canonical/in range");
             debug_assert!(self.has_edge(u, v), "delete ({u},{v}) not present");
-            del[u as usize].push(v);
-            del[v as usize].push(u);
+            delta.extend([(u, v, false), (v, u, false)]);
         }
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + self.degree(v as Vertex) + ins[v].len() - del[v].len();
-        }
-        let mut neighbors = vec![0 as Vertex; offsets[n]];
-        for v in 0..n {
-            let add = &mut ins[v];
-            add.sort_unstable();
-            let drop = &mut del[v];
-            drop.sort_unstable();
-            // Merge the old sorted list with the sorted inserts, skipping the
-            // sorted deletes; all three are disjoint by the caller's contract.
-            let out = &mut neighbors[offsets[v]..offsets[v + 1]];
+        delta.sort_unstable();
+
+        let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut neighbors: Vec<Vertex> = Vec::with_capacity(
+            (self.neighbors.len() + 2 * inserted.len()).saturating_sub(2 * deleted.len()),
+        );
+        // Copies the untouched vertices `from..to` (`to` may be `n`, which
+        // also emits the closing offset) as one slice.
+        let copy_run = |from: usize, to: usize, offsets: &mut Vec<usize>, out: &mut Vec<Vertex>| {
+            let (old_base, new_base) = (self.offsets[from], out.len());
+            let end = if to == n { n + 1 } else { to };
+            offsets.extend(self.offsets[from..end].iter().map(|&o| o - old_base + new_base));
+            out.extend_from_slice(&self.neighbors[old_base..self.offsets[to]]);
+        };
+        let mut next = 0usize;
+        for entries in delta.chunk_by(|a, b| a.0 == b.0) {
+            let v = entries[0].0 as usize;
+            copy_run(next, v, &mut offsets, &mut neighbors);
+            offsets.push(neighbors.len());
+            // Merge v's sorted list with its sorted entries: copy the old
+            // neighbours below each entry, then insert or skip the entry.
+            let old = self.neighbors(v as Vertex);
             let mut k = 0usize;
-            let mut ai = 0usize;
-            let mut di = 0usize;
-            for &u in self.neighbors(v as Vertex) {
-                while ai < add.len() && add[ai] < u {
-                    out[k] = add[ai];
+            for &(_, u, insert) in entries {
+                let below = k + old[k..].partition_point(|&x| x < u);
+                neighbors.extend_from_slice(&old[k..below]);
+                k = below;
+                if insert {
+                    neighbors.push(u);
+                } else {
+                    debug_assert_eq!(old.get(k), Some(&u), "deleted neighbour missing");
                     k += 1;
-                    ai += 1;
                 }
-                if di < drop.len() && drop[di] == u {
-                    di += 1;
-                    continue;
-                }
-                out[k] = u;
-                k += 1;
             }
-            out[k..].copy_from_slice(&add[ai..]);
+            neighbors.extend_from_slice(&old[k..]);
+            next = v + 1;
         }
+        copy_run(next, n, &mut offsets, &mut neighbors);
         Csr { offsets, neighbors, num_edges: self.num_edges + inserted.len() - deleted.len() }
     }
 
@@ -376,5 +388,82 @@ mod tests {
     fn rebuild_with_delta_noop_is_identity() {
         let g = triangle_plus_pendant();
         assert_eq!(g.rebuild_with_delta(&[], &[]), g);
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    // The rebuilt layer equals `from_edges` of the mutated edge list on
+    // random graphs and valid deltas. Each case toggles random pairs
+    // (deleting present edges, inserting absent ones), then forces one
+    // shape: the empty delta, vertices 0 and n−1, adjacent changed
+    // vertices, a vertex losing every edge, or an isolated vertex gaining
+    // its first edge.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rebuild_with_delta_equals_from_edges_of_the_mutated_list(
+            n in 2usize..48,
+            raw in prop::collection::vec((0u32..1000, 0u32..1000), 0..150),
+            toggles in prop::collection::vec((0u32..1000, 0u32..1000), 0..24),
+            shape in 0u32..6,
+            pick in 0u32..1000,
+        ) {
+            let nv = n as Vertex;
+            let canon = |u: Vertex, v: Vertex| if u < v { (u, v) } else { (v, u) };
+            let x = pick % nv;
+            // Shape 5 isolates `x` in the base graph.
+            let base: Vec<(Vertex, Vertex)> = raw
+                .iter()
+                .map(|&(u, v)| (u % nv, v % nv))
+                .filter(|&(u, v)| shape != 5 || (u != x && v != x))
+                .collect();
+            let g = Csr::from_edges(n, &base);
+            // Edge -> insert? (true: absent, inserted; false: present, deleted).
+            let mut delta: BTreeMap<(Vertex, Vertex), bool> = BTreeMap::new();
+            let toggle = |delta: &mut BTreeMap<_, _>, u: Vertex, v: Vertex| {
+                if u != v {
+                    delta.insert(canon(u, v), !g.has_edge(u, v));
+                }
+            };
+            for &(u, v) in &toggles {
+                toggle(&mut delta, u % nv, v % nv);
+            }
+            match shape {
+                0 => delta.clear(),
+                1 => toggle(&mut delta, 0, nv - 1),
+                2 => {
+                    let y = (x + 1) % nv;
+                    toggle(&mut delta, x, (x + 2) % nv);
+                    toggle(&mut delta, y, (y + 2) % nv);
+                }
+                3 | 5 => {
+                    delta.retain(|&(u, v), _| u != x && v != x);
+                    if shape == 3 {
+                        for &u in g.neighbors(x) {
+                            delta.insert(canon(x, u), false);
+                        }
+                    } else {
+                        toggle(&mut delta, x, (x + 1) % nv);
+                    }
+                }
+                _ => {}
+            }
+            let inserted: Vec<_> = delta.iter().filter(|e| *e.1).map(|e| *e.0).collect();
+            let deleted: Vec<_> = delta.iter().filter(|e| !*e.1).map(|e| *e.0).collect();
+            let mut mutated: Vec<_> = g.edges().filter(|e| !deleted.contains(e)).collect();
+            mutated.extend(&inserted);
+
+            let rebuilt = g.rebuild_with_delta(&inserted, &deleted);
+            prop_assert_eq!(&rebuilt, &Csr::from_edges(n, &mutated));
+            prop_assert!(rebuilt.validate());
+            if shape == 3 {
+                prop_assert_eq!(rebuilt.degree(x), 0);
+            }
+            if shape == 5 {
+                prop_assert_eq!(rebuilt.degree(x), 1);
+            }
+        }
     }
 }
