@@ -22,7 +22,8 @@
 //! the recorded `geomean_speedup` stays comparable run over run) and
 //! additionally drives the `large_scale` group at `--large-vertices`
 //! (default 10^6) Chung–Lu vertices; every other scale still records a
-//! scaled-down `large_scale` group so the key is always present. This
+//! scaled-down `large_scale` group so the key is always present. That
+//! group's queries run at `--threads` and record it in each entry. This
 //! binary owns a counting global allocator so the tier can report peak
 //! allocated bytes next to the OS-level peak RSS.
 
@@ -318,9 +319,9 @@ fn main() {
     }
     let warm_queries = runs.clamp(1, 8);
     println!(
-        "[bench] large-scale tier: {tier_vertices} Chung-Lu vertices, {warm_queries} warm queries"
+        "[bench] large-scale tier: {tier_vertices} Chung-Lu vertices, {warm_queries} warm queries, {threads} threads"
     );
-    let large = large_scale_suite(tier_vertices, warm_queries);
+    let large = large_scale_suite(tier_vertices, warm_queries, threads);
     for m in &large {
         println!(
             "{:>16} n={} L={} edges={}  d={} s={}  gen {:>8.3}s  preprocess {:>8.3}s (warm {:>8.6}s)  cold {:>8.3}s  {:>7.2} q/s  commit {:>8.3}ms  [{:?}] index {} B  scratch {} B  rss {} B  alloc-peak {} B",

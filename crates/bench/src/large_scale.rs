@@ -93,6 +93,9 @@ pub struct LargeScaleMeasurement {
     pub s: usize,
     /// Result budget.
     pub k: usize,
+    /// Executor width of the queries (`bench_dcc --threads`); the commit
+    /// probes repair on the committing thread.
+    pub threads: usize,
     /// Wall time of graph generation, seconds (shared across the
     /// measurements on one graph).
     pub generate_secs: f64,
@@ -146,6 +149,7 @@ impl LargeScaleMeasurement {
             ("d", Value::from(self.d)),
             ("s", Value::from(self.s)),
             ("k", Value::from(self.k)),
+            ("threads", Value::from(self.threads)),
             ("generate_secs", Value::from(self.generate_secs)),
             ("preprocess_secs", Value::from(self.preprocess_secs)),
             ("warm_preprocess_secs", Value::from(self.warm_preprocess_secs)),
@@ -169,13 +173,15 @@ fn total_edges(g: &MultiLayerGraph) -> usize {
     g.layers().iter().map(mlgraph::Csr::num_edges).sum()
 }
 
-/// Drives one query shape through a warm session on `g`: one cold query
+/// Drives one query shape through a warm session on `g` at `threads`
+/// executor width: one cold query
 /// (whose phase split yields the preprocessing fixpoint cost), then
 /// `warm_queries` timed repeats asserted bit-identical to it (cores, cover
 /// and work counters) and whose preprocessing must come from the memo. The
 /// greedy algorithm is pinned — it is the one that peels through the
 /// engine's planned adjacency index, so its stats carry the
 /// `index_path` / `index_bytes` columns this tier exists to observe.
+#[allow(clippy::too_many_arguments)]
 pub fn measure_large_scale(
     g: &MultiLayerGraph,
     dataset: &str,
@@ -184,9 +190,10 @@ pub fn measure_large_scale(
     s: usize,
     k: usize,
     warm_queries: usize,
+    threads: usize,
 ) -> LargeScaleMeasurement {
     let params = DccsParams::new(d, s.min(g.num_layers()).max(1), k);
-    let mut session = DccsSession::new(g);
+    let mut session = DccsSession::with_options(g, DccsOptions::with_threads(threads));
 
     let cold_start = Instant::now();
     let cold = session
@@ -222,6 +229,7 @@ pub fn measure_large_scale(
         d,
         s: params.s,
         k,
+        threads,
         generate_secs,
         preprocess_secs: cold.stats.phase.preprocess.as_secs_f64(),
         warm_preprocess_secs: warm_preprocess_secs / warm_queries as f64,
@@ -312,10 +320,15 @@ pub fn large_scale_config(vertices: usize) -> ChungLuConfig {
 
 /// The large-scale suite: one streaming Chung–Lu graph at `vertices`,
 /// measured under two query shapes (a 2-layer-subset sweep and the
-/// full-layer-set query). Generation is timed once and the allocator peak
-/// spans generation plus all queries of the run. The commit probes run
-/// after every record's queries, so the memory columns stay the queries'.
-pub fn large_scale_suite(vertices: usize, warm_queries: usize) -> Vec<LargeScaleMeasurement> {
+/// full-layer-set query) at `threads` executor width. Generation is timed
+/// once and the allocator peak spans generation plus all queries of the
+/// run. The commit probes run after every record's queries, so the memory
+/// columns stay the queries'.
+pub fn large_scale_suite(
+    vertices: usize,
+    warm_queries: usize,
+    threads: usize,
+) -> Vec<LargeScaleMeasurement> {
     reset_alloc_peak();
     let config = large_scale_config(vertices);
     let gen_start = Instant::now();
@@ -324,7 +337,9 @@ pub fn large_scale_suite(vertices: usize, warm_queries: usize) -> Vec<LargeScale
     let name = format!("ChungLu-{}x{}", g.num_vertices(), g.num_layers());
     let mut measurements: Vec<LargeScaleMeasurement> = [(3u32, 2usize, 8usize), (2, 3, 8)]
         .iter()
-        .map(|&(d, s, k)| measure_large_scale(&g, &name, generate_secs, d, s, k, warm_queries))
+        .map(|&(d, s, k)| {
+            measure_large_scale(&g, &name, generate_secs, d, s, k, warm_queries, threads)
+        })
         .collect();
     for m in &mut measurements {
         m.commit_ms = median_commit_ms(&g, m.d, m.s, m.k);
@@ -348,7 +363,7 @@ mod tests {
 
     #[test]
     fn suite_measures_a_small_graph_end_to_end() {
-        let measurements = large_scale_suite(2_000, 2);
+        let measurements = large_scale_suite(2_000, 2, 2);
         assert_eq!(measurements.len(), 2);
         for m in &measurements {
             assert_eq!(m.vertices, 2_000);
@@ -358,6 +373,7 @@ mod tests {
             assert!(m.warm_secs > 0.0 && m.throughput_qps() > 0.0);
             assert!(m.commit_ms > 0.0);
             assert_eq!(m.warm_queries, 2);
+            assert_eq!(m.threads, 2);
             // No probe installed under cargo test: allocator peak reads 0.
             assert_eq!(m.peak_alloc_bytes, 0);
             let text = serde_json::to_string_pretty(&m.to_json());
@@ -367,6 +383,7 @@ mod tests {
             assert!(text.contains("\"peak_rss_bytes\""));
             assert!(text.contains("\"peak_alloc_bytes\""));
             assert!(text.contains("\"commit_ms\""));
+            assert!(text.contains("\"threads\": 2"));
         }
     }
 

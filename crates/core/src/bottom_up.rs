@@ -73,18 +73,19 @@ pub(crate) fn bottom_up_dccs_on(
     let start = Instant::now();
     let mut stats = SearchStats { algorithm: Some(Algorithm::BottomUp), ..SearchStats::default() };
 
+    // Preprocessing covers vertex deletion, `InitTopK` and layer sorting.
     let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
-    stats.phase.preprocess = start.elapsed();
-
     let mut topk = TopKDiversified::new(g.num_vertices(), params.k);
     if opts.init_topk {
         let (ws, running, seed) = ctx.init_scratch();
         init_topk_in(ws, running, seed, g, params, &pre, &mut topk);
     }
-
     // Positions in the search tree follow the sorted layer order.
     let order = pre.bottom_up_layer_order(opts);
     let cores_by_pos: Vec<VertexSet> = order.iter().map(|&i| pre.layer_cores[i].clone()).collect();
+    stats.phase.preprocess = start.elapsed();
+
+    let search_start = Instant::now();
     let l = g.num_layers();
     let d = params.d;
     let s = params.s;
@@ -148,7 +149,6 @@ pub(crate) fn bottom_up_dccs_on(
         BuNodeEval { positions, excluded, children, order_pruned }
     };
 
-    let search_start = Instant::now();
     {
         let root = BuTask {
             positions: Vec::new(),

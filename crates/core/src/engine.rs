@@ -487,9 +487,11 @@ impl SearchContext {
     /// converged vertex-deletion fixpoint once per `(d, s,
     /// vertex_deletion)`, then reused by every later query on the snapshot
     /// — a warm query repeating a `(d, s)` is a refcount bump, and an `s`
-    /// sweep at fixed `d` re-runs only the fixpoint. The layer peels of
-    /// both steps run as fork-join batches on `pool`. The result is
-    /// bit-identical to [`crate::preprocess::preprocess`]. A limited query
+    /// sweep at fixed `d` re-runs only the fixpoint, whose rounds shrink
+    /// the layer cores by each round's victims instead of re-peeling them.
+    /// The initial peels and each round's per-layer shrinks run as
+    /// fork-join batches on `pool`. The result is bit-identical to
+    /// [`crate::preprocess::preprocess`]. A limited query
     /// (one with a monitor installed) may stop the fixpoint early; the tier
     /// then keeps the unconverged result out of the memo.
     pub(crate) fn preprocess_into(

@@ -1,23 +1,27 @@
 //! Preprocessing shared by the DCCS algorithms (Section IV-C):
 //!
 //! 1. **Vertex deletion** — iteratively remove every vertex that appears in
-//!    fewer than `s` per-layer d-cores (`Num(v) < s`), recomputing the
-//!    d-cores until a fixpoint; such a vertex can never belong to a d-CC on
-//!    `s` layers.
+//!    fewer than `s` per-layer d-cores (`Num(v) < s`), shrinking the d-cores
+//!    until a fixpoint; such a vertex can never belong to a d-CC on `s`
+//!    layers.
 //! 2. **Layer sorting** — order the layers by per-layer d-core size
 //!    (descending for the bottom-up search, ascending for the top-down
 //!    search).
 //! 3. **Result initialization** (`InitTopK`, Appendix D) — greedily seed the
 //!    temporary top-k result set so the pruning rules engage immediately.
 //!
-//! The per-layer d-core peels — both the initial full-universe pass and
-//! every round of the vertex-deletion fixpoint — are independent across
-//! layers, so queries run them as fork-join batches on the executor crew
-//! that serves the whole query, and preprocessing pays no worker
-//! spawn/join of its own. Each layer's peel is a pure function of
-//! `(graph, layer, d, active)`, so the parallel batches are bit-identical
-//! to the sequential loop at any width; the public entry points here are
-//! the sequential special case.
+//! The initial pass peels every layer over the full vertex set once. Each
+//! round of the vertex-deletion fixpoint then removes that round's victims
+//! from every layer's current d-core and cascades only from them
+//! ([`PeelWorkspace::shrink_d_core`]), so a round costs the edges of the
+//! vertices that leave, not a re-peel of every layer; only the leavers lose
+//! support, so they alone are candidates for the next round. Both steps are
+//! independent across layers and run as fork-join batches on the executor
+//! crew that serves the whole query, so preprocessing pays no worker
+//! spawn/join of its own. Each layer's job is a pure function of its inputs
+//! and the support bookkeeping stays on the driver, so the batches are
+//! bit-identical at any width; the public entry points here are the
+//! one-thread case.
 
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::TopKDiversified;
@@ -26,8 +30,7 @@ use crate::fault::{self, site};
 use crate::limits::QueryMonitor;
 use crate::result::CoherentCore;
 use coreness::{d_coherent_core_in, d_core_within_into, PeelWorkspace};
-use mlgraph::{Layer, MultiLayerGraph, VertexSet};
-use std::sync::Arc;
+use mlgraph::{Layer, MultiLayerGraph, Vertex, VertexSet};
 
 /// The state produced by preprocessing and consumed by every algorithm.
 #[derive(Clone, Debug)]
@@ -41,8 +44,8 @@ pub struct Preprocessed {
     pub support: Vec<u32>,
     /// Number of vertices removed by vertex deletion.
     pub vertices_deleted: usize,
-    /// Number of vertex-deletion rounds that removed vertices and re-peeled
-    /// the layers (0 when nothing was deleted or deletion is off).
+    /// Number of vertex-deletion rounds that removed vertices and shrank
+    /// the layer cores (0 when nothing was deleted or deletion is off).
     pub fixpoint_rounds: usize,
 }
 
@@ -90,8 +93,8 @@ pub fn initial_layer_cores(g: &MultiLayerGraph, d: u32, ws: &mut PeelWorkspace) 
 }
 
 /// [`initial_layer_cores`] as one fork-join batch on a query's crew, with
-/// the query's monitor carrying its fault plan to each layer job. With no
-/// workers on the crew the plain sequential loop runs on `ws`.
+/// the query's monitor carrying its fault plan to each layer job. On a crew
+/// with no workers the batch runs inline on `ws`, layer by layer.
 pub(crate) fn initial_layer_cores_on(
     g: &MultiLayerGraph,
     d: u32,
@@ -100,18 +103,8 @@ pub(crate) fn initial_layer_cores_on(
     monitor: Option<&QueryMonitor>,
 ) -> Vec<VertexSet> {
     let n = g.num_vertices();
-    let l = g.num_layers();
-    let active = g.full_vertex_set();
-    if pool.workers() == 0 || l <= 1 {
-        let mut layer_cores: Vec<VertexSet> = vec![VertexSet::new(n); l];
-        for (i, core) in layer_cores.iter_mut().enumerate() {
-            fault::fire(monitor, site::PREPROCESS_LAYER);
-            d_core_within_into(ws, g.layer(i), d, &active, core);
-        }
-        return layer_cores;
-    }
-    let active = &active;
-    let jobs: Vec<_> = (0..l)
+    let active = &g.full_vertex_set();
+    let jobs: Vec<_> = (0..g.num_layers())
         .map(|i| {
             move |wws: &mut PeelWorkspace| {
                 fault::fire(monitor, site::PREPROCESS_LAYER);
@@ -141,10 +134,17 @@ pub fn preprocess_from(
 
 /// [`preprocess_from`] on a query's crew, with a limit monitor checked once
 /// per fixpoint round; the flag reports whether the fixpoint converged.
-/// Every round re-peels the layers as one fork-join batch; the
-/// victims-and-support bookkeeping between rounds stays on the driver, so
-/// the result is bit-identical to the sequential fixpoint at any width, and
-/// with no workers on the crew the plain sequential loop runs on `ws`.
+///
+/// Each round removes its victims from every layer core: one fork-join
+/// batch of [`PeelWorkspace::shrink_d_core`] calls, one per layer, over
+/// per-layer degree counters and leaver lists the driver owns for the whole
+/// fixpoint. A layer's d-core within the new active set is its d-core
+/// within `core \ victims`, so each round yields exactly the cores a fresh
+/// peel of every layer would, at the cost of the leavers' edges. Only a
+/// vertex that left some core loses support, so the next round's victims
+/// are the leavers whose support just fell below `s`; that bookkeeping
+/// stays on the driver, in layer order, so the result is bit-identical at
+/// any width.
 ///
 /// An early exit is always safe here: stopping the fixpoint before
 /// convergence leaves `active` a (less-pruned) **superset** of the
@@ -164,19 +164,26 @@ pub(crate) fn preprocess_from_monitored(
     monitor: Option<&QueryMonitor>,
 ) -> (Preprocessed, bool) {
     let n = g.num_vertices();
+    let s = params.s;
     let mut active = g.full_vertex_set();
-    let mut support = compute_support(n, &layer_cores, &active);
+    let mut support = vec![0u32; n];
+    for v in layer_cores.iter().flat_map(VertexSet::iter) {
+        support[v as usize] += 1;
+    }
 
     let mut rounds = 0usize;
-    let sequential = pool.workers() == 0 || g.num_layers() <= 1;
-    let converged = !opts.vertex_deletion
-        || loop {
+    let converged = !opts.vertex_deletion || {
+        // Before the first round any vertex may lack support; afterwards
+        // every survivor has at least `s` until it leaves a core.
+        let mut victims: Vec<Vertex> =
+            (0..n as Vertex).filter(|&v| (support[v as usize] as usize) < s).collect();
+        let mut degrees = vec![vec![u32::MAX; n]; layer_cores.len()];
+        let mut left: Vec<Vec<Vertex>> = vec![Vec::new(); layer_cores.len()];
+        loop {
             fault::fire(monitor, site::PREPROCESS_ROUND);
             if monitor.is_some_and(|m| m.check().is_some()) {
                 break false;
             }
-            let victims: Vec<u32> =
-                active.iter().filter(|&v| (support[v as usize] as usize) < params.s).collect();
             if victims.is_empty() {
                 break true;
             }
@@ -184,61 +191,38 @@ pub(crate) fn preprocess_from_monitored(
                 active.remove(v);
             }
             rounds += 1;
-            if sequential {
-                // Re-peel every layer core into its existing set: the fixpoint
-                // loop allocates nothing after the first iteration.
-                for (i, core) in layer_cores.iter_mut().enumerate() {
-                    fault::fire(monitor, site::PREPROCESS_LAYER);
-                    d_core_within_into(ws, g.layer(i), params.d, &active, core);
-                }
-            } else {
-                // One batch re-peels every layer. Jobs own their core buffer
-                // (taken out of the slot and returned through the batch result)
-                // and share a snapshot of the shrunken active set.
-                let shared_active = Arc::new(active.clone());
-                let jobs: Vec<_> = layer_cores
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        let mut core = std::mem::replace(slot, VertexSet::new(0));
-                        let shared_active = Arc::clone(&shared_active);
-                        move |wws: &mut PeelWorkspace| {
-                            fault::fire(monitor, site::PREPROCESS_LAYER);
-                            d_core_within_into(
-                                wws,
-                                g.layer(i),
-                                params.d,
-                                &shared_active,
-                                &mut core,
-                            );
-                            core
-                        }
-                    })
-                    .collect();
-                let repeeled = pool.map(ws, jobs);
-                for (slot, core) in layer_cores.iter_mut().zip(repeeled) {
-                    *slot = core;
+            let jobs: Vec<_> = layer_cores
+                .iter_mut()
+                .zip(&mut degrees)
+                .zip(&mut left)
+                .enumerate()
+                .map(|(i, ((core, degrees), left))| {
+                    let victims = &victims;
+                    move |wws: &mut PeelWorkspace| {
+                        fault::fire(monitor, site::PREPROCESS_LAYER);
+                        left.clear();
+                        wws.shrink_d_core(g.layer(i), params.d, core, victims, degrees, left);
+                    }
+                })
+                .collect();
+            pool.map(ws, jobs);
+            victims.clear();
+            for &v in left.iter().flatten() {
+                let sv = &mut support[v as usize];
+                *sv -= 1;
+                // A survivor crosses below `s` exactly once; a victim of
+                // this round started below it.
+                if *sv as usize + 1 == s {
+                    victims.push(v);
                 }
             }
-            support = compute_support(n, &layer_cores, &active);
-        };
+        }
+    };
 
     let vertices_deleted = n - active.len();
     let pre =
         Preprocessed { active, layer_cores, support, vertices_deleted, fixpoint_rounds: rounds };
     (pre, converged)
-}
-
-fn compute_support(n: usize, layer_cores: &[VertexSet], active: &VertexSet) -> Vec<u32> {
-    let mut support = vec![0u32; n];
-    for core in layer_cores {
-        for v in core.iter() {
-            if active.contains(v) {
-                support[v as usize] += 1;
-            }
-        }
-    }
-    support
 }
 
 /// The `InitTopK` procedure (Appendix D): greedily builds `k` seed d-CCs.
@@ -382,7 +366,8 @@ mod tests {
         let params = DccsParams::new(2, 2, 1);
         let pre = preprocess(&g, &params, &DccsOptions::default());
         assert_eq!(pre.active.to_vec(), vec![0, 1, 2]);
-        // One round deletes {3, 4, 5}; the re-peel leaves nothing to cut.
+        // One round deletes {3, 4, 5}; shrinking the cores by them leaves
+        // nothing to cut.
         assert_eq!(pre.fixpoint_rounds, 1);
     }
 
@@ -418,7 +403,7 @@ mod tests {
     }
 
     /// The parallel per-layer batches (initial pass and fixpoint rounds)
-    /// must be bit-identical to the sequential loops at every width.
+    /// must be bit-identical to the one-thread run at every width.
     #[test]
     fn threaded_preprocessing_is_bit_identical_to_sequential() {
         let g = graph();

@@ -47,7 +47,8 @@ impl CoherentCore {
 pub struct PhaseTimes {
     /// Vertex deletion, layer sorting, and `InitTopK` preprocessing.
     pub preprocess: Duration,
-    /// Candidate generation / search-tree traversal.
+    /// Candidate generation / search-tree traversal, including the
+    /// top-down search's vertex-index build.
     pub search: Duration,
     /// Final greedy max-k-cover selection (zero for the search-tree
     /// algorithms, which maintain top-k incrementally during search).
@@ -76,7 +77,8 @@ pub struct SearchStats {
     pub updates_accepted: usize,
     /// Number of vertices removed by the vertex-deletion preprocessing.
     pub vertices_deleted: usize,
-    /// Number of vertex-deletion rounds the preprocessing fixpoint ran
+    /// Number of vertex-deletion rounds the preprocessing fixpoint ran, each
+    /// removing that round's victims and shrinking the layer cores by them
     /// ([`crate::preprocess::Preprocessed::fixpoint_rounds`]). Stored with
     /// the memoized fixpoint, so a memo hit reports the count of the run
     /// that filled it.

@@ -78,18 +78,19 @@ pub(crate) fn top_down_dccs_on(
     let mut stats = SearchStats { algorithm: Some(Algorithm::TopDown), ..SearchStats::default() };
     let l = g.num_layers();
 
+    // Preprocessing covers vertex deletion, `InitTopK` and layer sorting.
     let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
-    stats.phase.preprocess = start.elapsed();
-
     let mut topk = TopKDiversified::new(g.num_vertices(), params.k);
     if opts.init_topk {
         let (ws, running, seed) = ctx.init_scratch();
         init_topk_in(ws, running, seed, g, params, &pre, &mut topk);
     }
-
     // Positions follow the ascending d-core-size order (Section V-D).
     let order = pre.top_down_layer_order(opts);
-    let cores_by_layer = pre.layer_cores.clone();
+    stats.phase.preprocess = start.elapsed();
+
+    // The search includes building the hierarchical vertex index it reads.
+    let search_start = Instant::now();
     let index = if opts.use_refine_c && l <= 64 {
         Some(VertexIndex::build(g, params.d, &pre))
     } else {
@@ -103,7 +104,6 @@ pub(crate) fn top_down_dccs_on(
     let all_positions: Vec<usize> = (0..l).collect();
     let all_layers: Vec<Layer> = order.clone();
     stats.dcc_calls += 1;
-    let search_start = Instant::now();
     let mut root_core = pre.active.clone();
     ctx.ws.set_probe(mon.map(QueryMonitor::probe));
     ctx.ws.peel_in_place(g, &all_layers, params.d, &mut root_core);
@@ -132,7 +132,7 @@ pub(crate) fn top_down_dccs_on(
     let s = params.s;
     let use_refine_c = opts.use_refine_c;
     let order_ref: &[Layer] = &order;
-    let layer_cores: &[VertexSet] = &cores_by_layer;
+    let layer_cores: &[VertexSet] = &pre.layer_cores;
     let index_ref = index.as_ref();
 
     // Evaluating one `TD-Gen` node: compute every child `L' = L − {j}`

@@ -11,6 +11,9 @@
 //!   incremental d-core maintenance after an edge delta, checking only the
 //!   region the delta can affect, with the full peels above kept as the
 //!   frozen oracle.
+//! * [`PeelWorkspace::shrink_d_core`] — a layer's d-core after removing
+//!   vertices, cascading from them over caller-kept degree counters; the
+//!   vertex-deletion fixpoint chains one per round.
 //! * [`d_coherent_core`] — the `dCC` procedure: the d-coherent core
 //!   `C_L^d(G)` of a multi-layer graph w.r.t. a layer subset `L`, computed by
 //!   multi-layer peeling restricted to a candidate set (O((n + m)·|L|)).

@@ -40,6 +40,12 @@ impl MultiLayerGraph {
         MultiLayerGraph { layers, vertex_labels, layer_names }
     }
 
+    /// The graph's layers, moved out — for loaders that re-attach metadata
+    /// through [`MultiLayerGraph::from_parts`] without copying the CSRs.
+    pub(crate) fn into_layers(self) -> Vec<Csr> {
+        self.layers
+    }
+
     /// Assembles a graph from already-built CSR layers sharing one vertex
     /// universe, with default layer names. This is the streaming-build
     /// entry point: callers can construct each layer's [`Csr`] in turn and

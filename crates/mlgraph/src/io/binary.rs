@@ -212,12 +212,9 @@ pub fn from_bytes(buf: Bytes) -> Result<MultiLayerGraph> {
             buf.len()
         )));
     }
-    let mut g = builder.build();
-    // Re-assemble with labels/names: the builder used index mode, so we
-    // attach metadata through from_parts for exact reconstruction.
-    let layers = g.layers().to_vec();
-    g = MultiLayerGraph::from_parts(layers, labels, names);
-    Ok(g)
+    // The builder runs in index mode, so the labels and names are attached
+    // by re-assembling its layers, moved rather than copied.
+    Ok(MultiLayerGraph::from_parts(builder.build().into_layers(), labels, names))
 }
 
 /// Writes a binary snapshot of `g` to `path`.
