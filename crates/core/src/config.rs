@@ -62,9 +62,6 @@ pub struct DccsOptions {
     pub layer_pruning: bool,
     /// Potential-set pruning (Lemma 7, TD only).
     pub potential_pruning: bool,
-    /// Use the index-based `RefineC` procedure in TD-DCCS; when `false` the
-    /// plain `dCC` peeling is used instead (same output, different cost).
-    pub use_refine_c: bool,
     /// Worker threads for the shared search executor (`crate::engine`).
     ///
     /// `1` means sequential (the driver thread does all the work) and `0`
@@ -102,7 +99,6 @@ impl Default for DccsOptions {
             order_pruning: true,
             layer_pruning: true,
             potential_pruning: true,
-            use_refine_c: true,
             threads: 1,
             index: IndexChoice::Auto,
             limits: QueryLimits::none(),
@@ -177,14 +173,13 @@ mod tests {
         let o = DccsOptions::default();
         assert!(o.vertex_deletion && o.sort_layers && o.init_topk);
         assert!(o.order_pruning && o.layer_pruning && o.potential_pruning);
-        assert!(o.use_refine_c);
     }
 
     #[test]
     fn with_threads_sets_only_the_executor_width() {
         let o = DccsOptions::with_threads(4);
         assert_eq!(o.threads, 4);
-        assert!(o.vertex_deletion && o.order_pruning && o.use_refine_c);
+        assert!(o.vertex_deletion && o.order_pruning);
         assert_eq!(DccsOptions::default().threads, 1);
     }
 

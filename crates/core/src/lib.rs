@@ -61,10 +61,10 @@
 //!
 //! Supporting modules expose the building blocks: the [`coverage`] module
 //! implements the paper's `Update` procedure, [`preprocess`] the vertex
-//! deletion / layer sorting / `InitTopK` preprocessing, [`index`] and
-//! [`refine`] the top-down index structure and `RefineU`/`RefineC`
-//! procedures, [`exact`] a brute-force oracle for tiny inputs, and
-//! [`metrics`] the evaluation measures used in the paper's Section VI.
+//! deletion / layer sorting / `InitTopK` preprocessing, [`refine`] the
+//! top-down search's `RefineU` procedure, [`exact`] a brute-force oracle for
+//! tiny inputs, and [`metrics`] the evaluation measures used in the paper's
+//! Section VI.
 
 // `deny` rather than `forbid`: the executor's job-lifetime erasure is the
 // one audited exception (see `engine::erase_job`); everything else stays
@@ -82,7 +82,6 @@ pub mod error;
 pub mod exact;
 pub mod fault;
 pub mod greedy;
-pub mod index;
 pub mod lattice;
 pub mod layer_subsets;
 pub mod limits;

@@ -47,8 +47,7 @@ impl CoherentCore {
 pub struct PhaseTimes {
     /// Vertex deletion, layer sorting, and `InitTopK` preprocessing.
     pub preprocess: Duration,
-    /// Candidate generation / search-tree traversal, including the
-    /// top-down search's vertex-index build.
+    /// Candidate generation / search-tree traversal.
     pub search: Duration,
     /// Final greedy max-k-cover selection (zero for the search-tree
     /// algorithms, which maintain top-k incrementally during search).
@@ -68,8 +67,8 @@ pub struct SearchStats {
     /// Number of candidate d-CCs (layer subsets of size exactly `s`) whose
     /// core was actually computed.
     pub candidates_generated: usize,
-    /// Total number of core computations (`dCC`/`RefineC` calls), including
-    /// internal nodes of the search tree.
+    /// Total number of core computations (`dCC` calls), including internal
+    /// nodes of the search tree.
     pub dcc_calls: usize,
     /// Number of search-tree subtrees cut off by a pruning rule.
     pub subtrees_pruned: usize,

@@ -4,9 +4,11 @@
 //! layer whose (sorted) index exceeds every previously removed index. The
 //! tree is explored depth-first from the root down to level `s`. Each node
 //! carries, besides its d-CC `C_L`, a *potential vertex set* `U_L` that
-//! contains every vertex of every level-`s` descendant; `U_L` is shrunk by
-//! `RefineU` and the exact child core is extracted by `RefineC` over the
-//! hierarchical vertex index. Pruning rules:
+//! contains every vertex of every level-`s` descendant. A child's `U_{L'}`
+//! comes from `RefineU`, and since `C_{L'} ⊆ U_{L'}`, one restricted peel of
+//! `U_{L'}` over `L'` extracts the child's exact d-CC. (The paper's
+//! index-based `RefineC`, Section V-C, only exists to be cheaper than that
+//! peel; measured, it was not.) Pruning rules:
 //!
 //! * **Lemma 5** (search-tree pruning) — if `U_{L'}` fails Eq. (1), no
 //!   descendant can update `R`.
@@ -26,8 +28,8 @@
 //!
 //! The search tree runs as a deterministic subtree-level task graph on the
 //! shared executor ([`crate::engine`]): each node is one
-//! task whose evaluation computes **all** of its children (`RefineU` +
-//! `RefineC` — `TD-Gen` needs every child before it can order them), on
+//! task whose evaluation computes **all** of its children (`RefineU` and
+//! the child peel — `TD-Gen` needs every child before it can order them), on
 //! whichever worker grabs the task. Results are committed on the driver in
 //! the tree's pre-order; the commit sorts the children, applies Lemmas
 //! 5–7 against the live result set, performs the updates, and spawns the
@@ -42,10 +44,9 @@ use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::TopKDiversified;
 use crate::engine::{drive_task_graph, PoolRef, SearchContext};
 use crate::fault::{self, site};
-use crate::index::VertexIndex;
 use crate::limits::QueryMonitor;
 use crate::preprocess::init_topk_in;
-use crate::refine::{refine_c, refine_u};
+use crate::refine::refine_u;
 use crate::result::{CoherentCore, DccsResult, SearchStats};
 use crate::session::DccsSession;
 use coreness::PeelWorkspace;
@@ -89,13 +90,7 @@ pub(crate) fn top_down_dccs_on(
     let order = pre.top_down_layer_order(opts);
     stats.phase.preprocess = start.elapsed();
 
-    // The search includes building the hierarchical vertex index it reads.
     let search_start = Instant::now();
-    let index = if opts.use_refine_c && l <= 64 {
-        Some(VertexIndex::build(g, params.d, &pre))
-    } else {
-        None
-    };
 
     // Root: C_{[l]} computed over the active vertex set, under the query's
     // probe — the root peel is the single largest cascade of the search.
@@ -130,14 +125,12 @@ pub(crate) fn top_down_dccs_on(
 
     let d = params.d;
     let s = params.s;
-    let use_refine_c = opts.use_refine_c;
     let order_ref: &[Layer] = &order;
     let layer_cores: &[VertexSet] = &pre.layer_cores;
-    let index_ref = index.as_ref();
 
     // Evaluating one `TD-Gen` node: compute every child `L' = L − {j}`
-    // (`RefineU` then `RefineC` or a plain peel), in removable-position
-    // order. Runs on any worker and reads only the task payload.
+    // (`RefineU` then the child peel), in removable-position order. Runs on
+    // any worker and reads only the task payload.
     let eval = move |task: TdTask, ws: &mut PeelWorkspace| -> TdNodeEval {
         fault::fire(mon, site::TD_EVAL);
         let TdTask { positions, potential } = task;
@@ -169,7 +162,7 @@ pub(crate) fn top_down_dccs_on(
                     child_positions.iter().filter(|&&p| p > j).map(|&p| order_ref[p]).collect();
                 let layers: Vec<Layer> = child_positions.iter().map(|&p| order_ref[p]).collect();
                 let spec = TdChildSpec { j, child_positions, class1, class2, layers };
-                eval_child(g, d, s, layer_cores, index_ref, use_refine_c, spec, &potential, ws)
+                eval_child(g, d, s, layer_cores, spec, &potential, ws)
             })
             .collect();
         ws.set_probe(None);
@@ -320,30 +313,23 @@ struct TdChildSpec {
     layers: Vec<Layer>,
 }
 
-/// One child evaluation — `RefineU` then `RefineC` (or a plain peel) —
-/// shared by the sequential path and the executor jobs.
-#[allow(clippy::too_many_arguments)]
+/// One child evaluation on the evaluating worker's workspace: `RefineU`
+/// shrinks the parent's `U_L` into `U_{L'}`, then one peel of `U_{L'}` over
+/// `L'` extracts the exact `C_{L'}` (every d-CC below the node lies inside
+/// its potential set). Both peels run under whatever probe `ws` carries.
 fn eval_child(
     g: &MultiLayerGraph,
     d: u32,
     s: usize,
     layer_cores: &[VertexSet],
-    index: Option<&VertexIndex>,
-    use_refine_c: bool,
     spec: TdChildSpec,
     u_l: &VertexSet,
     ws: &mut PeelWorkspace,
 ) -> TdChild {
     let TdChildSpec { j, child_positions, class1, class2, layers } = spec;
-    let potential = refine_u(g, d, s, u_l, &class1, &class2, layer_cores);
-    let core = match index {
-        Some(ix) if use_refine_c => refine_c(g, d, ix, &potential, &layers),
-        _ => {
-            let mut core = potential.clone();
-            ws.peel_in_place(g, &layers, d, &mut core);
-            core
-        }
-    };
+    let potential = refine_u(ws, g, d, s, u_l, &class1, &class2, layer_cores);
+    let mut core = potential.clone();
+    ws.peel_in_place(g, &layers, d, &mut core);
     TdChild { positions: child_positions, core, potential, removed: j }
 }
 
@@ -435,16 +421,6 @@ mod tests {
             assert_eq!(core.layers.len(), params.s);
             assert!(coreness::is_d_dense_multilayer(&g, &core.layers, &core.vertices, params.d));
         }
-    }
-
-    #[test]
-    fn refine_c_and_plain_dcc_give_identical_results() {
-        let g = graph();
-        let params = DccsParams::new(3, 3, 2);
-        let with_index = top_down_dccs(&g, &params);
-        let opts = DccsOptions { use_refine_c: false, ..DccsOptions::default() };
-        let without_index = top_down_with(&g, &params, &opts);
-        assert_eq!(with_index.cover_size(), without_index.cover_size());
     }
 
     #[test]

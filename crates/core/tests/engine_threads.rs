@@ -107,7 +107,6 @@ proptest! {
             DccsOptions::no_preprocessing(),
             DccsOptions::no_init_topk(),
             DccsOptions { order_pruning: false, layer_pruning: false, ..DccsOptions::default() },
-            DccsOptions { use_refine_c: false, ..DccsOptions::default() },
         ] {
             for (name, algo) in ALGORITHMS {
                 let seq = run(algo, &g, &params, &DccsOptions { threads: 1, ..base });

@@ -105,25 +105,6 @@ proptest! {
     }
 
     #[test]
-    fn top_down_refine_c_matches_plain_peeling(
-        g in small_multilayer(16, 4, 60),
-        d in 1u32..3,
-        s in 2usize..5,
-    ) {
-        let params = DccsParams::new(d, s.min(4), 2);
-        let with_index = top_down_dccs(&g, &params);
-        let opts = DccsOptions { use_refine_c: false, ..DccsOptions::default() };
-        let plain = DccsSession::with_options(&g, opts)
-            .query(params)
-            .algorithm(Algorithm::TopDown)
-            .run()
-            .unwrap();
-        // Same algorithm, two implementations of the core-extraction step.
-        prop_assert_eq!(with_index.cover_size(), plain.cover_size());
-        check_cores_are_valid(&g, &params, &with_index);
-    }
-
-    #[test]
     fn lattice_candidates_match_naive_per_subset_peels(
         g in small_multilayer(18, 4, 70),
         d in 1u32..4,

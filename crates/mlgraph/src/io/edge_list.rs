@@ -20,7 +20,9 @@ use std::path::Path;
 
 /// Parses the edge-list format from any buffered reader.
 pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<MultiLayerGraph> {
-    let mut records: Vec<(String, String, usize)> = Vec::new();
+    // Each record keeps its file line, so errors found while building
+    // (self loops) name the line the user wrote.
+    let mut records: Vec<(usize, String, String, usize)> = Vec::new();
     let mut max_layer = 0usize;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
@@ -47,16 +49,16 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<MultiLayerGraph> {
             message: format!("layer `{layer}` is not a non-negative integer"),
         })?;
         max_layer = max_layer.max(layer);
-        records.push((src.to_string(), dst.to_string(), layer));
+        records.push((line_no, src.to_string(), dst.to_string(), layer));
     }
     if records.is_empty() {
         return Err(GraphError::InvalidArgument("edge list contains no edges".into()));
     }
     let mut builder = MultiLayerGraphBuilder::with_labels(max_layer + 1);
-    for (idx, (src, dst, layer)) in records.iter().enumerate() {
+    for (line_no, src, dst, layer) in &records {
         builder.add_labeled_edge(*layer, src, dst).map_err(|e| match e {
             GraphError::SelfLoop { vertex } => GraphError::Parse {
-                line: idx + 1,
+                line: *line_no,
                 message: format!("self loop on vertex {vertex} (label `{src}`)"),
             },
             other => other,
@@ -137,6 +139,12 @@ mod tests {
     fn rejects_self_loop() {
         let err = parse_edge_list(Cursor::new("a a 0\n")).unwrap_err();
         assert!(matches!(err, GraphError::Parse { .. }));
+    }
+
+    #[test]
+    fn self_loop_error_names_its_file_line() {
+        let err = parse_edge_list(Cursor::new("# header\n\na b 0\nc c 0\n")).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 4, .. }), "{err:?}");
     }
 
     #[test]

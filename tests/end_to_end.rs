@@ -44,11 +44,12 @@ fn all_algorithms_agree_on_core_validity_for_a_module_dataset() {
         assert!(result.cover_size() > 0, "planted modules must be detectable");
         for core in &result.cores {
             assert_eq!(core.layers.len(), params.s);
-            assert!(coreness::is_d_dense_multilayer(
+            // d-dense and maximal: the core is the whole d-CC of its layers.
+            assert!(coreness::is_maximal_d_coherent_core(
                 &ds.graph,
                 &core.layers,
-                &core.vertices,
-                params.d
+                params.d,
+                &core.vertices
             ));
         }
     }
@@ -58,6 +59,41 @@ fn all_algorithms_agree_on_core_validity_for_a_module_dataset() {
     assert!(4 * bu.cover_size() >= max);
     assert!(4 * td.cover_size() >= max);
     assert!(gd.cover_size() * 5 >= max * 3); // greedy is at least (1 - 1/e)
+}
+
+#[test]
+fn top_down_reports_exact_d_ccs_across_a_parameter_sweep() {
+    // TD-DCCS extracts each child's core from its refined potential set; a
+    // core that misses vertices of the true d-CC is still d-dense, so only a
+    // comparison with the whole graph's d-CC of the same layers catches it.
+    for id in [DatasetId::Ppi, DatasetId::Author] {
+        let ds = generate(id, Scale::Tiny);
+        let g = &ds.graph;
+        let l = g.num_layers();
+        let params: Vec<DccsParams> = (1..=4u32)
+            .flat_map(|d| {
+                (2..=l.min(8)).flat_map(move |s| [5, 10, 20].map(move |k| DccsParams::new(d, s, k)))
+            })
+            .collect();
+        let specs: Vec<QuerySpec> =
+            params.iter().map(|&p| QuerySpec::new(p).with_algorithm(Algorithm::TopDown)).collect();
+        let results = DccsSession::new(g).run_batch(&specs).unwrap();
+        for (p, result) in params.iter().zip(results) {
+            let result = result.unwrap();
+            for core in &result.cores {
+                let full = coreness::d_coherent_core_full(g, &core.layers, p.d);
+                assert_eq!(
+                    core.vertices.to_vec(),
+                    full.to_vec(),
+                    "{id:?} d={} s={} k={}: core on layers {:?} is not the d-CC",
+                    p.d,
+                    p.s,
+                    p.k,
+                    core.layers
+                );
+            }
+        }
+    }
 }
 
 #[test]
