@@ -14,9 +14,10 @@
 //! `subtree_scaling` group for BU/TD on deep search trees — skipped with a
 //! `skipped_single_core` marker on one-core hosts); per-configuration
 //! timings, the chosen index path, and the geometric-mean speedup are
-//! printed and written as JSON. The `index_regret` group times GD's search
-//! at each engine-vs-naive configuration under forced CSR, forced dense
-//! and `Auto`, recording `Auto`'s pick and its regret against the fastest.
+//! printed and written as JSON. The `index_regret` group times GD's, BU's
+//! and TD's search at each engine-vs-naive configuration under forced CSR,
+//! forced dense and `Auto`, recording `Auto`'s pick and its regret against
+//! the fastest.
 //!
 //! `--scale large` keeps the standard comparison groups at `Tiny` (so
 //! the recorded `geomean_speedup` stays comparable run over run) and
@@ -226,8 +227,9 @@ fn main() {
     for r in &index_regret {
         let (best, best_secs) = r.best();
         println!(
-            "{:>8} d={} s={}  csr {:>10.6}s  dense {}  auto → {:?} {:>10.6}s  best {:?} {:>10.6}s  regret {:>6.1}%",
+            "{:>8} {:<7} d={} s={}  csr {:>10.6}s  dense {}  auto → {:?} {:>10.6}s  best {:?} {:>10.6}s  regret {:>6.1}%",
             r.dataset,
+            r.algorithm,
             r.d,
             r.s,
             r.csr_secs,

@@ -206,14 +206,18 @@ impl AutoSelection {
 }
 
 /// One index-regime measurement (the `index_regret` group of
-/// `BENCH_dcc.json`): GD's search phase — index planning and build plus the
-/// lattice walk — at one `(dataset, d, s)`, with the peeling index forced
-/// to CSR, forced to dense rows, and left to the `Auto` cost model. The
-/// three covers are asserted identical before any time is recorded.
+/// `BENCH_dcc.json`): one algorithm's search phase — index planning and
+/// build plus GD's lattice walk or BU's or TD's search tree — at one
+/// `(dataset, d, s)`, with the peeling index forced to CSR, forced to dense
+/// rows, and left to the `Auto` cost model. The three covers are asserted
+/// identical before any time is recorded.
 #[derive(Clone, Debug)]
 pub struct IndexRegret {
     /// Dataset analogue name.
     pub dataset: String,
+    /// Algorithm name ([`Algorithm::name`]: `GD-DCCS`, `BU-DCCS` or
+    /// `TD-DCCS`).
+    pub algorithm: &'static str,
     /// Degree threshold.
     pub d: u32,
     /// Layer-subset size.
@@ -252,6 +256,7 @@ impl IndexRegret {
     pub fn to_json(&self) -> Value {
         Value::object(vec![
             ("dataset", Value::from(self.dataset.as_str())),
+            ("algorithm", Value::from(self.algorithm)),
             ("d", Value::from(self.d)),
             ("s", Value::from(self.s)),
             ("csr_secs", Value::from(self.csr_secs)),
@@ -721,7 +726,7 @@ pub fn compare_auto_selection(
     }
 }
 
-/// Times GD's search phase on `ds` at `(d, s)` under each peeling
+/// Times `algorithm`'s search phase on `ds` at `(d, s)` under each peeling
 /// representation — forced CSR, forced dense, and `Auto` — taking the best
 /// of `runs` cold one-shot queries each.
 ///
@@ -729,14 +734,20 @@ pub fn compare_auto_selection(
 ///
 /// Panics if the regimes' covers differ (the representations are
 /// bit-identical by contract; this is the bench re-checking it).
-pub fn compare_index_regret(ds: &Dataset, d: u32, s: usize, runs: usize) -> IndexRegret {
+pub fn compare_index_regret(
+    ds: &Dataset,
+    algorithm: Algorithm,
+    d: u32,
+    s: usize,
+    runs: usize,
+) -> IndexRegret {
     let params = DccsParams::new(d, s, 10);
     let time = |index: IndexChoice| {
         let opts = DccsOptions { index, ..DccsOptions::default() };
         let mut best = f64::INFINITY;
         let mut last = None;
         for _ in 0..runs.max(1) {
-            let outcome = run_algorithm(Algorithm::Greedy, &ds.graph, &params, &opts);
+            let outcome = run_algorithm(algorithm, &ds.graph, &params, &opts);
             best = best.min(outcome.result.stats.phase.search.as_secs_f64());
             last = Some(outcome.result);
         }
@@ -748,11 +759,13 @@ pub fn compare_index_regret(ds: &Dataset, d: u32, s: usize, runs: usize) -> Inde
     let (auto_secs, auto_pick, auto_cover) = time(IndexChoice::Auto);
     assert!(
         dense_cover == cover && auto_cover == cover,
-        "index regimes diverged on {:?} d={d} s={s}",
+        "index regimes diverged on {} {:?} d={d} s={s}",
+        algorithm.name(),
         ds.id
     );
     IndexRegret {
         dataset: format!("{:?}", ds.id),
+        algorithm: algorithm.name(),
         d,
         s,
         csr_secs,
@@ -787,11 +800,19 @@ pub fn baseline_suite(scale: Scale, runs: usize) -> Vec<Comparison> {
     over_baseline_grid(scale, |ds, d, s| compare_candidate_generation(ds, d, s, runs))
 }
 
-/// The index-regret suite: every baseline-grid configuration under each
-/// peeling representation. A record for recalibrating the dense-vs-CSR
-/// crossover, not a gate.
+/// The index-regret suite: GD, BU and TD at every baseline-grid
+/// configuration under each peeling representation. A record for
+/// recalibrating the dense-vs-CSR crossover, not a gate: the cost model
+/// prices one degree count, which GD's lattice pays per new layer and the
+/// search trees pay per layer of every peel.
 pub fn index_regret_suite(scale: Scale, runs: usize) -> Vec<IndexRegret> {
-    over_baseline_grid(scale, |ds, d, s| compare_index_regret(ds, d, s, runs))
+    over_baseline_grid(scale, |ds, d, s| {
+        [Algorithm::Greedy, Algorithm::BottomUp, Algorithm::TopDown]
+            .map(|algorithm| compare_index_regret(ds, algorithm, d, s, runs))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Whether this host has a single hardware thread — the case where
@@ -1364,22 +1385,30 @@ mod tests {
     #[test]
     fn index_regret_is_measured_and_recorded() {
         let ds = generate(DatasetId::German, Scale::Tiny);
-        let m = compare_index_regret(&ds, 2, 2, 1);
-        assert!(m.csr_secs > 0.0 && m.auto_secs > 0.0);
-        assert!(m.dense_secs.is_some(), "a tiny universe's rows fit the word budget");
-        assert!(m.best().1 <= m.csr_secs);
-        let suites = SuiteResults { index_regret: vec![m], ..SuiteResults::default() };
+        let rows: Vec<IndexRegret> = [Algorithm::Greedy, Algorithm::BottomUp, Algorithm::TopDown]
+            .map(|algorithm| compare_index_regret(&ds, algorithm, 2, 2, 1))
+            .into();
+        for m in &rows {
+            assert!(m.csr_secs > 0.0 && m.auto_secs > 0.0, "{}", m.algorithm);
+            assert!(m.dense_secs.is_some(), "a tiny universe's rows fit the word budget");
+            assert!(m.best().1 <= m.csr_secs);
+        }
+        let suites = SuiteResults { index_regret: rows, ..SuiteResults::default() };
         let text = serde_json::to_string_pretty(&suite_to_json(Scale::Tiny, 1, &suites));
         assert!(text.contains("\"index_regret\""));
         assert!(text.contains("\"index_regret_max\""));
         assert!(text.contains("\"auto_pick\""));
         assert!(text.contains("\"regret\""));
+        for name in ["GD-DCCS", "BU-DCCS", "TD-DCCS"] {
+            assert!(text.contains(&format!("\"algorithm\": \"{name}\"")), "{name}");
+        }
     }
 
     #[test]
     fn regret_is_measured_against_the_fastest_regime() {
         let mut m = IndexRegret {
             dataset: "G".into(),
+            algorithm: "GD-DCCS",
             d: 2,
             s: 2,
             csr_secs: 2.0,

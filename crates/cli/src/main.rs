@@ -60,9 +60,10 @@ DEFAULTS: -d 4, -s 3, -k 10, --algorithm auto, --index auto, --scale small,
 --algorithm auto picks GD/BU/TD per query from the paper's regime
 heuristics and the dense-vs-CSR cost model; the choice is printed with
 the result. --index csr|dense overrides that cost model's peeling
-representation (for A/B runs; both produce identical results). --threads N
-spreads the search over N executor workers (0 = all available cores).
-Results are identical at any thread count.
+representation for GD, BU and TD alike (for A/B runs; both produce
+identical results, and the one used is printed as the index path).
+--threads N spreads the search over N executor workers (0 = all
+available cores). Results are identical at any thread count.
 
 --timeout-ms N stops the query at the next cooperative checkpoint once N
 milliseconds of wall clock pass; --budget N caps the number of candidate

@@ -34,6 +34,13 @@
 //! is still gated by Eq. (1) inside `Update`, so the search stays
 //! bit-identical at any thread count and the 1/4 guarantee is untouched,
 //! while sibling subtrees peel concurrently.
+//!
+//! Every child peel runs on the [`crate::engine::PeelIndex`] the cost model
+//! plans over the preprocessed active set, as GD's lattice walk does: over
+//! word-level dense rows (degrees counted as `popcount(row ∧ alive)`) or
+//! over the CSR adjacency, with identical results. Node and layer cores
+//! live in the index's space and are expanded to vertex space only where
+//! the result set reads them: the Eq. (1) check and `Update`.
 
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
@@ -82,7 +89,6 @@ pub(crate) fn bottom_up_dccs_on(
     }
     // Positions in the search tree follow the sorted layer order.
     let order = pre.bottom_up_layer_order(opts);
-    let cores_by_pos: Vec<VertexSet> = order.iter().map(|&i| pre.layer_cores[i].clone()).collect();
     stats.phase.preprocess = start.elapsed();
 
     let search_start = Instant::now();
@@ -90,13 +96,21 @@ pub(crate) fn bottom_up_dccs_on(
     let d = params.d;
     let s = params.s;
     let order_pruning = opts.order_pruning;
+    let monitor = ctx.monitor().cloned();
+    let mon = monitor.as_deref();
+
+    // The tree peels in index space over the active set; the plan and any
+    // dense build are search time, as in GD. Cores are expanded back to
+    // vertex space only where the result set reads them.
+    let (index, driver_ws) = ctx.peel_index(g, &pre.active);
+    let cores_ix = index.compress_layer_cores(&pre.layer_cores);
+    let layer_cores: &[VertexSet] = cores_ix.as_deref().unwrap_or(&pre.layer_cores);
+    let cores_by_pos: Vec<&VertexSet> = order.iter().map(|&i| &layer_cores[i]).collect();
 
     // Evaluating one `BU-Gen` node (Fig. 3, lines 2–22 minus the commit):
     // Lemma-3 child selection against the task's spawn-time bound snapshot,
     // then one Lemma-1-seeded peel per surviving child. Runs on any worker;
     // reads nothing but the task payload and the immutable search inputs.
-    let monitor = ctx.monitor().cloned();
-    let mon = monitor.as_deref();
     let order_ref = &order;
     let cores_ref = &cores_by_pos;
     let eval = move |task: BuTask, ws: &mut PeelWorkspace| -> BuNodeEval {
@@ -116,7 +130,7 @@ pub(crate) fn bottom_up_dccs_on(
             lp
         } else {
             let mut ordered: Vec<(usize, usize)> =
-                lp.iter().map(|&j| (j, c_l.intersection_len(&cores_ref[j]))).collect();
+                lp.iter().map(|&j| (j, c_l.intersection_len(cores_ref[j]))).collect();
             ordered.sort_by_key(|&(j, size)| (std::cmp::Reverse(size), j));
             let mut cut = ordered.len();
             if order_pruning {
@@ -137,11 +151,11 @@ pub(crate) fn bottom_up_dccs_on(
         ws.set_probe(mon.map(QueryMonitor::probe));
         let mut children = Vec::with_capacity(eval_positions.len());
         for &j in &eval_positions {
-            let mut candidate = c_l.intersection(&cores_ref[j]);
+            let mut candidate = c_l.intersection(cores_ref[j]);
             if !candidate.is_empty() {
                 let mut layers: Vec<Layer> = positions.iter().map(|&p| order_ref[p]).collect();
                 layers.push(order_ref[j]);
-                ws.peel_in_place(g, &layers, d, &mut candidate);
+                index.peel(ws, &layers, d, &mut candidate);
             }
             children.push((j, candidate));
         }
@@ -152,17 +166,18 @@ pub(crate) fn bottom_up_dccs_on(
     {
         let root = BuTask {
             positions: Vec::new(),
-            core: pre.active.clone(),
+            core: index.compress(&pre.active),
             excluded: vec![false; l],
             bounds: topk.bounds(),
         };
         let topk = &mut topk;
         let stats = &mut stats;
+        let mut expanded = VertexSet::new(g.num_vertices());
         // Committing one node, in pre-order on the driver: leaves update R
         // (Rule 1/2), internal children pass Lemma 2 against the live result
         // set, Lemma-4 exclusions are derived from the kept set, and the
         // survivors are spawned as new tasks under the current bounds.
-        drive_task_graph(pool, &mut ctx.ws, vec![root], &eval, |ev: BuNodeEval, _ws, spawn| {
+        drive_task_graph(pool, driver_ws, vec![root], &eval, |ev: BuNodeEval, _ws, spawn| {
             fault::fire(mon, site::GRAPH_COMMIT);
             // Once a limit trips, commit nothing more: children evaluated
             // after the hit may be probe-aborted supersets, and `topk`
@@ -183,8 +198,8 @@ pub(crate) fn bottom_up_dccs_on(
                     }
                     let mut layers: Vec<Layer> = ev.positions.iter().map(|&p| order[p]).collect();
                     layers.push(order[j]);
-                    topk.try_update(CoherentCore::new(layers, core));
-                } else if topk.satisfies_eq1(&core) {
+                    topk.try_update(CoherentCore::new(layers, index.emit_owned(core)));
+                } else if topk.satisfies_eq1(index.emit(&core, &mut expanded)) {
                     visited.push(j);
                     kept.push((j, core));
                 } else {
@@ -219,6 +234,8 @@ pub(crate) fn bottom_up_dccs_on(
         });
     }
 
+    stats.index_path = Some(index.path());
+    stats.index_bytes = index.index_bytes();
     stats.phase.search = search_start.elapsed();
     if let Some(kind) = mon.and_then(QueryMonitor::hit) {
         stats.limit_hit = Some(kind);
@@ -235,7 +252,7 @@ pub(crate) fn bottom_up_dccs_on(
 struct BuTask {
     /// Tree positions of the node's layer subset `L` (ascending).
     positions: Vec<usize>,
-    /// The node's d-CC `C_L`, peeled by the parent's task.
+    /// The node's d-CC `C_L` in index space, peeled by the parent's task.
     core: VertexSet,
     /// Lemma-4 layer exclusions inherited from the ancestors.
     excluded: Vec<bool>,
@@ -248,7 +265,8 @@ struct BuTask {
 struct BuNodeEval {
     positions: Vec<usize>,
     excluded: Vec<bool>,
-    /// Evaluated children in Lemma-3 order: `(position, peeled core)`.
+    /// Evaluated children in Lemma-3 order: `(position, peeled core)`, the
+    /// cores in index space.
     children: Vec<(usize, VertexSet)>,
     /// Children cut by the Lemma-3 bound (never peeled).
     order_pruned: usize,

@@ -71,7 +71,8 @@ pub struct DccsOptions {
     /// count; only the wall-clock time changes.
     pub threads: usize,
     /// Dense-vs-CSR peeling representation override
-    /// ([`crate::engine::IndexChoice`]; the CLI's `--index csr|dense|auto`).
+    /// ([`crate::engine::IndexChoice`]; the CLI's `--index csr|dense|auto`)
+    /// for GD's lattice walk and BU's and TD's search trees alike.
     /// `Auto` (the default) runs the [`crate::engine::plan_index`] cost
     /// model; forcing a representation changes wall-clock time only — both
     /// paths are bit-identical — and the per-run decision is recorded in

@@ -11,11 +11,14 @@
 //!   ([`crate::QueryService`]) pools contexts and binds each to the graph
 //!   snapshot a query pinned, so steady-state queries allocate nothing.
 //! * **Indexing policy** — a cost model ([`plan_index`]) decides per run
-//!   whether candidate generation peels over the word-level
-//!   [`DenseSubgraph`] rows or the CSR adjacency, comparing the dense
-//!   per-query cost (`⌈m/64⌉` words per row) against the average CSR
-//!   adjacency length. The built dense index is cached on the context,
-//!   keyed on the snapshot epoch and the candidate universe, so a sweep
+//!   whether the search peels over the word-level [`DenseSubgraph`] rows
+//!   or the CSR adjacency, comparing the dense per-query cost (`⌈m/64⌉`
+//!   words per row) against the average CSR adjacency length. GD's
+//!   lattice walk plans over the union of the layer cores, BU's and TD's
+//!   search trees over the preprocessed active set — the same universe
+//!   with vertex deletion on — and all three peel through the
+//!   [`PeelIndex`] it hands back. The built dense index is cached on the
+//!   context, keyed on the snapshot epoch and the universe, so a sweep
 //!   over `s` (whose universe is unchanged) re-indexes the graph once.
 //! * **Worker scheduling** — one crew type, a `PersistentPool`:
 //!   `threads − 1` worker threads, each with its own [`PeelWorkspace`],
@@ -538,11 +541,11 @@ impl SearchContext {
 
     /// Plans the peeling representation for `universe` (honoring the
     /// context's [`IndexChoice`] override) and hands back the unified
-    /// [`PeelIndex`] plus the driver workspace as a split borrow, so
-    /// candidate generation can peel on the driver while branch jobs share
-    /// the index. The dense index is cached across calls keyed on the
-    /// snapshot epoch and the universe, so a sweep whose preprocessed
-    /// universe is unchanged re-indexes the graph once.
+    /// [`PeelIndex`] plus the driver workspace as a split borrow, so the
+    /// search can peel on the driver while worker jobs share the index. The
+    /// dense index is cached across calls keyed on the snapshot epoch and
+    /// the universe, so a sweep whose preprocessed universe is unchanged —
+    /// or a GD query followed by a BU or TD one — re-indexes the graph once.
     pub(crate) fn peel_index<'a>(
         &'a mut self,
         g: &'a MultiLayerGraph,
@@ -602,9 +605,9 @@ impl Default for SearchContext {
 
 /// The unified peeling index [`plan_index`] hands back: one object wrapping
 /// whichever adjacency representation the cost model (or the caller's
-/// [`IndexChoice`] override) picked, consumed by the peeler and the lattice
-/// walk through the same kernel-dispatched API instead of each call site
-/// re-branching on [`IndexPath`].
+/// [`IndexChoice`] override) picked, consumed by the lattice walk and the
+/// BU/TD search trees through the same kernel-dispatched API instead of
+/// each call site re-branching on [`IndexPath`].
 ///
 /// On the CSR path the index space **is** the graph's vertex universe
 /// (`compress`/`emit` are identity copies and degrees scan adjacency
@@ -651,14 +654,14 @@ pub(crate) enum InheritOutcome {
 
 impl<'a> PeelIndex<'a> {
     /// Builds an index from an explicit plan and (for the dense path) the
-    /// pre-built dense subgraph; the ctx-less lattice entry point and
-    /// [`SearchContext::peel_index`] both go through here.
-    pub(crate) fn new(
-        g: &'a MultiLayerGraph,
-        dense: Option<&'a DenseSubgraph>,
-        plan: IndexPlan,
-    ) -> Self {
-        debug_assert_eq!(plan.path == IndexPath::Dense, dense.is_some());
+    /// dense subgraph built over the plan's universe; every search builds
+    /// its index through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dense` is given on a CSR plan or missing on a dense one.
+    pub fn new(g: &'a MultiLayerGraph, dense: Option<&'a DenseSubgraph>, plan: IndexPlan) -> Self {
+        assert_eq!(plan.path == IndexPath::Dense, dense.is_some(), "dense rows iff a dense plan");
         PeelIndex { g, dense, plan, kernel: mlgraph::kernels::kernel() }
     }
 
@@ -716,6 +719,20 @@ impl<'a> PeelIndex<'a> {
         })
     }
 
+    /// Translates one vertex-space set into index space: a copy on CSR, the
+    /// re-indexed set on the dense path (members outside the universe are
+    /// dropped).
+    pub fn compress(&self, set: &VertexSet) -> VertexSet {
+        match self.dense {
+            Some(dense) => {
+                let mut compressed = dense.new_set();
+                dense.compress_into(set, &mut compressed);
+                compressed
+            }
+            None => set.clone(),
+        }
+    }
+
     /// Returns `core` in vertex space for emission: the core itself on CSR,
     /// the expansion written into `buf` on the dense path.
     pub fn emit<'s>(&self, core: &'s VertexSet, buf: &'s mut VertexSet) -> &'s VertexSet {
@@ -725,6 +742,31 @@ impl<'a> PeelIndex<'a> {
                 buf
             }
             None => core,
+        }
+    }
+
+    /// [`PeelIndex::emit`] for an owned core: the core itself on CSR, a
+    /// fresh vertex-space expansion on the dense path.
+    pub fn emit_owned(&self, core: VertexSet) -> VertexSet {
+        match self.dense {
+            Some(dense) => {
+                let mut expanded = VertexSet::new(self.g.num_vertices());
+                dense.expand_into(&core, &mut expanded);
+                expanded
+            }
+            None => core,
+        }
+    }
+
+    /// The full multi-layer `dCC` peel in index space: count every member's
+    /// degree on each layer of `layers` inside `alive`, then cascade.
+    /// [`PeelWorkspace::peel_dense_in_place`] (kernel popcounts over the
+    /// rows) on the dense path, [`PeelWorkspace::peel_in_place`] (CSR
+    /// adjacency scans) otherwise; both leave `alive` the same d-CC.
+    pub fn peel(&self, ws: &mut PeelWorkspace, layers: &[Layer], d: u32, alive: &mut VertexSet) {
+        match self.dense {
+            Some(dense) => ws.peel_dense_in_place(dense, layers, d, alive),
+            None => ws.peel_in_place(self.g, layers, d, alive),
         }
     }
 

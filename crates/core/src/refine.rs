@@ -6,10 +6,13 @@
 //! pruning on the Class-1 layers (layers that can no longer be removed) and
 //! support pruning against the Class-2 layers. The child's exact d-CC
 //! `C_{L'}` lies inside `U_{L'}`, so the search extracts it with one
-//! restricted peel of `U_{L'}` over `L'` (see [`crate::top_down`]).
+//! restricted peel of `U_{L'}` over `L'` (see [`crate::top_down`]). Both
+//! sets, the layer cores and the Class-1 peel live in the space of the
+//! search's [`crate::engine::PeelIndex`]: dense rows or CSR adjacency.
 
+use crate::engine::PeelIndex;
 use coreness::PeelWorkspace;
-use mlgraph::{Layer, MultiLayerGraph, Vertex, VertexSet};
+use mlgraph::{Layer, Vertex, VertexSet};
 
 /// Refines the parent potential set `U_L` into `U_{L'}` (Fig. 9).
 ///
@@ -19,12 +22,13 @@ use mlgraph::{Layer, MultiLayerGraph, Vertex, VertexSet};
 /// (`N_{L'}`) are the still-removable layers; every surviving vertex must be
 /// contained in at least `s − |M_{L'}|` of their (preprocessed) d-cores.
 ///
-/// The Class-1 peel runs on `ws`, under whatever probe it carries; an
-/// aborted peel leaves the result a superset of the refined set.
+/// Every set is in `index`'s index space. The Class-1 peel runs on `index`
+/// and `ws`, under whatever probe `ws` carries; an aborted peel leaves the
+/// result a superset of the refined set.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_u(
     ws: &mut PeelWorkspace,
-    g: &MultiLayerGraph,
+    index: &PeelIndex<'_>,
     d: u32,
     s: usize,
     parent_potential: &VertexSet,
@@ -52,7 +56,7 @@ pub fn refine_u(
     if class1_layers.is_empty() || d == 0 {
         return u;
     }
-    ws.peel_in_place(g, class1_layers, d, &mut u);
+    index.peel(ws, class1_layers, d, &mut u);
     u
 }
 
@@ -60,9 +64,10 @@ pub fn refine_u(
 mod tests {
     use super::*;
     use crate::config::{DccsOptions, DccsParams};
+    use crate::engine::{plan_index_with, IndexChoice};
     use crate::preprocess::{preprocess, Preprocessed};
     use coreness::d_coherent_core;
-    use mlgraph::MultiLayerGraphBuilder;
+    use mlgraph::{MultiLayerGraph, MultiLayerGraphBuilder};
 
     fn clique(b: &mut MultiLayerGraphBuilder, layer: usize, vs: &[u32]) {
         for i in 0..vs.len() {
@@ -95,22 +100,29 @@ mod tests {
         (g, pre, PeelWorkspace::new())
     }
 
+    /// A CSR index over the active set, whose index space is vertex space.
+    fn csr_index<'a>(g: &'a MultiLayerGraph, pre: &Preprocessed) -> PeelIndex<'a> {
+        PeelIndex::new(g, None, plan_index_with(g, &pre.active, IndexChoice::Csr))
+    }
+
     #[test]
     fn refine_u_degree_rule_removes_sparse_vertices() {
         let (g, pre, mut ws) = setup(3, 2);
+        let ix = csr_index(&g, &pre);
         // Class 1 = {2}: on layer 2 only clique A is 3-dense.
-        let u = refine_u(&mut ws, &g, 3, 2, &pre.active, &[2], &[0, 1], &pre.layer_cores);
+        let u = refine_u(&mut ws, &ix, 3, 2, &pre.active, &[2], &[0, 1], &pre.layer_cores);
         assert_eq!(u.to_vec(), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn refine_u_support_rule_uses_class2_cores() {
         let (g, pre, mut ws) = setup(3, 2);
+        let ix = csr_index(&g, &pre);
         // No Class-1 layers: every vertex must lie in ≥ 2 of the Class-2 cores.
-        let u = refine_u(&mut ws, &g, 3, 2, &pre.active, &[], &[0, 1, 2], &pre.layer_cores);
+        let u = refine_u(&mut ws, &ix, 3, 2, &pre.active, &[], &[0, 1, 2], &pre.layer_cores);
         // A is in 3 cores, B in 2 cores → all kept.
         assert_eq!(u.len(), 8);
-        let u = refine_u(&mut ws, &g, 3, 3, &pre.active, &[], &[0, 1, 2], &pre.layer_cores);
+        let u = refine_u(&mut ws, &ix, 3, 3, &pre.active, &[], &[0, 1, 2], &pre.layer_cores);
         // s = 3 requires membership in all three cores → only A.
         assert_eq!(u.to_vec(), vec![0, 1, 2, 3]);
     }
@@ -118,13 +130,14 @@ mod tests {
     #[test]
     fn refine_u_is_never_smaller_than_the_true_core() {
         let (g, pre, mut ws) = setup(3, 2);
+        let ix = csr_index(&g, &pre);
         for (class1, class2) in [
             (vec![0], vec![1, 2]),
             (vec![0, 1], vec![2]),
             (vec![2], vec![0, 1]),
             (vec![], vec![0, 1, 2]),
         ] {
-            let u = refine_u(&mut ws, &g, 3, 2, &pre.active, &class1, &class2, &pre.layer_cores);
+            let u = refine_u(&mut ws, &ix, 3, 2, &pre.active, &class1, &class2, &pre.layer_cores);
             // Any level-s descendant keeps every Class-1 layer and fills the
             // rest from Class-2; each such descendant's core must be inside U.
             let all: Vec<usize> = class1.iter().chain(class2.iter()).copied().collect();
@@ -142,7 +155,8 @@ mod tests {
     #[test]
     fn refine_u_with_d_zero_only_applies_support_rule() {
         let (g, pre, mut ws) = setup(2, 2);
-        let u = refine_u(&mut ws, &g, 0, 1, &pre.active, &[0], &[1, 2], &pre.layer_cores);
+        let ix = csr_index(&g, &pre);
+        let u = refine_u(&mut ws, &ix, 0, 1, &pre.active, &[0], &[1, 2], &pre.layer_cores);
         assert_eq!(u.len(), pre.active.len());
     }
 }

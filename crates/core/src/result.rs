@@ -47,7 +47,8 @@ impl CoherentCore {
 pub struct PhaseTimes {
     /// Vertex deletion, layer sorting, and `InitTopK` preprocessing.
     pub preprocess: Duration,
-    /// Candidate generation / search-tree traversal.
+    /// Candidate generation / search-tree traversal, including the index
+    /// plan and any dense-row build the search peels over.
     pub search: Duration,
     /// Final greedy max-k-cover selection (zero for the search-tree
     /// algorithms, which maintain top-k incrementally during search).
@@ -87,15 +88,18 @@ pub struct SearchStats {
     /// computed. Excluded from equality (like `served_from_cache`): a
     /// memoized fixpoint *is* the computed one.
     pub preprocess_memo_hit: bool,
-    /// Which adjacency representation candidate generation peeled over —
-    /// the [`crate::engine`] cost model's per-run dense-vs-CSR decision.
-    /// `None` for the search-tree algorithms, which always peel CSR.
+    /// Which adjacency representation the search peeled over — the
+    /// [`crate::engine`] cost model's per-run dense-vs-CSR decision, or the
+    /// [`crate::DccsOptions::index`] override — for the lattice walk of GD
+    /// and the exact solver and for BU's and TD's search trees alike.
+    /// `None` when nothing was peeled, as on an answer served from a
+    /// [`crate::DccIndex`].
     pub index_path: Option<IndexPath>,
-    /// Heap footprint in bytes of the adjacency index candidate generation
-    /// peeled over: the flat dense rows on the dense path, 0 on the CSR
-    /// path, where no index is built. A memory diagnostic for the
-    /// large-scale bench tier — excluded from equality like the timings:
-    /// it describes the machine-side cost, not the answer.
+    /// Heap footprint in bytes of the adjacency index the search peeled
+    /// over: the flat dense rows on the dense path, 0 on the CSR path,
+    /// where no index is built. A memory diagnostic for the large-scale
+    /// bench tier — excluded from equality like the timings: it describes
+    /// the machine-side cost, not the answer.
     pub index_bytes: usize,
     /// Capacity in bytes of the driver workspace's peel scratch buffers
     /// after the run (degree arrays, cascade queue, bins). Like

@@ -312,7 +312,7 @@ impl Query<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{auto_threads, bottom_up_dccs, greedy_dccs, ServePath};
+    use crate::{auto_threads, bottom_up_dccs, greedy_dccs, IndexPath, ServePath};
     use mlgraph::MultiLayerGraphBuilder;
 
     fn clique(b: &mut MultiLayerGraphBuilder, layer: usize, vs: &[u32]) {
@@ -599,32 +599,36 @@ mod tests {
     #[test]
     fn forced_dense_over_the_memory_ceiling_is_a_typed_error() {
         let g = graph();
-        let mut session = DccsSession::with_options(
-            &g,
-            DccsOptions { index: crate::IndexChoice::Dense, ..DccsOptions::default() },
-        );
-        let err = session
-            .query(DccsParams::new(2, 2, 2))
-            .algorithm(Algorithm::Greedy)
-            .limits(QueryLimits::none().with_max_dense_words(0))
-            .run()
-            .unwrap_err();
-        match &err {
-            DccsError::MemoryLimit { required_words, limit_words, .. } => {
-                assert!(*required_words > 0);
-                assert_eq!(*limit_words, 0);
+        let params = DccsParams::new(2, 2, 2);
+        let ceiling = QueryLimits::none().with_max_dense_words(0);
+        for algorithm in [Algorithm::Greedy, Algorithm::BottomUp, Algorithm::TopDown] {
+            let mut session = DccsSession::with_options(
+                &g,
+                DccsOptions { index: crate::IndexChoice::Dense, ..DccsOptions::default() },
+            );
+            let err = session.query(params).algorithm(algorithm).limits(ceiling).run().unwrap_err();
+            match &err {
+                DccsError::MemoryLimit { required_words, limit_words, .. } => {
+                    assert!(*required_words > 0);
+                    assert_eq!(*limit_words, 0);
+                }
+                other => panic!("{}: expected MemoryLimit, got {other:?}", algorithm.name()),
             }
-            other => panic!("expected MemoryLimit, got {other:?}"),
+            // Auto index under the same ceiling silently uses CSR instead,
+            // with the unlimited answer.
+            let mut auto = DccsSession::new(&g);
+            let unlimited = auto.query(params).algorithm(algorithm).run().unwrap();
+            let ok = auto
+                .query(params)
+                .algorithm(algorithm)
+                .limits(ceiling)
+                .run()
+                .expect("auto falls back to CSR");
+            assert!(ok.stats.complete);
+            assert_eq!(ok.stats.index_path, Some(IndexPath::Csr), "{}", algorithm.name());
+            assert_eq!(ok.cores, unlimited.cores, "{}", algorithm.name());
+            assert_eq!(ok.cover.to_vec(), unlimited.cover.to_vec(), "{}", algorithm.name());
         }
-        // Auto index under the same ceiling silently uses CSR instead.
-        let mut auto = DccsSession::new(&g);
-        let ok = auto
-            .query(DccsParams::new(2, 2, 2))
-            .algorithm(Algorithm::Greedy)
-            .limits(QueryLimits::none().with_max_dense_words(0))
-            .run()
-            .expect("auto falls back to CSR");
-        assert!(ok.stats.complete);
     }
 
     #[test]

@@ -38,11 +38,20 @@
 //! pruning bound, so nothing has to be frozen into the task payload: every
 //! pruning decision runs at a deterministic commit moment, and the search
 //! is bit-identical at any thread count.
+//!
+//! Every peel — the root, `RefineU`'s Class-1 peel, the child peel and the
+//! Lemma-7 representative — runs on the [`crate::engine::PeelIndex`] the
+//! cost model plans over the preprocessed active set, as GD's lattice walk
+//! does: over word-level dense rows (degrees counted as
+//! `popcount(row ∧ alive)`) or over the CSR adjacency, with identical
+//! results. Cores, potential sets and layer cores live in the index's
+//! space and are expanded to vertex space only where the result set reads
+//! them: the Eq. (1) checks and `Update`.
 
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::TopKDiversified;
-use crate::engine::{drive_task_graph, PoolRef, SearchContext};
+use crate::engine::{drive_task_graph, PeelIndex, PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::limits::QueryMonitor;
 use crate::preprocess::init_topk_in;
@@ -91,18 +100,28 @@ pub(crate) fn top_down_dccs_on(
     stats.phase.preprocess = start.elapsed();
 
     let search_start = Instant::now();
+    let monitor = ctx.monitor().cloned();
+    let mon = monitor.as_deref();
+
+    // The tree peels in index space over the active set; the plan and any
+    // dense build are search time, as in GD. Cores are expanded back to
+    // vertex space only where the result set reads them.
+    let (index, driver_ws) = ctx.peel_index(g, &pre.active);
+    stats.index_path = Some(index.path());
+    stats.index_bytes = index.index_bytes();
+    let active = index.compress(&pre.active);
+    let cores_ix = index.compress_layer_cores(&pre.layer_cores);
+    let layer_cores: &[VertexSet] = cores_ix.as_deref().unwrap_or(&pre.layer_cores);
 
     // Root: C_{[l]} computed over the active vertex set, under the query's
     // probe — the root peel is the single largest cascade of the search.
-    let monitor = ctx.monitor().cloned();
-    let mon = monitor.as_deref();
     let all_positions: Vec<usize> = (0..l).collect();
     let all_layers: Vec<Layer> = order.clone();
     stats.dcc_calls += 1;
-    let mut root_core = pre.active.clone();
-    ctx.ws.set_probe(mon.map(QueryMonitor::probe));
-    ctx.ws.peel_in_place(g, &all_layers, params.d, &mut root_core);
-    ctx.ws.set_probe(None);
+    let mut root_core = active.clone();
+    driver_ws.set_probe(mon.map(QueryMonitor::probe));
+    index.peel(driver_ws, &all_layers, params.d, &mut root_core);
+    driver_ws.set_probe(None);
 
     if params.s == l {
         // An aborted root peel leaves `root_core` a superset of the true
@@ -112,7 +131,7 @@ pub(crate) fn top_down_dccs_on(
             if let Some(m) = mon {
                 m.charge_candidates(1);
             }
-            topk.try_update(CoherentCore::new(all_layers, root_core));
+            topk.try_update(CoherentCore::new(all_layers, index.emit_owned(root_core)));
         }
         stats.phase.search = search_start.elapsed();
         if let Some(kind) = mon.and_then(QueryMonitor::hit) {
@@ -126,7 +145,6 @@ pub(crate) fn top_down_dccs_on(
     let d = params.d;
     let s = params.s;
     let order_ref: &[Layer] = &order;
-    let layer_cores: &[VertexSet] = &pre.layer_cores;
 
     // Evaluating one `TD-Gen` node: compute every child `L' = L − {j}`
     // (`RefineU` then the child peel), in removable-position order. Runs on
@@ -162,7 +180,7 @@ pub(crate) fn top_down_dccs_on(
                     child_positions.iter().filter(|&&p| p > j).map(|&p| order_ref[p]).collect();
                 let layers: Vec<Layer> = child_positions.iter().map(|&p| order_ref[p]).collect();
                 let spec = TdChildSpec { j, child_positions, class1, class2, layers };
-                eval_child(g, d, s, layer_cores, spec, &potential, ws)
+                eval_child(&index, d, s, layer_cores, spec, &potential, ws)
             })
             .collect();
         ws.set_probe(None);
@@ -170,14 +188,15 @@ pub(crate) fn top_down_dccs_on(
     };
 
     {
-        let root = TdTask { positions: all_positions, potential: pre.active.clone() };
+        let root = TdTask { positions: all_positions, potential: active };
         let topk = &mut topk;
         let stats = &mut stats;
+        let mut expanded = VertexSet::new(g.num_vertices());
         // Committing one node, in pre-order on the driver: order the
         // children by |U_{L'}| and apply Lemmas 5–7 against the live result
         // set, update R from leaves and Lemma-7 representatives, and spawn
         // the children that must be expanded.
-        drive_task_graph(pool, &mut ctx.ws, vec![root], &eval, |mut ev: TdNodeEval, ws, spawn| {
+        drive_task_graph(pool, driver_ws, vec![root], &eval, |mut ev: TdNodeEval, ws, spawn| {
             fault::fire(mon, site::GRAPH_COMMIT);
             // Once a limit trips, commit nothing more: children evaluated
             // after the hit may be probe-aborted supersets, and `topk`
@@ -197,7 +216,7 @@ pub(crate) fn top_down_dccs_on(
                     if child.positions.len() == s {
                         let layers: Vec<Layer> =
                             child.positions.iter().map(|&p| order[p]).collect();
-                        topk.try_update(CoherentCore::new(layers, child.core));
+                        topk.try_update(CoherentCore::new(layers, index.emit_owned(child.core)));
                     } else {
                         spawn.push(TdTask {
                             positions: child.positions,
@@ -217,12 +236,12 @@ pub(crate) fn top_down_dccs_on(
                 }
                 if child.positions.len() == s {
                     let layers: Vec<Layer> = child.positions.iter().map(|&p| order[p]).collect();
-                    topk.try_update(CoherentCore::new(layers, child.core));
+                    topk.try_update(CoherentCore::new(layers, index.emit_owned(child.core)));
                     continue;
                 }
                 // Lemma 5: prune when even the potential set cannot satisfy
                 // Eq. (1).
-                if !topk.satisfies_eq1(&child.potential) {
+                if !topk.satisfies_eq1(index.emit(&child.potential, &mut expanded)) {
                     stats.subtrees_pruned += 1;
                     continue;
                 }
@@ -233,7 +252,7 @@ pub(crate) fn top_down_dccs_on(
                     child.positions.iter().copied().filter(|&p| p > child.removed).collect();
                 let need_remove = child.positions.len() - s;
                 if opts.potential_pruning
-                    && topk.satisfies_eq1(&child.core)
+                    && topk.satisfies_eq1(index.emit(&child.core, &mut expanded))
                     && topk.satisfies_eq2(child.potential.len())
                 {
                     if removable_below.len() < need_remove {
@@ -256,9 +275,9 @@ pub(crate) fn top_down_dccs_on(
                     // The representative peel runs on the driver's workspace
                     // with no probe installed, so it always completes and
                     // the update below is always a true d-CC.
-                    let mut core = child.potential.clone();
-                    ws.peel_in_place(g, &layers, d, &mut core);
-                    topk.try_update(CoherentCore::new(layers, core));
+                    let mut core = child.potential;
+                    index.peel(ws, &layers, d, &mut core);
+                    topk.try_update(CoherentCore::new(layers, index.emit_owned(core)));
                     stats.subtrees_pruned += 1;
                     continue;
                 }
@@ -283,7 +302,7 @@ pub(crate) fn top_down_dccs_on(
 struct TdTask {
     /// Tree positions of the node's layer subset `L` (ascending).
     positions: Vec<usize>,
-    /// The node's potential vertex set `U_L`.
+    /// The node's potential vertex set `U_L`, in index space.
     potential: VertexSet,
 }
 
@@ -293,7 +312,7 @@ struct TdNodeEval {
     children: Vec<TdChild>,
 }
 
-/// A child node of the top-down search tree.
+/// A child node of the top-down search tree, its sets in index space.
 struct TdChild {
     positions: Vec<usize>,
     core: VertexSet,
@@ -316,9 +335,10 @@ struct TdChildSpec {
 /// One child evaluation on the evaluating worker's workspace: `RefineU`
 /// shrinks the parent's `U_L` into `U_{L'}`, then one peel of `U_{L'}` over
 /// `L'` extracts the exact `C_{L'}` (every d-CC below the node lies inside
-/// its potential set). Both peels run under whatever probe `ws` carries.
+/// its potential set). Both peels run on `index`, in its index space, under
+/// whatever probe `ws` carries.
 fn eval_child(
-    g: &MultiLayerGraph,
+    index: &PeelIndex<'_>,
     d: u32,
     s: usize,
     layer_cores: &[VertexSet],
@@ -327,9 +347,9 @@ fn eval_child(
     ws: &mut PeelWorkspace,
 ) -> TdChild {
     let TdChildSpec { j, child_positions, class1, class2, layers } = spec;
-    let potential = refine_u(ws, g, d, s, u_l, &class1, &class2, layer_cores);
+    let potential = refine_u(ws, index, d, s, u_l, &class1, &class2, layer_cores);
     let mut core = potential.clone();
-    ws.peel_in_place(g, &layers, d, &mut core);
+    index.peel(ws, &layers, d, &mut core);
     TdChild { positions: child_positions, core, potential, removed: j }
 }
 

@@ -192,8 +192,11 @@ fn stats_record_the_cost_model_crossover() {
         }
     }
     let dense_graph = b.build();
-    let r = greedy_dccs(&dense_graph, &DccsParams::new(2, 2, 2));
-    assert_eq!(r.stats.index_path, Some(IndexPath::Dense), "small dense universe → dense rows");
+    for run in [greedy_dccs, bottom_up_dccs, top_down_dccs] {
+        let r = run(&dense_graph, &DccsParams::new(2, 2, 2));
+        let alg = r.stats.algorithm.unwrap().name();
+        assert_eq!(r.stats.index_path, Some(IndexPath::Dense), "{alg}: small dense universe");
+    }
 
     // Two layers, each a 4000-cycle: with d = 1 the universe is the whole
     // graph (m = 4000, 63 words per row) while the average degree is 2 —
@@ -205,7 +208,10 @@ fn stats_record_the_cost_model_crossover() {
         }
     }
     let sparse_graph = b.build();
-    let r = greedy_dccs(&sparse_graph, &DccsParams::new(1, 2, 2));
-    assert_eq!(r.stats.index_path, Some(IndexPath::Csr), "wide sparse universe → CSR fallback");
-    assert_eq!(r.cover_size(), 4000, "the 1-CC of the double cycle is everything");
+    for run in [greedy_dccs, bottom_up_dccs, top_down_dccs] {
+        let r = run(&sparse_graph, &DccsParams::new(1, 2, 2));
+        let alg = r.stats.algorithm.unwrap().name();
+        assert_eq!(r.stats.index_path, Some(IndexPath::Csr), "{alg}: wide sparse universe → CSR");
+        assert_eq!(r.cover_size(), 4000, "{alg}: the 1-CC of the double cycle is everything");
+    }
 }

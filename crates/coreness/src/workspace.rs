@@ -14,6 +14,8 @@
 //! * [`PeelWorkspace::peel_in_place`] — the multi-layer `dCC` cascade
 //!   (Appendix B): shrinks a candidate [`VertexSet`] to the maximal subset
 //!   whose members have degree ≥ `d` inside it on every layer of `L`.
+//! * [`PeelWorkspace::peel_dense_in_place`] — the same peel over the
+//!   word-level rows of a [`DenseSubgraph`].
 //! * [`PeelWorkspace::peel_layer_in_place`] — the single-layer d-core
 //!   threshold peel used by preprocessing.
 //! * [`PeelWorkspace::core_numbers_into`] — the Batagelj–Zaversnik bin-sort
@@ -208,6 +210,12 @@ impl PeelWorkspace {
         if self.degrees.len() < layers * n {
             self.degrees.resize(layers * n, 0);
         }
+        self.reserve_queue(n);
+    }
+
+    /// Sizes the cascade queue and its queued marks for `n` vertices — all
+    /// a cascade over caller-owned degree arrays borrows.
+    fn reserve_queue(&mut self, n: usize) {
         if self.queued.len() < n {
             self.queued.resize(n, 0);
         }
@@ -279,6 +287,48 @@ impl PeelWorkspace {
         );
     }
 
+    /// [`PeelWorkspace::peel_in_place`] over a [`DenseSubgraph`]: `alive`
+    /// lives in the re-indexed universe `0..m`, every member's degree on
+    /// each layer of `layers` is counted as `popcount(row ∧ alive)` through
+    /// the dispatched bit kernel into the workspace's own degree arrays, and
+    /// [`PeelWorkspace::cascade_dense`] peels from there. On return `alive`
+    /// is the compression of what `peel_in_place` leaves of its expansion.
+    ///
+    /// `layers` are original layer indices into the dense subgraph's layer
+    /// axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty or `alive` is not over the dense
+    /// universe.
+    pub fn peel_dense_in_place(
+        &mut self,
+        dense: &DenseSubgraph,
+        layers: &[Layer],
+        d: u32,
+        alive: &mut VertexSet,
+    ) {
+        assert!(!layers.is_empty(), "peel_dense_in_place requires a non-empty layer set");
+        let m = dense.len();
+        assert_eq!(alive.capacity(), m, "alive set must be over the dense universe");
+        if d == 0 || alive.is_empty() {
+            return;
+        }
+        self.reserve_multi(m, layers.len());
+        let kernel = mlgraph::kernels::kernel();
+        // Taken out of the workspace for the cascade's split borrow, and
+        // put back below; nothing is allocated either way.
+        let mut degrees = std::mem::take(&mut self.degrees);
+        for (j, &layer) in layers.iter().enumerate() {
+            let deg = &mut degrees[j * m..(j + 1) * m];
+            for v in alive.iter() {
+                deg[v as usize] = kernel.and_count(alive.words(), dense.row(layer, v)) as u32;
+            }
+        }
+        self.cascade_dense(dense, layers, d, alive, &mut degrees);
+        self.degrees = degrees;
+    }
+
     /// Runs only the cascading removal phase of the multi-layer peel, over
     /// caller-owned degree arrays laid out as `degrees[j*n + v]`.
     ///
@@ -303,7 +353,7 @@ impl PeelWorkspace {
         if d == 0 || alive.is_empty() {
             return;
         }
-        self.reserve_multi(n, 1);
+        self.reserve_queue(n);
         let epoch = self.next_epoch();
         run_cascade(
             g,
@@ -403,7 +453,7 @@ impl PeelWorkspace {
         if d == 0 || alive.is_empty() {
             return;
         }
-        self.reserve_multi(m, 1);
+        self.reserve_queue(m);
         let epoch = self.next_epoch();
         let probe = self.probe.as_deref();
         let wpr = dense.words_per_row();

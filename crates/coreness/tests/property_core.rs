@@ -8,7 +8,7 @@ use coreness::{
     core_numbers, d_coherent_core, d_coherent_core_in, d_coherent_core_naive, d_core, is_d_dense,
     is_d_dense_multilayer, PeelWorkspace,
 };
-use mlgraph::{Csr, MultiLayerGraph, Vertex, VertexSet};
+use mlgraph::{Csr, DenseSubgraph, MultiLayerGraph, Vertex, VertexSet};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over `n` vertices.
@@ -181,6 +181,33 @@ proptest! {
                 prop_assert_eq!(out.to_vec(), engine.to_vec(),
                     "explicit workspace vs thread-local: layers={:?} d={}", layers, d);
             }
+        }
+    }
+
+    #[test]
+    fn dense_peel_matches_csr_peel_on_the_expanded_set(
+        graph in multilayer_strategy(90, 3, 420),
+        d in 1u32..5,
+        universe in prop::collection::vec(0u32..90, 40..90),
+        alive in prop::collection::vec(0u32..90, 0..90),
+    ) {
+        // Universes of up to 90 vertices take two-word rows; one workspace
+        // serves every layer set, so no state may leak between peels.
+        let n = graph.num_vertices();
+        let universe = VertexSet::from_iter(n, universe);
+        let dense = DenseSubgraph::build(&graph, &universe);
+        let m = dense.len();
+        let alive_ix = VertexSet::from_iter(m, alive.into_iter().filter(|&v| (v as usize) < m));
+        let mut ws = PeelWorkspace::new();
+        for layers in [vec![0usize], vec![2], vec![0, 1], vec![1, 2], vec![0, 1, 2]] {
+            let mut expanded = VertexSet::new(n);
+            dense.expand_into(&alive_ix, &mut expanded);
+            ws.peel_in_place(&graph, &layers, d, &mut expanded);
+            let mut peeled = alive_ix.clone();
+            ws.peel_dense_in_place(&dense, &layers, d, &mut peeled);
+            let mut back = VertexSet::new(n);
+            dense.expand_into(&peeled, &mut back);
+            prop_assert_eq!(back.to_vec(), expanded.to_vec(), "layers={:?} d={}", layers, d);
         }
     }
 

@@ -23,7 +23,7 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<MultiLayerGraph> {
     // Each record keeps its file line, so errors found while building
     // (self loops) name the line the user wrote.
     let mut records: Vec<(usize, String, String, usize)> = Vec::new();
-    let mut max_layer = 0usize;
+    let mut num_layers = 0usize;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let line_no = idx + 1;
@@ -48,13 +48,18 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<MultiLayerGraph> {
             line: line_no,
             message: format!("layer `{layer}` is not a non-negative integer"),
         })?;
-        max_layer = max_layer.max(layer);
+        // Layer `usize::MAX` would need one layer more than `usize` counts.
+        let count = layer.checked_add(1).ok_or_else(|| GraphError::Parse {
+            line: line_no,
+            message: format!("layer `{layer}` is too large: the layer count would overflow"),
+        })?;
+        num_layers = num_layers.max(count);
         records.push((line_no, src.to_string(), dst.to_string(), layer));
     }
     if records.is_empty() {
         return Err(GraphError::InvalidArgument("edge list contains no edges".into()));
     }
-    let mut builder = MultiLayerGraphBuilder::with_labels(max_layer + 1);
+    let mut builder = MultiLayerGraphBuilder::with_labels(num_layers);
     for (line_no, src, dst, layer) in &records {
         builder.add_labeled_edge(*layer, src, dst).map_err(|e| match e {
             GraphError::SelfLoop { vertex } => GraphError::Parse {
@@ -127,6 +132,18 @@ mod tests {
     fn rejects_non_numeric_layer() {
         let err = parse_edge_list(Cursor::new("a b x\n")).unwrap_err();
         assert!(matches!(err, GraphError::Parse { .. }));
+    }
+
+    #[test]
+    fn rejects_a_layer_id_whose_count_overflows_on_its_own_line() {
+        let text = format!("a b 3\nc d {}\n", usize::MAX);
+        let err = parse_edge_list(Cursor::new(text)).unwrap_err();
+        match err {
+            GraphError::Parse { line: 2, message } => {
+                assert!(message.contains(&usize::MAX.to_string()), "{message}")
+            }
+            other => panic!("expected a parse error on line 2, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use datasets::{all_datasets, generate, DatasetId, Scale};
 use dccs::{
-    bottom_up_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsParams, DccsSession, QuerySpec,
+    bottom_up_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsOptions, DccsParams, DccsSession,
+    IndexChoice, QuerySpec,
 };
 use mlgraph::GraphStats;
 
@@ -66,6 +67,19 @@ fn top_down_reports_exact_d_ccs_across_a_parameter_sweep() {
     // TD-DCCS extracts each child's core from its refined potential set; a
     // core that misses vertices of the true d-CC is still d-dense, so only a
     // comparison with the whole graph's d-CC of the same layers catches it.
+    assert_search_tree_reports_exact_d_ccs(Algorithm::TopDown);
+}
+
+#[test]
+fn bottom_up_reports_exact_d_ccs_across_a_parameter_sweep() {
+    assert_search_tree_reports_exact_d_ccs(Algorithm::BottomUp);
+}
+
+/// Runs `algorithm` on the PPI and Author tiny analogues over d 1..=4,
+/// s 2..=min(l, 8) and k 5/10/20, under the cost model and under forced
+/// CSR and dense peeling, and checks every reported core against the whole
+/// graph's d-CC of its layers.
+fn assert_search_tree_reports_exact_d_ccs(algorithm: Algorithm) {
     for id in [DatasetId::Ppi, DatasetId::Author] {
         let ds = generate(id, Scale::Tiny);
         let g = &ds.graph;
@@ -76,21 +90,25 @@ fn top_down_reports_exact_d_ccs_across_a_parameter_sweep() {
             })
             .collect();
         let specs: Vec<QuerySpec> =
-            params.iter().map(|&p| QuerySpec::new(p).with_algorithm(Algorithm::TopDown)).collect();
-        let results = DccsSession::new(g).run_batch(&specs).unwrap();
-        for (p, result) in params.iter().zip(results) {
-            let result = result.unwrap();
-            for core in &result.cores {
-                let full = coreness::d_coherent_core_full(g, &core.layers, p.d);
-                assert_eq!(
-                    core.vertices.to_vec(),
-                    full.to_vec(),
-                    "{id:?} d={} s={} k={}: core on layers {:?} is not the d-CC",
-                    p.d,
-                    p.s,
-                    p.k,
-                    core.layers
-                );
+            params.iter().map(|&p| QuerySpec::new(p).with_algorithm(algorithm)).collect();
+        for index in [IndexChoice::Auto, IndexChoice::Csr, IndexChoice::Dense] {
+            let opts = DccsOptions { index, ..DccsOptions::default() };
+            let results = DccsSession::with_options(g, opts).run_batch(&specs).unwrap();
+            for (p, result) in params.iter().zip(results) {
+                let result = result.unwrap();
+                for core in &result.cores {
+                    let full = coreness::d_coherent_core_full(g, &core.layers, p.d);
+                    assert_eq!(
+                        core.vertices.to_vec(),
+                        full.to_vec(),
+                        "{} {id:?} {index:?} d={} s={} k={}: core on layers {:?} is not the d-CC",
+                        algorithm.name(),
+                        p.d,
+                        p.s,
+                        p.k,
+                        core.layers
+                    );
+                }
             }
         }
     }

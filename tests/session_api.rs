@@ -4,7 +4,7 @@
 //! surface.
 
 use datasets::{generate, DatasetId, Scale};
-use dccs::{Algorithm, DccsError, DccsParams, DccsSession, QuerySpec};
+use dccs::{Algorithm, DccsError, DccsParams, DccsSession, QuerySpec, SearchStats};
 
 #[test]
 fn auto_selection_follows_the_paper_regimes_on_tiny_analogues() {
@@ -213,29 +213,38 @@ fn every_algorithm_is_reachable_through_the_session() {
 }
 
 /// The `--index` override must select the recorded peeling representation
-/// without changing any result, and the session must keep serving queries
-/// on its persistent crew across overrides and thread widths.
+/// without changing any result, for the lattice walk and both search trees,
+/// and the session must keep serving queries on its persistent crew across
+/// overrides and thread widths.
 #[test]
 fn index_override_is_recorded_and_bit_identical() {
     use dccs::{DccsOptions, IndexChoice, IndexPath};
     let ds = generate(DatasetId::Ppi, Scale::Tiny);
     let params = DccsParams::new(2, 2, 5);
-    let reference =
-        DccsSession::new(&ds.graph).query(params).algorithm(Algorithm::Greedy).run().unwrap();
-    for (choice, expect) in
-        [(IndexChoice::Csr, Some(IndexPath::Csr)), (IndexChoice::Dense, Some(IndexPath::Dense))]
-    {
-        for threads in [1usize, 3] {
-            let opts = DccsOptions { index: choice, threads, ..DccsOptions::default() };
-            let mut session = DccsSession::with_options(&ds.graph, opts);
-            let result = session.query(params).algorithm(Algorithm::Greedy).run().unwrap();
-            assert_eq!(result.stats.index_path, expect, "{choice:?} threads={threads}");
-            assert_eq!(result.cores, reference.cores, "{choice:?} threads={threads}");
-            assert_eq!(result.cover.to_vec(), reference.cover.to_vec());
-            // A second query on the same session reuses the crew and the
-            // context caches; still identical.
-            let again = session.query(params).algorithm(Algorithm::Greedy).run().unwrap();
-            assert_eq!(again.cores, reference.cores, "{choice:?} threads={threads} (second)");
+    for algorithm in [Algorithm::Greedy, Algorithm::BottomUp, Algorithm::TopDown] {
+        let reference =
+            DccsSession::new(&ds.graph).query(params).algorithm(algorithm).run().unwrap();
+        for (choice, expect) in [
+            (IndexChoice::Csr, Some(IndexPath::Csr)),
+            (IndexChoice::Dense, Some(IndexPath::Dense)),
+            (IndexChoice::Auto, reference.stats.index_path),
+        ] {
+            for threads in [1usize, 3] {
+                let label = format!("{} {choice:?} threads={threads}", algorithm.name());
+                let opts = DccsOptions { index: choice, threads, ..DccsOptions::default() };
+                let mut session = DccsSession::with_options(&ds.graph, opts);
+                let result = session.query(params).algorithm(algorithm).run().unwrap();
+                assert_eq!(result.stats.index_path, expect, "{label}");
+                assert_eq!(result.cores, reference.cores, "{label}");
+                assert_eq!(result.cover.to_vec(), reference.cover.to_vec(), "{label}");
+                // Every other Eq-compared counter is representation-blind.
+                let stats = SearchStats { index_path: reference.stats.index_path, ..result.stats };
+                assert_eq!(stats, reference.stats, "{label}");
+                // A second query on the same session reuses the crew and the
+                // context caches; still identical.
+                let again = session.query(params).algorithm(algorithm).run().unwrap();
+                assert_eq!(again.cores, reference.cores, "{label} (second)");
+            }
         }
     }
 }
