@@ -640,16 +640,12 @@ impl std::fmt::Debug for PeelIndex<'_> {
 /// [`crate::LatticeStats::recount_fallbacks`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum InheritOutcome {
-    /// Dense walk: word-restricted `popcount(row ∧ removed)` subtraction.
-    DenseInherited,
-    /// Dense walk: the removed set spanned full rows, so the degrees were
-    /// recounted from scratch (the German-`d=2` failure mode).
-    DenseRecount,
-    /// CSR walk: parent counts patched by the removed vertices' edges.
-    CsrPatched,
-    /// CSR walk: the intersection dropped most of the parent, so the (now
-    /// small) child was rescanned instead.
-    CsrRecount,
+    /// The parent's counts were copied and patched by the removed
+    /// vertices' edges into the child.
+    Patched,
+    /// The intersection dropped most of the parent, so the (now small)
+    /// child was recounted from scratch instead.
+    Recounted,
 }
 
 impl<'a> PeelIndex<'a> {
@@ -700,6 +696,37 @@ impl<'a> PeelIndex<'a> {
         match self.dense {
             Some(dense) => self.kernel.and_count(set.words(), dense.row(layer, v)),
             None => self.g.layer(layer).degree_within(v, set),
+        }
+    }
+
+    /// Calls `f(u)` for every `u ∈ N_layer(v) ∩ set` in index space, in
+    /// ascending order — the set bits of `row ∧ set` on the dense path, the
+    /// adjacency list filtered by membership on CSR.
+    #[inline]
+    pub(crate) fn for_each_neighbor_within(
+        &self,
+        layer: Layer,
+        v: Vertex,
+        set: &VertexSet,
+        mut f: impl FnMut(Vertex),
+    ) {
+        match self.dense {
+            Some(dense) => {
+                for (w, (&r, &s)) in dense.row(layer, v).iter().zip(set.words()).enumerate() {
+                    let mut bits = r & s;
+                    while bits != 0 {
+                        f((w * 64 + bits.trailing_zeros() as usize) as Vertex);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            None => {
+                for &u in self.g.layer(layer).neighbors(v) {
+                    if set.contains(u) {
+                        f(u);
+                    }
+                }
+            }
         }
     }
 
@@ -790,25 +817,21 @@ impl<'a> PeelIndex<'a> {
         }
     }
 
-    /// Builds a lattice child's prefix-layer degree rows from its parent's:
-    /// the representation-specific inheritance strategy behind one API.
+    /// Builds a lattice child's prefix-layer degree rows from its parent's,
+    /// by one rule on both representations.
     ///
-    /// Dense: each survivor's degree shrinks by exactly `|row ∧ removed|`,
-    /// subtracted over **only the non-zero words of the removed set** —
-    /// a strict win whenever the removals span fewer words than a full row,
-    /// with a from-scratch recount fallback otherwise (the measured
-    /// failure mode on the German `d = 2` shape, now counted in
-    /// [`crate::LatticeStats::recount_fallbacks`]).
-    ///
-    /// CSR: when few vertices were lost, the parent's counts are patched by
-    /// the removed vertices' edges; when the intersection dropped most of
-    /// the parent, the (now small) child is rescanned.
+    /// When at most `|child|` vertices were lost (`|removed| ≤ |child|`),
+    /// the parent's counts are copied for the child's members and then
+    /// patched: for each removed vertex and each prefix layer, every child
+    /// member adjacent to it loses one
+    /// ([`PeelIndex::for_each_neighbor_within`] — an adjacency scan on CSR,
+    /// the set bits of `row ∧ child` on dense rows). Otherwise the
+    /// intersection dropped most of the parent, and the (now small) child is
+    /// recounted from scratch.
     ///
     /// `prefix` is the subset's first `depth` layers; `parent_deg` /
     /// `child_deg` are laid out `[t * len + v]` over the index-space
-    /// universe; `nz_scratch` is reused to hold the removed set's non-zero
-    /// word indices.
-    #[allow(clippy::too_many_arguments)]
+    /// universe.
     pub(crate) fn inherit_prefix_degrees(
         &self,
         prefix: &[Layer],
@@ -816,70 +839,29 @@ impl<'a> PeelIndex<'a> {
         child_deg: &mut [u32],
         child: &VertexSet,
         removed: &VertexSet,
-        nz_scratch: &mut Vec<u32>,
     ) -> InheritOutcome {
         let len = self.universe_len();
-        match self.dense {
-            Some(dense) => {
-                let row_words = child.words().len();
-                nz_scratch.clear();
-                for (w, &word) in removed.words().iter().enumerate() {
-                    if word != 0 {
-                        nz_scratch.push(w as u32);
-                    }
-                }
-                if nz_scratch.len() < row_words {
-                    let rem = removed.words();
-                    for v in child.iter() {
-                        let vi = v as usize;
-                        for (t, &layer) in prefix.iter().enumerate() {
-                            let row = dense.row(layer, v);
-                            let mut delta = 0u32;
-                            for &w in nz_scratch.iter() {
-                                delta += (row[w as usize] & rem[w as usize]).count_ones();
-                            }
-                            child_deg[t * len + vi] = parent_deg[t * len + vi] - delta;
-                        }
-                    }
-                    InheritOutcome::DenseInherited
-                } else {
-                    for (t, &layer) in prefix.iter().enumerate() {
-                        for v in child.iter() {
-                            child_deg[t * len + v as usize] =
-                                self.kernel.and_count(child.words(), dense.row(layer, v)) as u32;
-                        }
-                    }
-                    InheritOutcome::DenseRecount
+        if removed.len() <= child.len() {
+            for v in child.iter() {
+                let vi = v as usize;
+                for t in 0..prefix.len() {
+                    child_deg[t * len + vi] = parent_deg[t * len + vi];
                 }
             }
-            None => {
-                if removed.len() <= child.len() {
-                    for v in child.iter() {
-                        let vi = v as usize;
-                        for t in 0..prefix.len() {
-                            child_deg[t * len + vi] = parent_deg[t * len + vi];
-                        }
-                    }
-                    for v in removed.iter() {
-                        for (t, &layer) in prefix.iter().enumerate() {
-                            for &u in self.g.layer(layer).neighbors(v) {
-                                if child.contains(u) {
-                                    child_deg[t * len + u as usize] -= 1;
-                                }
-                            }
-                        }
-                    }
-                    InheritOutcome::CsrPatched
-                } else {
-                    for (t, &layer) in prefix.iter().enumerate() {
-                        let csr = self.g.layer(layer);
-                        for v in child.iter() {
-                            child_deg[t * len + v as usize] = csr.degree_within(v, child) as u32;
-                        }
-                    }
-                    InheritOutcome::CsrRecount
+            for u in removed.iter() {
+                for (t, &layer) in prefix.iter().enumerate() {
+                    let deg = &mut child_deg[t * len..(t + 1) * len];
+                    self.for_each_neighbor_within(layer, u, child, |v| deg[v as usize] -= 1);
                 }
             }
+            InheritOutcome::Patched
+        } else {
+            for (t, &layer) in prefix.iter().enumerate() {
+                for v in child.iter() {
+                    child_deg[t * len + v as usize] = self.degree_within(layer, v, child) as u32;
+                }
+            }
+            InheritOutcome::Recounted
         }
     }
 }
@@ -1705,6 +1687,84 @@ mod tests {
         let clean: Vec<_> = (0..8usize).map(|i| move |_ws: &mut PeelWorkspace| i * 10).collect();
         let out = crew.pool_ref().map(&mut ws, clean);
         assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    /// Both branches of the lattice's degree-inheritance rule, on both
+    /// representations, must leave every child member's prefix-layer degree
+    /// equal to a from-scratch `degree_within` recount: a child that lost a
+    /// few of its parent's vertices is patched, one that lost most of them is
+    /// recounted. The neighbour visit the patch runs on must see exactly the
+    /// adjacency list filtered by membership, in ascending order.
+    #[test]
+    fn inherited_prefix_degrees_equal_a_recount() {
+        // 150 vertices, so each dense row spans three words.
+        let n = 150u32;
+        let mut b = MultiLayerGraphBuilder::new(n as usize, 3);
+        for layer in 0..3u32 {
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if (u * 7 + v * 13 + layer) % 5 == 0 {
+                        b.add_edge(layer as usize, u, v).unwrap();
+                    }
+                }
+            }
+        }
+        let g = b.build();
+        // The full universe keeps index space equal to vertex space on both
+        // representations.
+        let universe = g.full_vertex_set();
+        let len = universe.len();
+        let parent = VertexSet::from_iter(len, (0..n).filter(|v| v % 11 != 3));
+        let patched = VertexSet::from_iter(len, parent.iter().filter(|v| v % 17 != 0));
+        let recounted = VertexSet::from_iter(len, parent.iter().filter(|&v| v < 40));
+        let prefix = [0usize, 2];
+        for choice in [IndexChoice::Csr, IndexChoice::Dense] {
+            let plan = plan_index_with(&g, &universe, choice);
+            let dense =
+                (plan.path == IndexPath::Dense).then(|| DenseSubgraph::build(&g, &universe));
+            let index = PeelIndex::new(&g, dense.as_ref(), plan);
+            assert_eq!(index.universe_len(), len);
+            let mut parent_deg = vec![0u32; prefix.len() * len];
+            for (t, &layer) in prefix.iter().enumerate() {
+                for v in parent.iter() {
+                    parent_deg[t * len + v as usize] =
+                        index.degree_within(layer, v, &parent) as u32;
+                }
+            }
+            for (child, expected) in
+                [(&patched, InheritOutcome::Patched), (&recounted, InheritOutcome::Recounted)]
+            {
+                let removed = parent.difference(child);
+                let mut child_deg = vec![0u32; prefix.len() * len];
+                let outcome = index.inherit_prefix_degrees(
+                    &prefix,
+                    &parent_deg,
+                    &mut child_deg,
+                    child,
+                    &removed,
+                );
+                assert_eq!(outcome, expected, "{choice:?}");
+                for (t, &layer) in prefix.iter().enumerate() {
+                    for v in child.iter() {
+                        assert_eq!(
+                            child_deg[t * len + v as usize] as usize,
+                            index.degree_within(layer, v, child),
+                            "{choice:?} {expected:?}: layer {layer}, vertex {v}"
+                        );
+                        let mut seen = Vec::new();
+                        index.for_each_neighbor_within(layer, v, child, |u| seen.push(u));
+                        let filtered: Vec<Vertex> = g
+                            .layer(layer)
+                            .neighbors(v)
+                            .iter()
+                            .copied()
+                            .filter(|&u| child.contains(u))
+                            .collect();
+                        assert_eq!(seen, filtered, "{choice:?}: layer {layer}, vertex {v}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

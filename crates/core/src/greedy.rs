@@ -98,7 +98,9 @@ pub(crate) fn select_greedy(
     } else {
         cover.clear();
     }
-    let mut chosen = Vec::with_capacity(k);
+    // `k` is caller-controlled and may be astronomically large; at most
+    // every candidate can be chosen.
+    let mut chosen = Vec::with_capacity(k.min(candidates.len()));
     for _ in 0..k {
         if candidates.is_empty() {
             break;

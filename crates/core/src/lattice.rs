@@ -14,13 +14,16 @@
 //!   touching the graph.
 //! * **Inherited degree arrays** — every level stores the exact
 //!   within-core degree of each member on each prefix layer. A child copies
-//!   the parent's arrays adjusted for the vertices lost in the
-//!   intersection, and counts **only the one newly added layer** before
-//!   cascading. How the adjustment happens is the index representation's
-//!   business ([`PeelIndex::inherit_prefix_degrees`][crate::engine::PeelIndex]):
-//!   removed-vertex adjacency patching on CSR, word-restricted
-//!   `popcount(row ∧ removed)` subtraction on dense rows (with a recount
-//!   fallback counted in [`LatticeStats::recount_fallbacks`]).
+//!   the parent's arrays and patches them from the removed side: each
+//!   vertex lost in the intersection decrements its neighbours in the
+//!   child, on every prefix layer. When more vertices were lost than kept,
+//!   the child recounts instead. Then it counts **only the one newly added
+//!   layer** before cascading. The rule is the same on both
+//!   representations; only the neighbour visit differs (an adjacency scan
+//!   on CSR, the set bits of `row ∧ child` on dense rows: the
+//!   [`PeelIndex`]'s `for_each_neighbor_within`).
+//!   [`LatticeStats::inherited`] and [`LatticeStats::recount_fallbacks`]
+//!   count the two branches.
 //! * **Memoized single-layer cores** — depth-0 prefixes reuse the d-cores
 //!   computed during preprocessing
 //!   ([`crate::preprocess::Preprocessed::layer_cores`]) and are never
@@ -60,15 +63,13 @@ pub struct LatticeStats {
     /// Size-`s` subsets emitted as empty without peeling because an
     /// ancestor prefix already proved them empty.
     pub empty_skipped: usize,
-    /// Dense-walk nodes whose prefix-layer degrees were inherited via
-    /// word-restricted row∧removed subtraction (0 on the CSR path, and on
-    /// dense universes of ≤ 64 vertices, whose single-word rows always take
-    /// the recount fallback).
+    /// Walk nodes whose prefix-layer degrees were copied from the parent
+    /// and patched by the removed vertices' edges (`|removed| ≤ |child|`),
+    /// on either representation.
     pub inherited: usize,
-    /// Dense-walk nodes where inheritance lost to a from-scratch recount
-    /// because the removals spanned full rows — the measured German-`d=2`
-    /// failure mode of row inheritance, observable here instead of in
-    /// prose (0 on the CSR path).
+    /// Walk nodes whose prefix-layer degrees were recounted from scratch
+    /// because the intersection removed more vertices than it kept, on
+    /// either representation.
     pub recount_fallbacks: usize,
     /// Adjacency representation the cost model picked for this run.
     pub index_path: IndexPath,
@@ -294,7 +295,6 @@ fn run_branches<F: FnMut(&[Layer], &VertexSet)>(
         cores: (0..s).map(|_| VertexSet::new(len)).collect(),
         degrees: (0..s).map(|t| vec![0u32; (t + 1) * len]).collect(),
         removed: VertexSet::new(len),
-        removed_word_idx: Vec::new(),
         expanded: VertexSet::new(g.num_vertices()),
         empty: VertexSet::new(g.num_vertices()),
         stats: LatticeStats::default(),
@@ -339,8 +339,6 @@ struct LatticeWalk<'a, F> {
     /// Scratch: members lost when intersecting parent core with a layer
     /// core (index space).
     removed: VertexSet,
-    /// Scratch: indices of `removed`'s non-zero words (dense inheritance).
-    removed_word_idx: Vec<u32>,
     /// Reused vertex-space buffer for emitted candidates (dense expansion).
     expanded: VertexSet,
     /// Shared vertex-space empty set for pruned subtrees.
@@ -457,11 +455,9 @@ impl<F: FnMut(&[Layer], &VertexSet)> LatticeWalk<'_, F> {
             child_deg,
             child,
             &self.removed,
-            &mut self.removed_word_idx,
         ) {
-            InheritOutcome::DenseInherited => self.stats.inherited += 1,
-            InheritOutcome::DenseRecount => self.stats.recount_fallbacks += 1,
-            InheritOutcome::CsrPatched | InheritOutcome::CsrRecount => {}
+            InheritOutcome::Patched => self.stats.inherited += 1,
+            InheritOutcome::Recounted => self.stats.recount_fallbacks += 1,
         }
         // The newly added layer always needs a fresh count.
         for v in child.iter() {
@@ -501,6 +497,7 @@ mod tests {
     use crate::engine::with_pool;
     use crate::preprocess::preprocess;
     use mlgraph::MultiLayerGraphBuilder;
+    use proptest::prelude::Strategy;
 
     fn clique(b: &mut MultiLayerGraphBuilder, layer: usize, vs: &[u32]) {
         for i in 0..vs.len() {
@@ -518,6 +515,20 @@ mod tests {
         clique(&mut b, 2, &[4, 5, 6, 7]);
         clique(&mut b, 2, &[8, 9, 10]);
         clique(&mut b, 3, &[8, 9, 10, 11, 12]);
+        b.build()
+    }
+
+    /// A **multi-word** universe (150 vertices — three words per dense
+    /// row) of heavily overlapping per-layer cores: layers 1 and 2 each lose
+    /// a few clustered vertices against layer 0, and layer 3 keeps only a
+    /// small clique.
+    fn wide_graph() -> MultiLayerGraph {
+        let mut b = MultiLayerGraphBuilder::new(150, 4);
+        let all: Vec<u32> = (0..150).collect();
+        clique(&mut b, 0, &all);
+        clique(&mut b, 1, &all[..140]); // loses 140..150
+        clique(&mut b, 2, &all[6..150]); // loses 0..6
+        clique(&mut b, 3, &all[..10]); // small: forces the recount branch
         b.build()
     }
 
@@ -649,53 +660,49 @@ mod tests {
 
     /// A forced index override must change the representation — and nothing
     /// else: identical cores in identical order under `Csr`, `Dense`, and
-    /// `Auto`.
+    /// `Auto`, on single-word and multi-word dense rows.
     #[test]
     fn forced_index_choices_are_bit_identical() {
-        let g = graph();
-        for (d, s) in [(2u32, 2usize), (3, 2), (2, 3)] {
-            let params = DccsParams::new(d, s, 2);
-            let pre = preprocess(&g, &params, &DccsOptions::no_vertex_deletion());
-            let mut reference: Option<Vec<CoherentCore>> = None;
-            for choice in
-                [crate::IndexChoice::Auto, crate::IndexChoice::Csr, crate::IndexChoice::Dense]
-            {
-                let mut ctx = SearchContext::new(0, Default::default(), choice);
-                let (cores, stats) = with_pool(1, |pool| {
-                    collect_subset_cores(&mut ctx, pool, &g, d, s, &pre.layer_cores)
-                });
-                match choice {
-                    crate::IndexChoice::Csr => assert_eq!(stats.index_path, IndexPath::Csr),
-                    crate::IndexChoice::Dense => assert_eq!(stats.index_path, IndexPath::Dense),
-                    crate::IndexChoice::Auto => {}
-                }
-                match &reference {
-                    None => reference = Some(cores),
-                    Some(expected) => assert_eq!(&cores, expected, "choice={choice:?} d={d} s={s}"),
+        for g in [graph(), wide_graph()] {
+            for (d, s) in [(2u32, 2usize), (3, 2), (2, 3)] {
+                let params = DccsParams::new(d, s, 2);
+                let pre = preprocess(&g, &params, &DccsOptions::no_vertex_deletion());
+                let mut reference: Option<Vec<CoherentCore>> = None;
+                for choice in
+                    [crate::IndexChoice::Auto, crate::IndexChoice::Csr, crate::IndexChoice::Dense]
+                {
+                    let mut ctx = SearchContext::new(0, Default::default(), choice);
+                    let (cores, stats) = with_pool(1, |pool| {
+                        collect_subset_cores(&mut ctx, pool, &g, d, s, &pre.layer_cores)
+                    });
+                    match choice {
+                        crate::IndexChoice::Csr => assert_eq!(stats.index_path, IndexPath::Csr),
+                        crate::IndexChoice::Dense => {
+                            assert_eq!(stats.index_path, IndexPath::Dense)
+                        }
+                        crate::IndexChoice::Auto => {}
+                    }
+                    match &reference {
+                        None => reference = Some(cores),
+                        Some(expected) => {
+                            assert_eq!(&cores, expected, "choice={choice:?} d={d} s={s}")
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Engine-vs-naive equivalence on the shape the inherited dense rows
-    /// exist for: a **multi-word** universe (150 vertices — three words per
-    /// row) of heavily overlapping per-layer cores, where each lattice
-    /// intersection loses a few vertices clustered in fewer words than a
-    /// full row (`nz(removed) < W`, the inheritance path). A single-word
-    /// test graph would silently exercise only the recount fallback — the
-    /// guard compares word counts, so with `W = 1` any non-empty removal
-    /// falls back — which is why the `inherited` stat is asserted. One
-    /// layer's small clique drives the fallback within the same walk, which
-    /// the `recount_fallbacks` counter must now make observable.
+    /// Engine-vs-naive equivalence on dense rows of a **multi-word**
+    /// universe (150 vertices — three words per row). Layers 1 and 2 lose
+    /// a handful of vertices against layer 0, so those children copy their
+    /// parent's degrees and patch them from the removed side; layer 3's
+    /// small clique removes more vertices than it keeps, so its children
+    /// recount. Both branches of the rule must run, which the `inherited`
+    /// and `recount_fallbacks` counters make observable.
     #[test]
     fn dense_walk_with_inherited_rows_matches_naive() {
-        let mut b = MultiLayerGraphBuilder::new(150, 4);
-        let all: Vec<u32> = (0..150).collect();
-        clique(&mut b, 0, &all);
-        clique(&mut b, 1, &all[..140]); // loses 140..150: one word of three
-        clique(&mut b, 2, &all[6..150]); // loses 0..6: one word of three
-        clique(&mut b, 3, &all[..10]); // small: forces the rescan fallback
-        let g = b.build();
+        let g = wide_graph();
         let mut inherited_total = 0usize;
         let mut fallback_total = 0usize;
         for (d, s) in [(2u32, 2usize), (2, 3), (2, 4), (3, 3)] {
@@ -719,6 +726,94 @@ mod tests {
         }
         assert!(inherited_total > 0, "the inherited-degree path never executed");
         assert!(fallback_total > 0, "the recount fallback never executed (or went uncounted)");
+    }
+
+    /// A random graph of 130–200 vertices (three or four words per dense
+    /// row) on five layers: layer 0 spans every vertex, and each other layer
+    /// lives on a random window of ⅕ to all of them, so an intersection may
+    /// lose a few vertices or most of its parent.
+    fn windowed_graph(rng: &mut proptest::TestRng) -> MultiLayerGraph {
+        let n = (130usize..=200).generate(rng);
+        let lists: Vec<Vec<(u32, u32)>> = (0..5)
+            .map(|layer| {
+                let (start, width) = if layer == 0 {
+                    (0, n)
+                } else {
+                    ((0..n).generate(rng), (n / 5..=n).generate(rng))
+                };
+                (0..3 * width)
+                    .map(|_| {
+                        let u = (start + (0..width).generate(rng)) % n;
+                        let v = (start + (0..width).generate(rng)) % n;
+                        (u as u32, v as u32)
+                    })
+                    .filter(|(u, v)| u != v)
+                    .collect()
+            })
+            .collect();
+        MultiLayerGraph::from_edge_lists(n, &lists).unwrap()
+    }
+
+    /// Property: on random multi-word graphs, the walk under forced `Csr`
+    /// and forced `Dense`, at 1 and 2 threads, emits exactly the frozen
+    /// oracle's cores, and across the cases both branches of the
+    /// degree-inheritance rule (patch and recount) run on both
+    /// representations.
+    #[test]
+    fn forced_walks_on_random_multi_word_graphs_match_naive() {
+        let mut rng =
+            proptest::new_rng(proptest::seed_for("forced_walks_on_random_multi_word_graphs"));
+        let mut inherited = [0usize; 2];
+        let mut recounted = [0usize; 2];
+        for case in 0..16 {
+            let g = windowed_graph(&mut rng);
+            let d = (2u32..=3).generate(&mut rng);
+            let s = (2usize..=4).generate(&mut rng);
+            let params = DccsParams::new(d, s, 2);
+            let pre = preprocess(&g, &params, &DccsOptions::no_vertex_deletion());
+            assert!(
+                candidate_universe(g.num_vertices(), &pre.layer_cores).len() > 128,
+                "case {case}: the universe must span three or more words"
+            );
+            let expected: Vec<(Vec<Layer>, Vec<u32>)> =
+                naive_subset_cores(&g, d, s, &pre.layer_cores)
+                    .into_iter()
+                    .map(|(subset, core)| (subset, core.to_vec()))
+                    .collect();
+            for (slot, (choice, path)) in [
+                (crate::IndexChoice::Csr, IndexPath::Csr),
+                (crate::IndexChoice::Dense, IndexPath::Dense),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut reference: Option<LatticeStats> = None;
+                for threads in [1usize, 2] {
+                    let label = format!("case {case} d={d} s={s} {choice:?} threads={threads}");
+                    let mut ctx = SearchContext::new(0, Default::default(), choice);
+                    let (cores, stats) = with_pool(threads, |pool| {
+                        collect_subset_cores(&mut ctx, pool, &g, d, s, &pre.layer_cores)
+                    });
+                    let got: Vec<(Vec<Layer>, Vec<u32>)> = cores
+                        .into_iter()
+                        .map(|core| (core.layers, core.vertices.to_vec()))
+                        .collect();
+                    assert_eq!(got, expected, "{label}");
+                    assert_eq!(stats.index_path, path, "{label}");
+                    match reference {
+                        None => reference = Some(stats),
+                        Some(first) => assert_eq!(stats, first, "{label}"),
+                    }
+                }
+                let stats = reference.expect("one run per thread count");
+                inherited[slot] += stats.inherited;
+                recounted[slot] += stats.recount_fallbacks;
+            }
+        }
+        for (slot, path) in [IndexPath::Csr, IndexPath::Dense].into_iter().enumerate() {
+            assert!(inherited[slot] > 0, "{path:?}: the patch branch never ran");
+            assert!(recounted[slot] > 0, "{path:?}: the recount branch never ran");
+        }
     }
 
     #[test]

@@ -86,6 +86,32 @@ fn auto_query_result_equals_its_resolved_fixed_query() {
     assert_eq!(auto.stats, fixed.stats);
 }
 
+/// An astronomically large `k` is answered like `k = C(l, s)`, where GD
+/// already chooses every candidate: GD reserves no `k` result slots, and
+/// Auto, which resolves to GD whenever `k ≥ C(l, s)`, follows it.
+#[test]
+fn greedy_answers_a_huge_k_like_k_equal_to_the_candidate_count() {
+    let ds = generate(DatasetId::German, Scale::Tiny);
+    let (d, s) = (2, 2);
+    let all = dccs::layer_subsets::binomial(ds.graph.num_layers(), s) as usize;
+    let mut session = DccsSession::new(&ds.graph);
+    for algorithm in [Algorithm::Greedy, Algorithm::Auto] {
+        let reference =
+            session.query(DccsParams::new(d, s, all)).algorithm(algorithm).run().unwrap();
+        let huge = session
+            .query(DccsParams::new(d, s, 1_000_000_000_000_000))
+            .algorithm(algorithm)
+            .run()
+            .unwrap();
+        let label = algorithm.name();
+        assert_eq!(huge.stats.algorithm, Some(Algorithm::Greedy), "{label}");
+        assert_eq!(huge.cores.len(), all, "{label}");
+        assert_eq!(huge.cores, reference.cores, "{label}");
+        assert_eq!(huge.cover.to_vec(), reference.cover.to_vec(), "{label}");
+        assert_eq!(huge.stats, reference.stats, "{label}");
+    }
+}
+
 #[test]
 fn session_reports_typed_errors_for_every_invalid_parameter_class() {
     let ds = generate(DatasetId::Ppi, Scale::Tiny);
