@@ -11,13 +11,14 @@
 //! the frozen pre-refactor path (`dccs::naive_subset_cores`) on the Wiki
 //! and German analogues, then each algorithm is run end to end at 1 vs
 //! `--threads` executor workers (the `thread_scaling` group, plus the
-//! `subtree_scaling` group for BU/TD on deep search trees — skipped with a
-//! `skipped_single_core` marker on one-core hosts); per-configuration
-//! timings, the chosen index path, and the geometric-mean speedup are
-//! printed and written as JSON. The `index_regret` group times GD's, BU's
-//! and TD's search at each engine-vs-naive configuration under forced CSR,
-//! forced dense and `Auto`, recording `Auto`'s pick and its regret against
-//! the fastest.
+//! `subtree_scaling` group for BU/TD on perfbench paper-mix's search trees,
+//! German at `Large` and Wiki at `Full` whatever `--scale` is — both
+//! skipped with a `skipped_single_core` marker on one-core hosts);
+//! per-configuration timings, the chosen index path, and the
+//! geometric-mean speedup are printed and written as JSON. The
+//! `index_regret` group times GD's, BU's and TD's search at each
+//! engine-vs-naive configuration under forced CSR, forced dense and `Auto`,
+//! recording `Auto`'s pick and its regret against the fastest.
 //!
 //! `--scale large` keeps the standard comparison groups at `Tiny` (so
 //! the recorded `geomean_speedup` stays comparable run over run) and
@@ -33,6 +34,7 @@ use dccs_bench::dcc_baseline::{
     auto_selection_suite, baseline_suite, concurrent_service_suite, incremental_maintenance_suite,
     index_regret_suite, kernel_dispatch_suite, phase_breakdown_suite, serve_from_index_suite,
     single_core, subtree_scaling_suite, suite_to_json, thread_scaling_suite, SuiteResults,
+    ThreadScaling,
 };
 use dccs_bench::large_scale::{install_alloc_probe, large_scale_suite, AllocProbe};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -192,28 +194,13 @@ fn main() {
     // On a single-core host a 1-vs-N comparison measures only scheduling
     // overhead; record the groups as skipped instead of as ~0.9× noise.
     let skip_scaling = single_core();
-    let (scaling, subtree) = if skip_scaling {
+    let scaling = if skip_scaling {
         println!("[bench] single core detected: skipping the thread/subtree scaling groups");
-        (Vec::new(), Vec::new())
+        Vec::new()
     } else {
-        (
-            thread_scaling_suite(standard_scale, runs, threads),
-            subtree_scaling_suite(standard_scale, runs, threads),
-        )
+        thread_scaling_suite(standard_scale, runs, threads)
     };
-    for t in scaling.iter().chain(&subtree) {
-        println!(
-            "{:>8} {:<8} d={} s={}  1-thread {:>10.6}s  {}-thread {:>10.6}s  speedup {:>5.2}x",
-            t.dataset,
-            t.algorithm,
-            t.d,
-            t.s,
-            t.secs_1,
-            t.threads,
-            t.secs_n,
-            t.speedup(),
-        );
-    }
+    print_scaling(&scaling);
     let auto = auto_selection_suite(standard_scale, runs);
     for a in &auto {
         let (best, best_secs) = a.best_fixed();
@@ -346,6 +333,12 @@ fn main() {
             m.peak_alloc_bytes,
         );
     }
+    // The search-tree group runs last: its German-large and Wiki-full
+    // sessions leave the process heap in a state that slowed the
+    // `large_scale` commits timed after them from about 28 to 40 ms, though
+    // the commit path itself runs as fast after a fresh start.
+    let subtree = if skip_scaling { Vec::new() } else { subtree_scaling_suite(runs, threads) };
+    print_scaling(&subtree);
     let suites = SuiteResults {
         comparisons,
         scaling,
@@ -366,4 +359,23 @@ fn main() {
         std::process::exit(1);
     }
     println!("[bench] wrote {out_path}");
+}
+
+/// Prints one scaling group's rows.
+fn print_scaling(rows: &[ThreadScaling]) {
+    for t in rows {
+        println!(
+            "{:>12} {:<8} d={} s={} k={:<2}  1-thread {:>10.6}s  {}-thread {:>10.6}s  speedup {:>5.2}x  search {:>5.2}x",
+            t.dataset,
+            t.algorithm,
+            t.d,
+            t.s,
+            t.k,
+            t.secs_1,
+            t.threads,
+            t.secs_n,
+            t.speedup(),
+            t.search_speedup(),
+        );
+    }
 }

@@ -13,10 +13,11 @@
 //! * **thread scaling** — each DCCS algorithm end to end at 1 executor
 //!   thread vs `N`, asserting the covers match (the executor's determinism
 //!   contract) and recording both times.
-//! * **subtree scaling** — BU/TD on deeper search trees (`s = 3` and the
-//!   near-full-layer-set TD regime), the workloads the subtree-level task
-//!   graph exists for: sibling subtrees evaluate concurrently instead of
-//!   serializing behind one node's fork-join.
+//! * **subtree scaling** — BU and TD at 1 vs `N` threads on the search
+//!   trees production runs: perfbench paper-mix's 16 BU and TD queries on
+//!   German at `Large` and Wiki at `Full`, recording end-to-end and
+//!   search-phase times. Each tree node's children peel as one fork-join
+//!   batch, so this is where the trees' parallelism earns its place.
 //! * **auto selection** — [`dccs::Algorithm::Auto`] against every fixed
 //!   algorithm at the same `(d, s, k)`, recording which algorithm the
 //!   session picked and how close its time lands to the best fixed choice,
@@ -54,6 +55,7 @@ use crate::runner::{run_algorithm, Algorithm};
 use coreness::PeelWorkspace;
 use datasets::{generate, Dataset, DatasetId, Scale};
 use dccs::{DccsOptions, DccsParams, IndexChoice, IndexPath};
+use mlgraph::MultiLayerGraph;
 use serde_json::Value;
 use std::time::Instant;
 
@@ -110,12 +112,18 @@ pub struct ThreadScaling {
     pub d: u32,
     /// Layer-subset size.
     pub s: usize,
+    /// Result budget.
+    pub k: usize,
     /// Worker count of the multi-threaded run.
     pub threads: usize,
     /// Best-of-N wall time at 1 thread, seconds.
     pub secs_1: f64,
     /// Best-of-N wall time at `threads` workers, seconds.
     pub secs_n: f64,
+    /// Search-phase time of the fastest 1-thread run, seconds.
+    pub search_secs_1: f64,
+    /// Search-phase time of the fastest `threads`-worker run, seconds.
+    pub search_secs_n: f64,
     /// `|Cov(R)|` — identical at both thread counts by construction.
     pub cover: usize,
 }
@@ -126,6 +134,12 @@ impl ThreadScaling {
         self.secs_1 / self.secs_n
     }
 
+    /// `search_secs_1 / search_secs_n`: the speedup of the search phase
+    /// alone.
+    pub fn search_speedup(&self) -> f64 {
+        self.search_secs_1 / self.search_secs_n
+    }
+
     /// Renders the measurement as a JSON object.
     pub fn to_json(&self) -> Value {
         Value::object(vec![
@@ -133,10 +147,14 @@ impl ThreadScaling {
             ("algorithm", Value::from(self.algorithm)),
             ("d", Value::from(self.d)),
             ("s", Value::from(self.s)),
+            ("k", Value::from(self.k)),
             ("threads", Value::from(self.threads)),
             ("secs_1", Value::from(self.secs_1)),
             ("secs_n", Value::from(self.secs_n)),
             ("speedup", Value::from(self.speedup())),
+            ("search_secs_1", Value::from(self.search_secs_1)),
+            ("search_secs_n", Value::from(self.search_secs_n)),
+            ("search_speedup", Value::from(self.search_speedup())),
             ("cover", Value::from(self.cover)),
         ])
     }
@@ -639,8 +657,9 @@ pub fn compare_candidate_generation(ds: &Dataset, d: u32, s: usize, runs: usize)
     }
 }
 
-/// Measures one algorithm end to end at 1 executor thread and at `threads`,
-/// asserting the covers agree (they must — the executor is deterministic).
+/// Measures one algorithm end to end at 1 executor thread and at `threads`
+/// at `(d, s, k = 10)`, asserting the covers agree (they must — the
+/// executor is deterministic).
 ///
 /// Caveat: each timed run is a one-shot session, so it includes the
 /// worker spawn/join of that session's crew; on sub-millisecond inputs —
@@ -655,30 +674,57 @@ pub fn compare_thread_scaling(
     runs: usize,
 ) -> ThreadScaling {
     let params = DccsParams::new(d, s, 10);
-    let mut cover_1 = 0usize;
-    let (secs_1, _) = best_of(runs, || {
-        let outcome = run_algorithm(algorithm, &ds.graph, &params, &DccsOptions::with_threads(1));
-        cover_1 = outcome.cover_size;
-        cover_1 as u64
-    });
-    let mut cover_n = 0usize;
-    let (secs_n, _) = best_of(runs, || {
-        let outcome =
-            run_algorithm(algorithm, &ds.graph, &params, &DccsOptions::with_threads(threads));
-        cover_n = outcome.cover_size;
-        cover_n as u64
-    });
+    compare_scaling_at(&format!("{:?}", ds.id), &ds.graph, algorithm, &params, threads, runs)
+}
+
+/// [`compare_thread_scaling`] at any `params`, recording the row under
+/// `dataset`.
+fn compare_scaling_at(
+    dataset: &str,
+    g: &MultiLayerGraph,
+    algorithm: Algorithm,
+    params: &DccsParams,
+    threads: usize,
+    runs: usize,
+) -> ThreadScaling {
+    let (secs_1, search_secs_1, cover_1) = fastest_run(g, algorithm, params, 1, runs);
+    let (secs_n, search_secs_n, cover_n) = fastest_run(g, algorithm, params, threads, runs);
     assert_eq!(cover_1, cover_n, "thread count changed the cover — determinism violated");
     ThreadScaling {
-        dataset: format!("{:?}", ds.id),
+        dataset: dataset.to_string(),
         algorithm: algorithm.name(),
-        d,
-        s,
+        d: params.d,
+        s: params.s,
+        k: params.k,
         threads,
         secs_1,
         secs_n,
+        search_secs_1,
+        search_secs_n,
         cover: cover_1,
     }
+}
+
+/// The fastest of `runs` one-shot runs at `threads`: its wall time and its
+/// search-phase time, in seconds, and its cover.
+fn fastest_run(
+    g: &MultiLayerGraph,
+    algorithm: Algorithm,
+    params: &DccsParams,
+    threads: usize,
+    runs: usize,
+) -> (f64, f64, usize) {
+    let opts = DccsOptions::with_threads(threads);
+    let mut fastest = (f64::INFINITY, 0.0, 0);
+    for _ in 0..runs.max(1) {
+        let start = Instant::now();
+        let outcome = run_algorithm(algorithm, g, params, &opts);
+        let secs = start.elapsed().as_secs_f64();
+        if secs < fastest.0 {
+            fastest = (secs, outcome.result.stats.phase.search.as_secs_f64(), outcome.cover_size);
+        }
+    }
+    fastest
 }
 
 /// Measures `Algorithm::Auto` against every fixed algorithm on `ds` at
@@ -853,22 +899,29 @@ pub fn thread_scaling_suite(scale: Scale, runs: usize, threads: usize) -> Vec<Th
     out
 }
 
-/// The subtree-level task-graph suite: BU and TD on the configurations with
-/// real search-tree width — `s = 3` (deep bottom-up fan-out) and, for TD,
-/// additionally `s = l − 2` (the near-full-layer-set regime whose tree the
-/// top-down search descends). These are the workloads where node-at-a-time
-/// fork-join serialized sibling subtrees and the task graph does not.
-pub fn subtree_scaling_suite(scale: Scale, runs: usize, threads: usize) -> Vec<ThreadScaling> {
+/// The search-tree suite: BU and TD at 1 vs `threads` on perfbench
+/// paper-mix's 16 BU and TD queries (its `paper_mix_queries`), on the
+/// graphs paper-mix loads — German at `Large` and Wiki at `Full`, whatever
+/// scale the other groups run at. These are the trees production runs, so
+/// each row's `search_speedup` is the record BU's and TD's per-node batches
+/// are judged by.
+pub fn subtree_scaling_suite(runs: usize, threads: usize) -> Vec<ThreadScaling> {
+    use Algorithm::{BottomUp as Bu, TopDown as Td};
+    // (d, s, k, algorithm) per graph, as paper-mix lists them.
+    let german = [(2, 2, 20, Bu), (2, 4, 5, Bu), (3, 3, 10, Bu), (3, 6, 20, Bu), (4, 4, 5, Bu)];
+    let german_td = [(3, 2, 10, Td), (4, 2, 20, Td), (2, 6, 5, Td)];
+    let wiki = [(2, 6, 5, Bu), (3, 4, 10, Bu), (4, 2, 20, Bu)];
+    let wiki_td = [(2, 3, 5, Td), (3, 3, 10, Td), (2, 4, 20, Td), (4, 4, 5, Td), (4, 2, 10, Td)];
     let mut out = Vec::new();
-    for id in [DatasetId::Wiki, DatasetId::German] {
+    for (id, scale, keys) in [
+        (DatasetId::German, Scale::Large, [&german[..], &german_td[..]].concat()),
+        (DatasetId::Wiki, Scale::Full, [&wiki[..], &wiki_td[..]].concat()),
+    ] {
         let ds = generate(id, scale);
-        let l = ds.graph.num_layers();
-        let s = 3.min(l);
-        for algorithm in [Algorithm::BottomUp, Algorithm::TopDown] {
-            out.push(compare_thread_scaling(&ds, algorithm, 2, s, threads, runs));
-        }
-        if l >= 4 {
-            out.push(compare_thread_scaling(&ds, Algorithm::TopDown, 2, l - 2, threads, runs));
+        let name = format!("{id:?}-{scale:?}");
+        for (d, s, k, algorithm) in keys {
+            let params = DccsParams::new(d, s, k);
+            out.push(compare_scaling_at(&name, &ds.graph, algorithm, &params, threads, runs));
         }
     }
     out
@@ -1239,7 +1292,7 @@ pub struct SuiteResults {
     pub comparisons: Vec<Comparison>,
     /// 1-vs-N-thread runs ([`thread_scaling_suite`]).
     pub scaling: Vec<ThreadScaling>,
-    /// BU/TD task-graph runs ([`subtree_scaling_suite`]).
+    /// BU/TD runs on paper-mix's search trees ([`subtree_scaling_suite`]).
     pub subtree: Vec<ThreadScaling>,
     /// Marks the scaling groups and `concurrent_service` as skipped on a
     /// one-core host; their lists are then empty (see [`single_core`]).

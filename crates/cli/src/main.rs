@@ -1610,6 +1610,32 @@ mod tests {
     }
 
     #[test]
+    fn serve_stream_answers_past_a_deeply_nested_line() {
+        let mut b = mlgraph::MultiLayerGraphBuilder::new(4, 2);
+        for (u, v) in [(0, 1), (1, 2), (0, 2)] {
+            b.add_edge(0, u, v).unwrap();
+            b.add_edge(1, u, v).unwrap();
+        }
+        let g = b.build();
+        let service = QueryService::new(&g, DccsOptions::default());
+        let defaults = ndjson::RequestDefaults {
+            d: 2,
+            s: 2,
+            k: 1,
+            algorithm: Algorithm::Auto,
+            serve: Serve::Auto,
+            limits: dccs::QueryLimits::none(),
+        };
+        let lines = [r#"{"id":1}"#.to_string(), "[".repeat(100_000), r#"{"id":3}"#.to_string()];
+        let responses = serve_stream(&service, &defaults, &lines).unwrap();
+        assert_eq!(responses.len(), 3);
+        assert!(responses[0].starts_with(r#"{"id":1,"ok":true,"cover":3"#), "{}", responses[0]);
+        assert!(responses[1].starts_with(r#"{"id":2,"ok":false"#), "{}", responses[1]);
+        assert!(responses[1].contains("nesting deeper than 64"), "{}", responses[1]);
+        assert!(responses[2].starts_with(r#"{"id":3,"ok":true,"cover":3"#), "{}", responses[2]);
+    }
+
+    #[test]
     fn serve_stream_rejects_vertex_ids_beyond_u32() {
         // Layer 0 is a K4 on {0,1,2,3} missing edge (0, 1), layer 1 the
         // full K4, so the 3-CC is empty. Vertex id 2^32 + 1 would wrap to 1

@@ -43,9 +43,15 @@ use mlgraph::{EdgeBatch, Layer, Vertex};
 use serde_json::Value;
 use std::time::Duration;
 
-/// Parses one JSON document from `line`, rejecting trailing garbage.
+/// The deepest nesting of arrays and objects a line may use. Request lines
+/// nest at most three deep (an `apply` line's triples); the cap keeps the
+/// recursive descent's stack bounded whatever a line holds.
+const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document from `line`, rejecting trailing garbage and
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(line: &str) -> Result<Value, String> {
-    let mut p = Parser { src: line, pos: 0 };
+    let mut p = Parser { src: line, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -58,6 +64,8 @@ pub fn parse(line: &str) -> Result<Value, String> {
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -90,8 +98,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => self.string().map(Value::String),
             Some('t') => self.literal("true", Value::Bool(true)),
             Some('f') => self.literal("false", Value::Bool(false)),
@@ -100,6 +108,17 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected `{c}` at byte {}", self.pos)),
             None => Err("unexpected end of line".into()),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -570,6 +589,22 @@ mod tests {
         {
             assert!(parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        for open in ["[", r#"{"a":"#] {
+            let line = open.repeat(100_000);
+            let err = parse(&line).unwrap_err();
+            assert!(err.contains("nesting deeper than 64 at byte"), "`{open}`: {err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok(), "a {MAX_DEPTH}-deep document parses");
+        let deeper = format!("[{deepest}]");
+        assert_eq!(
+            parse(&deeper).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
     }
 
     #[test]

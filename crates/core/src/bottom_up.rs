@@ -18,22 +18,20 @@
 //!
 //! # Execution model
 //!
-//! The search tree runs as a deterministic subtree-level task graph on the
-//! shared executor ([`crate::engine`]): every node is one
-//! task that peels its surviving children on whichever worker grabs it,
-//! and the results are committed on the driver in the tree's pre-order.
-//! The Lemma-3 child selection inside a task is evaluated against a
-//! [`crate::coverage::PruneBounds`] snapshot captured when the task was
-//! spawned (its parent's commit — a deterministic pre-order moment), so
-//! evaluation never reads scheduling-dependent state; the Lemma-2 subtree
-//! check, the Lemma-4 exclusions, and every `Update` run at commit time
-//! against the live result set. The snapshot bound can be staler than the
-//! sequential in-loop bound — a node spawned at its parent's commit misses
-//! every update accepted in its earlier siblings' subtrees, so its
-//! Lemma-3 cut may let extra children through — but each extra candidate
-//! is still gated by Eq. (1) inside `Update`, so the search stays
-//! bit-identical at any thread count and the 1/4 guarantee is untouched,
-//! while sibling subtrees peel concurrently.
+//! The driver walks the search tree depth-first, in pre-order, over an
+//! explicit stack. Each node's surviving children are peeled as one
+//! fork-join batch on the shared executor ([`crate::engine`]): the jobs run
+//! on any worker, their cores come back in child order, and the driver then
+//! commits them. The Lemma-3 child selection reads a
+//! [`crate::coverage::PruneBounds`] snapshot taken at the parent's commit;
+//! the Lemma-2 subtree check, the Lemma-4 exclusions, and every `Update`
+//! run at commit time against the live result set. The snapshot can be
+//! staler than the live bound — a node pushed at its parent's commit misses
+//! every update accepted in its earlier siblings' subtrees, so its Lemma-3
+//! cut may let extra children through — but each extra candidate is still
+//! gated by Eq. (1) inside `Update`, so the 1/4 guarantee is untouched.
+//! Every decision is made on the driver in one order, so the search is
+//! bit-identical at any thread count.
 //!
 //! Every child peel runs on the [`crate::engine::PeelIndex`] the cost model
 //! plans over the preprocessed active set, as GD's lattice walk does: over
@@ -45,7 +43,7 @@
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::{PruneBounds, TopKDiversified};
-use crate::engine::{drive_task_graph, PoolRef, SearchContext};
+use crate::engine::{PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::limits::QueryMonitor;
 use crate::preprocess::init_topk_in;
@@ -67,7 +65,7 @@ pub fn bottom_up_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
 }
 
 /// `BU-DCCS` on a query's context and executor crew: preprocessing and the
-/// subtree task graph share `pool`, so neither phase pays its own worker
+/// search tree's batches share `pool`, so neither phase pays its own worker
 /// spawn/join.
 pub(crate) fn bottom_up_dccs_on(
     ctx: &mut SearchContext,
@@ -95,9 +93,9 @@ pub(crate) fn bottom_up_dccs_on(
     let l = g.num_layers();
     let d = params.d;
     let s = params.s;
-    let order_pruning = opts.order_pruning;
     let monitor = ctx.monitor().cloned();
     let mon = monitor.as_deref();
+    let tripped = || mon.is_some_and(|m| m.check().is_some());
 
     // The tree peels in index space over the active set; the plan and any
     // dense build are search time, as in GD. Cores are expanded back to
@@ -107,33 +105,35 @@ pub(crate) fn bottom_up_dccs_on(
     let layer_cores: &[VertexSet] = cores_ix.as_deref().unwrap_or(&pre.layer_cores);
     let cores_by_pos: Vec<&VertexSet> = order.iter().map(|&i| &layer_cores[i]).collect();
 
-    // Evaluating one `BU-Gen` node (Fig. 3, lines 2–22 minus the commit):
-    // Lemma-3 child selection against the task's spawn-time bound snapshot,
-    // then one Lemma-1-seeded peel per surviving child. Runs on any worker;
-    // reads nothing but the task payload and the immutable search inputs.
-    let order_ref = &order;
-    let cores_ref = &cores_by_pos;
-    let eval = move |task: BuTask, ws: &mut PeelWorkspace| -> BuNodeEval {
-        fault::fire(mon, site::BU_EVAL);
-        let BuTask { positions, core: c_l, excluded, bounds } = task;
-        // A tripped limit: skip the peels entirely. The commit sees no
-        // children and spawns nothing, so the outstanding subtree drains.
-        if mon.is_some_and(|m| m.check().is_some()) {
-            return BuNodeEval { positions, excluded, children: Vec::new(), order_pruned: 0 };
+    // `BU-Gen` (Fig. 3), depth-first in pre-order: the top of the stack is
+    // the next node to expand.
+    let mut stack = vec![BuNode {
+        positions: Vec::new(),
+        core: index.compress(&pre.active),
+        excluded: vec![false; l],
+        bounds: topk.bounds(),
+    }];
+    let mut expanded = VertexSet::new(g.num_vertices());
+    while let Some(node) = stack.pop() {
+        // Once a limit trips, expand and commit nothing more: `topk`
+        // already holds the best-so-far partial the caller gets back.
+        if tripped() {
+            break;
         }
-        let next_start = positions.last().map(|&p| p + 1).unwrap_or(0);
+        let BuNode { positions, core: c_l, excluded, bounds } = node;
+        let next_start = positions.last().map_or(0, |&p| p + 1);
         let lp: Vec<usize> = (next_start..l).filter(|&j| !excluded[j]).collect();
         // While |R| < k no pruning is possible; once full, order children by
         // |C_L ∩ C^d(G_j)| and cut at the Lemma-3 bound.
         let mut order_pruned = 0usize;
-        let eval_positions: Vec<usize> = if !bounds.is_full() {
+        let selected: Vec<usize> = if !bounds.is_full() {
             lp
         } else {
             let mut ordered: Vec<(usize, usize)> =
-                lp.iter().map(|&j| (j, c_l.intersection_len(cores_ref[j]))).collect();
+                lp.iter().map(|&j| (j, c_l.intersection_len(cores_by_pos[j]))).collect();
             ordered.sort_by_key(|&(j, size)| (std::cmp::Reverse(size), j));
             let mut cut = ordered.len();
-            if order_pruning {
+            if opts.order_pruning {
                 if let Some(rank) = ordered.iter().position(|&(_, ub)| bounds.fails_size_bound(ub))
                 {
                     // Lemma 3: this child and all following ones are pruned.
@@ -144,94 +144,76 @@ pub(crate) fn bottom_up_dccs_on(
             ordered.truncate(cut);
             ordered.into_iter().map(|(j, _)| j).collect()
         };
-        // Peels run under the query's probe so a deadline or cancellation
-        // aborts the cascade mid-word-batch; an aborted peel leaves the
-        // candidate a *superset* of the true core, which the commit-side
-        // limit check keeps out of the result set.
-        ws.set_probe(mon.map(QueryMonitor::probe));
-        let mut children = Vec::with_capacity(eval_positions.len());
-        for &j in &eval_positions {
-            let mut candidate = c_l.intersection(cores_ref[j]);
-            if !candidate.is_empty() {
-                let mut layers: Vec<Layer> = positions.iter().map(|&p| order_ref[p]).collect();
-                layers.push(order_ref[j]);
-                index.peel(ws, &layers, d, &mut candidate);
-            }
-            children.push((j, candidate));
-        }
-        ws.set_probe(None);
-        BuNodeEval { positions, excluded, children, order_pruned }
-    };
+        // One batch: the Lemma-1-seeded peel of every selected child, on any
+        // worker. Peels run under the query's probe so a deadline or
+        // cancellation aborts the cascade mid-word-batch; an aborted peel
+        // leaves the candidate a *superset* of the true core, which the
+        // limit check after the batch keeps out of the result set.
+        let c_l = &c_l;
+        let jobs: Vec<_> = selected
+            .iter()
+            .map(|&j| {
+                let layer_core = cores_by_pos[j];
+                let mut layers: Vec<Layer> = positions.iter().map(|&p| order[p]).collect();
+                layers.push(order[j]);
+                move |ws: &mut PeelWorkspace| {
+                    fault::fire(mon, site::BU_EVAL);
+                    let mut candidate = c_l.intersection(layer_core);
+                    if !candidate.is_empty() && !tripped() {
+                        ws.set_probe(mon.map(QueryMonitor::probe));
+                        index.peel(ws, &layers, d, &mut candidate);
+                        ws.set_probe(None);
+                    }
+                    (layers, candidate)
+                }
+            })
+            .collect();
+        let children = pool.map(driver_ws, jobs);
 
-    {
-        let root = BuTask {
-            positions: Vec::new(),
-            core: index.compress(&pre.active),
-            excluded: vec![false; l],
-            bounds: topk.bounds(),
-        };
-        let topk = &mut topk;
-        let stats = &mut stats;
-        let mut expanded = VertexSet::new(g.num_vertices());
-        // Committing one node, in pre-order on the driver: leaves update R
-        // (Rule 1/2), internal children pass Lemma 2 against the live result
-        // set, Lemma-4 exclusions are derived from the kept set, and the
-        // survivors are spawned as new tasks under the current bounds.
-        drive_task_graph(pool, driver_ws, vec![root], &eval, |ev: BuNodeEval, _ws, spawn| {
-            fault::fire(mon, site::GRAPH_COMMIT);
-            // Once a limit trips, commit nothing more: children evaluated
-            // after the hit may be probe-aborted supersets, and `topk`
-            // already holds the best-so-far partial the caller gets back.
-            if mon.is_some_and(|m| m.check().is_some()) {
-                return;
-            }
-            stats.dcc_calls += ev.children.len();
-            stats.subtrees_pruned += ev.order_pruned;
-            let is_leaf = ev.positions.len() + 1 == s;
-            let mut kept: Vec<(usize, VertexSet)> = Vec::new();
-            let mut visited: Vec<usize> = Vec::new();
-            for (j, core) in ev.children {
-                if is_leaf {
-                    stats.candidates_generated += 1;
-                    if let Some(m) = mon {
-                        m.charge_candidates(1);
-                    }
-                    let mut layers: Vec<Layer> = ev.positions.iter().map(|&p| order[p]).collect();
-                    layers.push(order[j]);
-                    topk.try_update(CoherentCore::new(layers, index.emit_owned(core)));
-                } else if topk.satisfies_eq1(index.emit(&core, &mut expanded)) {
-                    visited.push(j);
-                    kept.push((j, core));
-                } else {
-                    // Lemma 2: the whole subtree below this child is pruned.
-                    visited.push(j);
-                    stats.subtrees_pruned += 1;
+        // The commit: leaves update R (Rule 1/2), internal children pass
+        // Lemma 2 against the live result set, and the survivors are pushed
+        // under the bounds as they stand now.
+        fault::fire(mon, site::GRAPH_COMMIT);
+        if tripped() {
+            break;
+        }
+        stats.dcc_calls += children.len();
+        stats.subtrees_pruned += order_pruned;
+        let is_leaf = positions.len() + 1 == s;
+        let mut child_excluded = excluded;
+        let mut kept: Vec<(usize, VertexSet)> = Vec::new();
+        for (&j, (layers, core)) in selected.iter().zip(children) {
+            if is_leaf {
+                stats.candidates_generated += 1;
+                if let Some(m) = mon {
+                    m.charge_candidates(1);
+                }
+                topk.try_update(CoherentCore::new(layers, index.emit_owned(core)));
+            } else if topk.satisfies_eq1(index.emit(&core, &mut expanded)) {
+                kept.push((j, core));
+            } else {
+                // Lemma 2: the whole subtree below this child is pruned, and
+                // Lemma 4 excludes its layer from every descendant.
+                stats.subtrees_pruned += 1;
+                if opts.layer_pruning {
+                    child_excluded[j] = true;
                 }
             }
-            if ev.positions.len() + 1 >= s {
-                return;
-            }
-            // Layers that were visited but not kept are excluded from every
-            // descendant (Lemma 4).
-            let mut child_excluded = ev.excluded;
-            if opts.layer_pruning {
-                for &j in &visited {
-                    if !kept.iter().any(|&(kj, _)| kj == j) {
-                        child_excluded[j] = true;
-                    }
-                }
-            }
-            for (j, core) in kept {
-                let mut positions = ev.positions.clone();
-                positions.push(j);
-                spawn.push(BuTask {
-                    positions,
-                    core,
-                    excluded: child_excluded.clone(),
-                    bounds: topk.bounds(),
-                });
-            }
-        });
+        }
+        let bounds = topk.bounds();
+        let first = stack.len();
+        for (j, core) in kept {
+            let mut child_positions = positions.clone();
+            child_positions.push(j);
+            stack.push(BuNode {
+                positions: child_positions,
+                core,
+                excluded: child_excluded.clone(),
+                bounds,
+            });
+        }
+        // The first kept child is expanded next.
+        stack[first..].reverse();
     }
 
     stats.index_path = Some(index.path());
@@ -245,31 +227,17 @@ pub(crate) fn bottom_up_dccs_on(
     DccsResult::from_topk(g.num_vertices(), topk, stats, start.elapsed())
 }
 
-/// One `BU-Gen` search-tree node, scheduled as a task on the executor's
-/// task graph. Everything evaluation needs travels in the payload — most
-/// importantly the [`PruneBounds`] snapshot captured when the task was
-/// spawned, which keeps the Lemma-3 selection scheduling-independent.
-struct BuTask {
+/// One `BU-Gen` search-tree node waiting on the stack to be expanded.
+struct BuNode {
     /// Tree positions of the node's layer subset `L` (ascending).
     positions: Vec<usize>,
-    /// The node's d-CC `C_L` in index space, peeled by the parent's task.
+    /// The node's d-CC `C_L` in index space, peeled in its parent's batch.
     core: VertexSet,
     /// Lemma-4 layer exclusions inherited from the ancestors.
     excluded: Vec<bool>,
-    /// Result-set bounds at spawn time (the parent's commit).
+    /// Result-set bounds at the parent's commit, which the node's Lemma-3
+    /// cut reads.
     bounds: PruneBounds,
-}
-
-/// The outcome of evaluating one [`BuTask`], committed on the driver in
-/// pre-order.
-struct BuNodeEval {
-    positions: Vec<usize>,
-    excluded: Vec<bool>,
-    /// Evaluated children in Lemma-3 order: `(position, peeled core)`, the
-    /// cores in index space.
-    children: Vec<(usize, VertexSet)>,
-    /// Children cut by the Lemma-3 bound (never peeled).
-    order_pruned: usize,
 }
 
 #[cfg(test)]

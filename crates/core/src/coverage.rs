@@ -21,17 +21,16 @@ use mlgraph::{Vertex, VertexSet};
 const WORD_BITS: usize = 64;
 
 /// A frozen snapshot of the pruning-relevant state of a [`TopKDiversified`]
-/// set, taken when a search-tree task is spawned onto the executor's task
-/// graph (see [`crate::engine`]).
+/// set: the three scalars the order-based bound (Lemmas 3 and 6) needs.
 ///
-/// A task evaluated on a worker must not read the live result set — its
-/// contents depend on which other subtrees have committed, which would make
-/// the search scheduling-dependent. Instead the spawning commit captures
-/// the three scalars the order-based bound (Lemmas 3 and 6) needs; because
-/// tasks are spawned at deterministic pre-order moments, the snapshot — and
-/// therefore every decision derived from it — is identical at any thread
-/// count. Candidate acceptance itself always goes through the live set's
-/// [`TopKDiversified::try_update`] on the driver.
+/// `BU-DCCS` takes one at each node's commit and hands it to the node's
+/// children, whose Lemma-3 cut reads it (see [`crate::bottom_up`]). The
+/// search runs on the driver in pre-order, so the live bound would be
+/// deterministic too. The snapshot is kept because it fixes which children
+/// are peeled: reading the live bound would change `dcc_calls`,
+/// `subtrees_pruned` and possibly the Lemma-4 exclusions, so the counters
+/// would no longer match the record. Candidate acceptance itself always
+/// goes through the live set's [`TopKDiversified::try_update`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PruneBounds {
     k: usize,

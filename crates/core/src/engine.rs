@@ -24,30 +24,21 @@
 //!   `threads − 1` worker threads, each with its own [`PeelWorkspace`],
 //!   draining a shared job queue alongside the driver. The query service
 //!   keeps one crew and reuses it across queries; a one-thread run gets a
-//!   crew with no workers, so every batch runs inline on the driver. Two
-//!   scheduling shapes run on a crew:
-//!
-//!   1. *Fork-join batches* (`PoolRef::map`) — a fixed job list whose
-//!      outputs come back in submission order. The lattice's depth-1
-//!      branches, the per-layer preprocessing peels, and batch query
-//!      fan-out all use this shape.
-//!   2. *Subtree task graphs* (`drive_task_graph`) — BU/TD search-tree
-//!      nodes become individual tasks on the shared queue. Each task is
-//!      evaluated on whichever worker grabs it first, carrying a snapshot
-//!      of the pruning bounds it was spawned under, and its result is
-//!      *committed* on the driver strictly in the tree's pre-order. A
-//!      commit may spawn the node's surviving children as new tasks, which
-//!      take the next pre-order commit slots — so sibling subtrees peel
-//!      concurrently while the result set, the statistics, and every
-//!      pruning decision evolve in one deterministic order.
+//!   crew with no workers, so every batch runs inline on the driver. A
+//!   crew runs one scheduling shape, the *fork-join batch*
+//!   (`PoolRef::map`): a fixed job list whose outputs come back in
+//!   submission order. The lattice's depth-1 branches, the per-layer
+//!   preprocessing peels, batch query fan-out, and the children of each
+//!   BU/TD search-tree node all run this way. BU and TD walk their trees
+//!   depth-first on the driver, in pre-order, and peel each node's
+//!   children as one batch.
 //!
 //! Determinism contract: the executor never lets scheduling influence an
-//! algorithm's decisions. Fork-join batches fix their job set before any
-//! job runs and commit outputs sequentially in submission order; task
-//! graphs evaluate each task as a pure function of its payload (including
-//! the spawn-time bound snapshot) and commit results in pre-order, with all
-//! live pruning bounds read only at commit time on the driver. The
-//! thread-equivalence property tests
+//! algorithm's decisions. A batch fixes its job set before any job runs,
+//! each job reads only what it captured, and the driver consumes the
+//! outputs in submission order. The live search state (the result set, the
+//! statistics, every pruning bound) is read and written on the driver
+//! only, between batches. The thread-equivalence property tests
 //! (`crates/core/tests/engine_threads.rs`) enforce that BU, TD, and the
 //! lattice produce bit-identical results and statistics at 1, 2, 4, and 8
 //! threads.
@@ -887,8 +878,8 @@ type Job = Box<dyn FnOnce(&mut PeelWorkspace) + Send>;
 /// the batch, and blocks until the in-flight ones have finished. No erased
 /// closure — queued, running, or dropped — can therefore outlive the frame
 /// whose borrows it captures. The queue is strictly single-driver (one
-/// batch or task graph in flight at a time), so a guard never waits on or
-/// drops another batch's jobs.
+/// batch in flight at a time), so a guard never waits on or drops another
+/// batch's jobs.
 #[allow(unsafe_code)]
 fn erase_job<'env>(job: Box<dyn FnOnce(&mut PeelWorkspace) + Send + 'env>) -> Job {
     // SAFETY: per above — completion is enforced before the borrowed frame
@@ -912,8 +903,8 @@ struct PoolShared {
     done_cv: Condvar,
     /// Message of the most recent panicking job, recorded by the isolation
     /// layer in [`worker_loop`] before the driver is woken — so when the
-    /// driver surfaces the failure (missing batch result / dead task slot)
-    /// the dispatch layer can report the *original* panic, not the generic
+    /// driver surfaces the failure (a missing batch result) the dispatch
+    /// layer can report the *original* panic, not the generic
     /// missing-result message.
     last_panic: Mutex<Option<String>>,
 }
@@ -953,12 +944,12 @@ fn lock_state<'a>(shared: &'a PoolShared) -> MutexGuard<'a, PoolState> {
 }
 
 /// The completion fence backing [`erase_job`]'s safety argument: dropped on
-/// every exit path of a batch or task graph, it discards whatever the
-/// current batch still has queued (decrementing the in-flight counter for
-/// each discarded job) and then waits until every job already running on a
-/// worker has finished. On the normal path the caller has already drained
-/// everything and this is one cheap lock; on an unwinding path it is what
-/// keeps erased borrows alive until no job can touch them.
+/// every exit path of a batch, it discards whatever the current batch still
+/// has queued (decrementing the in-flight counter for each discarded job)
+/// and then waits until every job already running on a worker has finished.
+/// On the normal path the caller has already drained everything and this
+/// is one cheap lock; on an unwinding path it is what keeps erased borrows
+/// alive until no job can touch them.
 struct DrainGuard<'a>(&'a PoolShared);
 
 impl Drop for DrainGuard<'_> {
@@ -976,11 +967,9 @@ impl Drop for DrainGuard<'_> {
 
 /// Decrements the in-flight job counter even if the job panicked, so a
 /// driver parked on `done_cv` is woken instead of deadlocking the batch.
-/// Every popped job — fork-join batch job or task-graph task — is executed
-/// under this guard;
-/// `outstanding` is incremented at enqueue time by both [`PoolRef::map`]
-/// and [`PoolRef::submit`], so the counter uniformly means "enqueued but
-/// not finished".
+/// Every popped job, on a worker or on the driver, runs under this guard;
+/// [`PoolRef::map`] increments `outstanding` at enqueue time, so the
+/// counter means "enqueued but not finished".
 struct JobGuard<'a>(&'a PoolShared);
 
 impl Drop for JobGuard<'_> {
@@ -1013,11 +1002,11 @@ fn worker_loop(shared: &PoolShared) {
         // Panic isolation: a panicking job must not take its worker down —
         // the crew outlives the query (the query service's crew serves
         // every later query too). The panic is recorded for the driver,
-        // which sees the job's missing result (batch) or dead slot (task
-        // graph), and the workspace — whose scratch may be mid-cascade — is
-        // replaced wholesale. Unwind safety: the job's borrows are fenced
-        // by the batch's `DrainGuard` either way, and nothing of the
-        // worker's state beyond `ws` crosses the boundary.
+        // which sees the job's missing batch result, and the workspace —
+        // whose scratch may be mid-cascade — is replaced wholesale. Unwind
+        // safety: the job's borrows are fenced by the batch's `DrainGuard`,
+        // and nothing of the worker's state beyond `ws` crosses the
+        // boundary.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut ws)));
         if let Err(payload) = outcome {
             shared.record_panic(payload.as_ref());
@@ -1046,8 +1035,9 @@ impl PoolRef<'_> {
         self.shared.take_last_panic()
     }
 
-    /// Runs a batch of jobs — one search-tree child each — across the crew
-    /// and returns their outputs **in submission order**.
+    /// Runs a batch of jobs — one search-tree child, lattice branch, layer
+    /// peel or query each — across the crew and returns their outputs **in
+    /// submission order**.
     ///
     /// The driver participates: it drains the queue alongside the workers on
     /// `driver_ws`, then blocks until the stragglers finish. With no workers
@@ -1109,193 +1099,6 @@ impl PoolRef<'_> {
         assert_eq!(results.len(), n, "a batch job died without producing its result");
         results.into_iter().map(|(_, t)| t).collect()
     }
-
-    /// Enqueues one task for any worker (or the waiting driver) to execute,
-    /// returning a handle its result is later collected through. Unlike
-    /// [`PoolRef::map`] this is not a barrier: tasks from many search-tree
-    /// nodes coexist in the queue, which is what lets sibling subtrees
-    /// evaluate concurrently.
-    ///
-    /// Crate-private: erased-lifetime tasks are only sound under
-    /// [`drive_task_graph`]'s completion fence, so the submit/wait pair is
-    /// not exposed raw.
-    pub(crate) fn submit<R, F>(&self, job: F) -> TaskHandle<R>
-    where
-        R: Send,
-        F: FnOnce(&mut PeelWorkspace) -> R + Send,
-    {
-        let slot =
-            Arc::new(TaskSlot { state: Mutex::new(SlotState::Pending), filled: Condvar::new() });
-        let task_slot = Arc::clone(&slot);
-        {
-            let mut st = lock_state(self.shared);
-            st.outstanding += 1;
-            st.queue.push_back(erase_job(Box::new(move |ws: &mut PeelWorkspace| {
-                let mut guard = SlotGuard { slot: &task_slot, armed: true };
-                let out = job(ws);
-                guard.armed = false;
-                *task_slot.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    SlotState::Done(out);
-                task_slot.filled.notify_all();
-            })));
-        }
-        self.shared.work_cv.notify_one();
-        TaskHandle(slot)
-    }
-
-    /// Blocks until the given task's result is available and returns it.
-    /// While waiting, the driver helps drain the shared queue on
-    /// `driver_ws`, so a sequential context (no workers) executes every
-    /// pending task itself and the task graph never stalls.
-    pub(crate) fn wait_task<R: Send>(
-        &self,
-        driver_ws: &mut PeelWorkspace,
-        handle: TaskHandle<R>,
-    ) -> R {
-        loop {
-            if let Some(out) = handle.try_take() {
-                return out;
-            }
-            let stolen = lock_state(self.shared).queue.pop_front();
-            if let Some(job) = stolen {
-                let guard = JobGuard(self.shared);
-                job(driver_ws);
-                drop(guard);
-                continue;
-            }
-            if self.workers == 0 {
-                // No workers and an empty queue: the awaited job can only
-                // have run on the driver already, so the slot must be
-                // filled — loop back and take it.
-                continue;
-            }
-            // The task is running on a worker; park until its slot fills.
-            let mut st = handle.0.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            while matches!(*st, SlotState::Pending) {
-                st = handle.0.filled.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-    }
-}
-
-/// Runs a deterministic subtree-level task graph to completion.
-///
-/// Every task is one search-tree node. `eval` runs on whichever worker (or
-/// the helping driver) grabs the task first and must be a pure function of
-/// the task payload — any pruning bound it consults has to travel *inside*
-/// the payload as a spawn-time snapshot (see
-/// [`crate::coverage::PruneBounds`]). `commit` runs on the driver only,
-/// strictly in the tree's **pre-order**: it may update live search state
-/// (the top-k result set, the statistics) and pushes the node's surviving
-/// children into its `Vec<T>` argument; those children take the commit
-/// slots immediately after their parent, before the parent's later
-/// siblings, and are snapshot under the bounds at that moment.
-///
-/// The combination — scheduling-independent evaluation plus pre-order
-/// commits — makes the search's results and work counters bit-identical at
-/// every thread count, while tasks from different subtrees peel
-/// concurrently. With no workers the graph degenerates to a plain
-/// depth-first traversal with zero queue overhead.
-pub(crate) fn drive_task_graph<T, R, E, C>(
-    pool: &PoolRef<'_>,
-    driver_ws: &mut PeelWorkspace,
-    roots: Vec<T>,
-    eval: &E,
-    mut commit: C,
-) where
-    T: Send,
-    R: Send,
-    E: Fn(T, &mut PeelWorkspace) -> R + Sync,
-    C: FnMut(R, &mut PeelWorkspace, &mut Vec<T>),
-{
-    let mut children: Vec<T> = Vec::new();
-    if pool.workers() == 0 {
-        // Sequential fast path: evaluate-and-commit is exactly a pre-order
-        // depth-first walk; no slots, no boxing.
-        let mut pending: VecDeque<T> = roots.into_iter().collect();
-        while let Some(task) = pending.pop_front() {
-            let result = eval(task, driver_ws);
-            commit(result, driver_ws, &mut children);
-            for child in children.drain(..).rev() {
-                pending.push_front(child);
-            }
-        }
-        return;
-    }
-    // Tasks borrow `eval` and the payloads' environment; the fence keeps
-    // every submitted (erased) task inside this frame — see `erase_job`.
-    let _fence = DrainGuard(pool.shared);
-    let mut pending: VecDeque<TaskHandle<R>> = VecDeque::new();
-    for task in roots {
-        pending.push_back(pool.submit(move |ws| eval(task, ws)));
-    }
-    while let Some(front) = pending.pop_front() {
-        let result = pool.wait_task(driver_ws, front);
-        commit(result, driver_ws, &mut children);
-        for child in children.drain(..).rev() {
-            pending.push_front(pool.submit(move |ws| eval(child, ws)));
-        }
-    }
-}
-
-/// State of one submitted task's result slot.
-enum SlotState<R> {
-    /// The task has not produced its result yet.
-    Pending,
-    /// The task finished; the result waits for the driver to take it.
-    Done(R),
-    /// The task panicked (or its result was already taken).
-    Dead,
-}
-
-/// One submitted task's result mailbox. The executing worker fills it; the
-/// driver takes it in commit order.
-struct TaskSlot<R> {
-    state: Mutex<SlotState<R>>,
-    filled: Condvar,
-}
-
-/// Marks the slot [`SlotState::Dead`] unless disarmed — so a panicking task
-/// job wakes a driver parked on the slot instead of deadlocking it; the
-/// driver then panics on the dead slot, and the dispatch layer reports the
-/// worker's original message (parked by [`worker_loop`]'s isolation layer)
-/// in its typed error.
-struct SlotGuard<'a, R> {
-    slot: &'a TaskSlot<R>,
-    armed: bool,
-}
-
-impl<R> Drop for SlotGuard<'_, R> {
-    fn drop(&mut self) {
-        if self.armed {
-            *self.slot.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                SlotState::Dead;
-            self.slot.filled.notify_all();
-        }
-    }
-}
-
-/// Handle to one submitted task, returned by [`PoolRef::submit`] and
-/// redeemed (in commit order) by [`PoolRef::wait_task`].
-pub(crate) struct TaskHandle<R>(Arc<TaskSlot<R>>);
-
-impl<R> TaskHandle<R> {
-    /// Takes the result if the task has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task died without producing a result.
-    fn try_take(&self) -> Option<R> {
-        let mut st = self.0.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match &*st {
-            SlotState::Pending => None,
-            SlotState::Done(_) => match std::mem::replace(&mut *st, SlotState::Dead) {
-                SlotState::Done(r) => Some(r),
-                _ => unreachable!(),
-            },
-            SlotState::Dead => panic!("a task-graph job died before producing its result"),
-        }
-    }
 }
 
 /// Resolves a `threads` knob: `0` means **auto** —
@@ -1315,8 +1118,8 @@ pub fn auto_threads(threads: usize) -> usize {
 /// `N` workers (it never lowers an explicit wider setting). Because the
 /// executor's results are thread-invariant, forcing a width changes no
 /// output — it only makes single-core CI runners exercise the multi-worker
-/// queue, slot, and merge paths that a `threads = 1` run would otherwise
-/// skip. Read once per process.
+/// queue and merge paths that a `threads = 1` run would otherwise skip.
+/// Read once per process.
 fn forced_threads() -> Option<usize> {
     static FORCED: OnceLock<Option<usize>> = OnceLock::new();
     *FORCED.get_or_init(|| {
@@ -1339,14 +1142,14 @@ pub(crate) fn with_pool<R>(threads: usize, f: impl FnOnce(&PoolRef<'_>) -> R) ->
 }
 
 /// The executor's one crew type: `threads − 1` worker threads (the driver
-/// is the remaining one), spawned once, reused by every batch and task
-/// graph handed its [`PoolRef`], and joined on drop. The query service
+/// is the remaining one), spawned once, reused by every batch handed its
+/// [`PoolRef`], and joined on drop. The query service
 /// keeps one for its multi-thread queries and batches, so repeated queries
 /// stop paying a worker spawn/join per phase.
 ///
-/// Determinism is untouched: a crew only changes *where* jobs run, and
-/// every scheduling shape on it commits deterministically (see the module
-/// docs). A job that panics is caught on its worker ([`worker_loop`]'s
+/// Determinism is untouched: a crew only changes *where* jobs run, and a
+/// batch's outputs come back in submission order (see the module docs). A
+/// job that panics is caught on its worker ([`worker_loop`]'s
 /// isolation layer): the worker survives with a fresh workspace, the panic
 /// message is parked for [`PoolRef::take_last_panic`], and the driver
 /// surfaces the failure through the batch's missing result — so the crew
@@ -1390,7 +1193,7 @@ impl PersistentPool {
         self.threads
     }
 
-    /// A handle batches and task graphs run on. Takes `&mut self`: the
+    /// A handle batches run on. Takes `&mut self`: the
     /// queue is strictly single-driver (the [`DrainGuard`] completion fence
     /// purges the whole queue on an unwinding batch), so the borrow checker
     /// must rule out two simultaneous drivers on one crew.
@@ -1445,74 +1248,6 @@ mod tests {
         });
         let expected: Vec<usize> = (0..10).map(|round| round * 800 + 28).collect();
         assert_eq!(sums, expected);
-    }
-
-    /// The task graph must commit in pre-order — parents before children,
-    /// children before their parent's later siblings — at every width, and
-    /// evaluation must see only the task payload.
-    #[test]
-    fn task_graph_commits_in_pre_order_at_every_width() {
-        // A ternary tree of depth 3, identified by paths; eval squares the
-        // node id, commit records the order and spawns the children.
-        fn reference(path: &[usize], depth: usize, out: &mut Vec<Vec<usize>>) {
-            out.push(path.to_vec());
-            if depth == 0 {
-                return;
-            }
-            for c in 0..3 {
-                let mut child = path.to_vec();
-                child.push(c);
-                reference(&child, depth - 1, out);
-            }
-        }
-        let mut expected = Vec::new();
-        reference(&[], 3, &mut expected);
-
-        for threads in [1usize, 2, 4, 8] {
-            let eval = |path: Vec<usize>, _ws: &mut PeelWorkspace| path;
-            let mut committed: Vec<Vec<usize>> = Vec::new();
-            with_pool(threads, |pool| {
-                let mut ws = PeelWorkspace::new();
-                drive_task_graph(
-                    pool,
-                    &mut ws,
-                    vec![Vec::new()],
-                    &eval,
-                    |path: Vec<usize>, _ws, spawn| {
-                        if path.len() < 3 {
-                            for c in 0..3usize {
-                                let mut child = path.clone();
-                                child.push(c);
-                                spawn.push(child);
-                            }
-                        }
-                        committed.push(path);
-                    },
-                );
-            });
-            assert_eq!(committed, expected, "threads={threads}");
-        }
-    }
-
-    /// Multiple roots are committed in order, each with its full subtree
-    /// before the next root.
-    #[test]
-    fn task_graph_handles_multiple_roots() {
-        for threads in [1usize, 3] {
-            let eval = |v: u32, _ws: &mut PeelWorkspace| v;
-            let mut committed = Vec::new();
-            with_pool(threads, |pool| {
-                let mut ws = PeelWorkspace::new();
-                drive_task_graph(pool, &mut ws, vec![10u32, 20, 30], &eval, |v, _ws, spawn| {
-                    if v % 10 == 0 {
-                        spawn.push(v + 1);
-                        spawn.push(v + 2);
-                    }
-                    committed.push(v);
-                });
-            });
-            assert_eq!(committed, vec![10, 11, 12, 20, 21, 22, 30, 31, 32], "threads={threads}");
-        }
     }
 
     #[test]
@@ -1627,11 +1362,11 @@ mod tests {
         assert_eq!((index.path(), index.index_bytes()), (IndexPath::Csr, 0));
     }
 
-    /// One persistent crew must serve many batches and task graphs — with
-    /// jobs borrowing data created long after the crew spawned — and keep
-    /// the deterministic ordering contracts of a fresh crew.
+    /// One persistent crew must serve many batches — with jobs borrowing
+    /// data created long after the crew spawned — and keep the submission
+    /// order of a fresh crew.
     #[test]
-    fn persistent_pool_serves_repeated_batches_and_graphs() {
+    fn persistent_pool_serves_repeated_batches() {
         let mut crew = PersistentPool::new(3);
         let mut ws = PeelWorkspace::new();
         for round in 0..5usize {
@@ -1642,17 +1377,6 @@ mod tests {
                 .map(&mut ws, data.iter().map(|&x| move |_ws: &mut PeelWorkspace| x * 2).collect());
             assert_eq!(out, data.iter().map(|&x| x * 2).collect::<Vec<_>>(), "round {round}");
         }
-        // A task graph on the same crew, same pre-order contract.
-        let eval = |v: u32, _ws: &mut PeelWorkspace| v;
-        let mut committed = Vec::new();
-        drive_task_graph(&crew.pool_ref(), &mut ws, vec![10u32, 20], &eval, |v, _ws, spawn| {
-            if v % 10 == 0 {
-                spawn.push(v + 1);
-                spawn.push(v + 2);
-            }
-            committed.push(v);
-        });
-        assert_eq!(committed, vec![10, 11, 12, 20, 21, 22]);
     }
 
     /// The isolation layer: a panicking job surfaces on the driver (missing

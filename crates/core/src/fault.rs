@@ -16,7 +16,7 @@
 //!     count  how many times the fault fires (default 1)
 //! ```
 //!
-//! Examples: `bu.eval:panic` panics the first bottom-up task evaluation;
+//! Examples: `bu.eval:panic` panics the first bottom-up child job;
 //! `lattice.branch:delay200:3` delays the first three lattice branch walks
 //! by 200 ms (used to make deadline tests deterministic). The `dccs` CLI is
 //! the only reader of the `DCCS_FAULT_INJECT` environment variable: it
@@ -43,11 +43,13 @@ pub mod site {
     /// Start of each depth-1 lattice branch walk (GD/Exact candidate
     /// generation).
     pub const LATTICE_BRANCH: &str = "lattice.branch";
-    /// Start of each bottom-up task evaluation.
+    /// Start of each bottom-up child job: one per child peel of a node's
+    /// batch.
     pub const BU_EVAL: &str = "bu.eval";
-    /// Start of each top-down task evaluation.
+    /// Start of each top-down child job: one per `RefineU` and child peel of
+    /// a node's batch.
     pub const TD_EVAL: &str = "td.eval";
-    /// Each task-graph commit on the driver.
+    /// Each BU/TD node commit on the driver, after the node's batch.
     pub const GRAPH_COMMIT: &str = "graph.commit";
     /// Start of each query job of a batch sweep.
     pub const BATCH_QUERY: &str = "batch.query";

@@ -6,8 +6,9 @@
 //! layer can trip from another thread. Internally the dispatch layer compiles
 //! both, plus the service's [`FaultPlan`] when one is installed, into a
 //! `QueryMonitor` — a `Sync` bundle of atomics the algorithms poll
-//! at **coarse boundaries only**: per task-graph commit and evaluation, per
-//! lattice subtree, per preprocessing fixpoint round, and (through the
+//! at **coarse boundaries only**: per BU/TD search-tree node (before and
+//! after its batch of child peels) and per child job, per lattice subtree,
+//! per preprocessing fixpoint round, and (through the
 //! [`coreness::CancelProbe`] installed on each worker's peel workspace) per
 //! cascade frontier. The hot word loops are never instrumented, so an
 //! unlimited query pays no measurable cancellation tax.

@@ -45,8 +45,8 @@
 //! # Threads
 //!
 //! A query's `threads` knob selects the width of the shared executor — the
-//! fork-join batches of preprocessing and the lattice, and the BU/TD
-//! subtree task graphs — and nothing else: results are bit-identical at
+//! fork-join batches of preprocessing, the lattice, and the BU/TD search
+//! trees — and nothing else: results are bit-identical at
 //! every width. One rule holds everywhere: `0` means **auto**
 //! (`available_parallelism`, via [`crate::auto_threads`]) and any other
 //! value is taken literally. A multi-thread query drives the service's

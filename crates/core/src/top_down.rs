@@ -26,18 +26,15 @@
 //!
 //! # Execution model
 //!
-//! The search tree runs as a deterministic subtree-level task graph on the
-//! shared executor ([`crate::engine`]): each node is one
-//! task whose evaluation computes **all** of its children (`RefineU` and
-//! the child peel — `TD-Gen` needs every child before it can order them), on
-//! whichever worker grabs the task. Results are committed on the driver in
-//! the tree's pre-order; the commit sorts the children, applies Lemmas
-//! 5–7 against the live result set, performs the updates, and spawns the
-//! surviving children as new tasks — which then evaluate concurrently with
-//! tasks from other subtrees. Unlike BU, evaluation itself consults no
-//! pruning bound, so nothing has to be frozen into the task payload: every
-//! pruning decision runs at a deterministic commit moment, and the search
-//! is bit-identical at any thread count.
+//! The driver walks the search tree depth-first, in pre-order, over an
+//! explicit stack. Each node's children — `RefineU` and the child peel per
+//! child, since `TD-Gen` needs every child before it can order them — run
+//! as one fork-join batch on the shared executor ([`crate::engine`]) and
+//! come back in removable-position order. The driver then sorts them,
+//! applies Lemmas 5–7 against the live result set, performs the updates,
+//! and pushes the children it must expand. No job reads a pruning bound,
+//! and every pruning decision runs on the driver in one order, so the
+//! search is bit-identical at any thread count.
 //!
 //! Every peel — the root, `RefineU`'s Class-1 peel, the child peel and the
 //! Lemma-7 representative — runs on the [`crate::engine::PeelIndex`] the
@@ -51,7 +48,7 @@
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::coverage::TopKDiversified;
-use crate::engine::{drive_task_graph, PeelIndex, PoolRef, SearchContext};
+use crate::engine::{PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::limits::QueryMonitor;
 use crate::preprocess::init_topk_in;
@@ -74,7 +71,7 @@ pub fn top_down_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
 }
 
 /// `TD-DCCS` on a query's context and executor crew: preprocessing and the
-/// subtree task graph share `pool`, so neither phase pays its own worker
+/// search tree's batches share `pool`, so neither phase pays its own worker
 /// spawn/join.
 pub(crate) fn top_down_dccs_on(
     ctx: &mut SearchContext,
@@ -102,6 +99,7 @@ pub(crate) fn top_down_dccs_on(
     let search_start = Instant::now();
     let monitor = ctx.monitor().cloned();
     let mon = monitor.as_deref();
+    let tripped = || mon.is_some_and(|m| m.check().is_some());
 
     // The tree peels in index space over the active set; the plan and any
     // dense build are search time, as in GD. Cores are expanded back to
@@ -126,7 +124,7 @@ pub(crate) fn top_down_dccs_on(
     if params.s == l {
         // An aborted root peel leaves `root_core` a superset of the true
         // d-CC — report nothing rather than a wrong core.
-        if mon.is_none_or(|m| m.check().is_none()) {
+        if !tripped() {
             stats.candidates_generated += 1;
             if let Some(m) = mon {
                 m.charge_candidates(1);
@@ -144,92 +142,103 @@ pub(crate) fn top_down_dccs_on(
 
     let d = params.d;
     let s = params.s;
-    let order_ref: &[Layer] = &order;
+    let order: &[Layer] = &order;
 
-    // Evaluating one `TD-Gen` node: compute every child `L' = L − {j}`
-    // (`RefineU` then the child peel), in removable-position order. Runs on
-    // any worker and reads only the task payload.
-    let eval = move |task: TdTask, ws: &mut PeelWorkspace| -> TdNodeEval {
-        fault::fire(mon, site::TD_EVAL);
-        let TdTask { positions, potential } = task;
-        // A tripped limit: skip the refinement entirely. The commit sees no
-        // children and spawns nothing, so the outstanding subtree drains.
-        if mon.is_some_and(|m| m.check().is_some()) {
-            return TdNodeEval { children: Vec::new() };
+    // `TD-Gen` (Fig. 8), depth-first in pre-order: the top of the stack is
+    // the next node to expand.
+    let mut stack = vec![TdNode { positions: all_positions, potential: active }];
+    let mut expanded = VertexSet::new(g.num_vertices());
+    while let Some(node) = stack.pop() {
+        // Once a limit trips, expand and commit nothing more: `topk`
+        // already holds the best-so-far partial the caller gets back.
+        if tripped() {
+            break;
         }
-        // Peels run under the query's probe; an aborted peel leaves a child
-        // core a *superset* of the truth, which the commit-side limit check
-        // keeps out of the result set.
-        ws.set_probe(mon.map(QueryMonitor::probe));
         // Removable positions: members of L above every removed position.
         let max_removed =
-            (0..l).filter(|p| !positions.contains(p)).max().map(|p| p as isize).unwrap_or(-1);
-        let removable: Vec<usize> =
-            positions.iter().copied().filter(|&p| p as isize > max_removed).collect();
-        let children: Vec<TdChild> = removable
-            .into_iter()
+            (0..l).filter(|p| !node.positions.contains(p)).max().map(|p| p as isize).unwrap_or(-1);
+        // One batch: every child `L' = L − {j}`, in removable-position
+        // order, on any worker (`TD-Gen` needs every child before it can
+        // order them). `RefineU` shrinks the node's `U_L` into `U_{L'}`, and
+        // one peel of `U_{L'}` over `L'` extracts the exact `C_{L'}`, since
+        // every d-CC below the node lies inside its potential set. Both
+        // peels run under the query's probe; an aborted peel leaves a child
+        // set a *superset* of the truth, which the limit check after the
+        // batch keeps out of the result set.
+        let node_ref = &node;
+        let jobs: Vec<_> = node
+            .positions
+            .iter()
+            .copied()
+            .filter(|&p| p as isize > max_removed)
             .map(|j| {
-                let child_positions: Vec<usize> =
-                    positions.iter().copied().filter(|&p| p != j).collect();
-                // Class split w.r.t. L' (Section V-B): max removed position
-                // is `j` because children always remove a position above
-                // every earlier one.
-                let class1: Vec<Layer> =
-                    child_positions.iter().filter(|&&p| p < j).map(|&p| order_ref[p]).collect();
-                let class2: Vec<Layer> =
-                    child_positions.iter().filter(|&&p| p > j).map(|&p| order_ref[p]).collect();
-                let layers: Vec<Layer> = child_positions.iter().map(|&p| order_ref[p]).collect();
-                let spec = TdChildSpec { j, child_positions, class1, class2, layers };
-                eval_child(&index, d, s, layer_cores, spec, &potential, ws)
+                move |ws: &mut PeelWorkspace| {
+                    fault::fire(mon, site::TD_EVAL);
+                    if tripped() {
+                        return None;
+                    }
+                    let positions: Vec<usize> =
+                        node_ref.positions.iter().copied().filter(|&p| p != j).collect();
+                    // Class split w.r.t. L' (Section V-B): max removed
+                    // position is `j` because children always remove a
+                    // position above every earlier one.
+                    let class1: Vec<Layer> =
+                        positions.iter().filter(|&&p| p < j).map(|&p| order[p]).collect();
+                    let class2: Vec<Layer> =
+                        positions.iter().filter(|&&p| p > j).map(|&p| order[p]).collect();
+                    let layers: Vec<Layer> = positions.iter().map(|&p| order[p]).collect();
+                    ws.set_probe(mon.map(QueryMonitor::probe));
+                    let potential = refine_u(
+                        ws,
+                        &index,
+                        d,
+                        s,
+                        &node_ref.potential,
+                        &class1,
+                        &class2,
+                        layer_cores,
+                    );
+                    let mut core = potential.clone();
+                    index.peel(ws, &layers, d, &mut core);
+                    ws.set_probe(None);
+                    Some(TdChild { positions, core, potential, removed: j })
+                }
             })
             .collect();
-        ws.set_probe(None);
-        TdNodeEval { children }
-    };
+        let children = pool.map(driver_ws, jobs);
 
-    {
-        let root = TdTask { positions: all_positions, potential: active };
-        let topk = &mut topk;
-        let stats = &mut stats;
-        let mut expanded = VertexSet::new(g.num_vertices());
-        // Committing one node, in pre-order on the driver: order the
-        // children by |U_{L'}| and apply Lemmas 5–7 against the live result
-        // set, update R from leaves and Lemma-7 representatives, and spawn
-        // the children that must be expanded.
-        drive_task_graph(pool, driver_ws, vec![root], &eval, |mut ev: TdNodeEval, ws, spawn| {
-            fault::fire(mon, site::GRAPH_COMMIT);
-            // Once a limit trips, commit nothing more: children evaluated
-            // after the hit may be probe-aborted supersets, and `topk`
-            // already holds the best-so-far partial the caller gets back.
-            if mon.is_some_and(|m| m.check().is_some()) {
-                return;
-            }
-            stats.dcc_calls += ev.children.len();
-            let leaves = ev.children.iter().filter(|c| c.positions.len() == s).count();
-            stats.candidates_generated += leaves;
-            if let Some(m) = mon {
-                m.charge_candidates(leaves);
-            }
-            if !topk.is_full() {
-                // Cases 1–2: no pruning while |R| < k.
-                for child in ev.children {
-                    if child.positions.len() == s {
-                        let layers: Vec<Layer> =
-                            child.positions.iter().map(|&p| order[p]).collect();
-                        topk.try_update(CoherentCore::new(layers, index.emit_owned(child.core)));
-                    } else {
-                        spawn.push(TdTask {
-                            positions: child.positions,
-                            potential: child.potential,
-                        });
-                    }
+        // The commit: order the children by |U_{L'}| and apply Lemmas 5–7
+        // against the live result set, update R from leaves and Lemma-7
+        // representatives, and push the children that must be expanded.
+        fault::fire(mon, site::GRAPH_COMMIT);
+        if tripped() {
+            break;
+        }
+        // A job returns `None` only after a limit tripped, which the check
+        // above has already stopped on.
+        let mut children: Vec<TdChild> = children.into_iter().flatten().collect();
+        stats.dcc_calls += children.len();
+        let leaves = children.iter().filter(|c| c.positions.len() == s).count();
+        stats.candidates_generated += leaves;
+        if let Some(m) = mon {
+            m.charge_candidates(leaves);
+        }
+        let first = stack.len();
+        if !topk.is_full() {
+            // Cases 1–2: no pruning while |R| < k.
+            for child in children {
+                if child.positions.len() == s {
+                    let layers: Vec<Layer> = child.positions.iter().map(|&p| order[p]).collect();
+                    topk.try_update(CoherentCore::new(layers, index.emit_owned(child.core)));
+                } else {
+                    stack.push(TdNode { positions: child.positions, potential: child.potential });
                 }
-                return;
             }
+        } else {
             // Cases 3–4: order children by |U_{L'}| descending (Lemma 6).
-            ev.children.sort_by_key(|c| std::cmp::Reverse(c.potential.len()));
-            let total = ev.children.len();
-            for (rank, child) in ev.children.into_iter().enumerate() {
+            children.sort_by_key(|c| std::cmp::Reverse(c.potential.len()));
+            let total = children.len();
+            for (rank, child) in children.into_iter().enumerate() {
                 if opts.order_pruning && topk.fails_size_bound(child.potential.len()) {
                     stats.subtrees_pruned += total - rank;
                     break;
@@ -276,14 +285,16 @@ pub(crate) fn top_down_dccs_on(
                     // with no probe installed, so it always completes and
                     // the update below is always a true d-CC.
                     let mut core = child.potential;
-                    index.peel(ws, &layers, d, &mut core);
+                    index.peel(driver_ws, &layers, d, &mut core);
                     topk.try_update(CoherentCore::new(layers, index.emit_owned(core)));
                     stats.subtrees_pruned += 1;
                     continue;
                 }
-                spawn.push(TdTask { positions: child.positions, potential: child.potential });
+                stack.push(TdNode { positions: child.positions, potential: child.potential });
             }
-        });
+        }
+        // The first pushed child is expanded next.
+        stack[first..].reverse();
     }
 
     stats.phase.search = search_start.elapsed();
@@ -295,21 +306,12 @@ pub(crate) fn top_down_dccs_on(
     DccsResult::from_topk(g.num_vertices(), topk, stats, start.elapsed())
 }
 
-/// One `TD-Gen` search-tree node, scheduled as a task on the executor's
-/// task graph. Evaluation needs no pruning state — `TD-Gen` computes every
-/// child before ordering them — so the payload is just the node identity
-/// and its potential vertex set.
-struct TdTask {
+/// One `TD-Gen` search-tree node waiting on the stack to be expanded.
+struct TdNode {
     /// Tree positions of the node's layer subset `L` (ascending).
     positions: Vec<usize>,
     /// The node's potential vertex set `U_L`, in index space.
     potential: VertexSet,
-}
-
-/// The outcome of evaluating one [`TdTask`]: every child, in
-/// removable-position order, committed on the driver in pre-order.
-struct TdNodeEval {
-    children: Vec<TdChild>,
 }
 
 /// A child node of the top-down search tree, its sets in index space.
@@ -319,38 +321,6 @@ struct TdChild {
     potential: VertexSet,
     /// The removed position `j` (needed for the Lemma-7 shortcut).
     removed: usize,
-}
-
-/// The driver-computed description of one child evaluation: the removed
-/// position, the child's positions, the `RefineU` class split, and the
-/// child's layer list.
-struct TdChildSpec {
-    j: usize,
-    child_positions: Vec<usize>,
-    class1: Vec<Layer>,
-    class2: Vec<Layer>,
-    layers: Vec<Layer>,
-}
-
-/// One child evaluation on the evaluating worker's workspace: `RefineU`
-/// shrinks the parent's `U_L` into `U_{L'}`, then one peel of `U_{L'}` over
-/// `L'` extracts the exact `C_{L'}` (every d-CC below the node lies inside
-/// its potential set). Both peels run on `index`, in its index space, under
-/// whatever probe `ws` carries.
-fn eval_child(
-    index: &PeelIndex<'_>,
-    d: u32,
-    s: usize,
-    layer_cores: &[VertexSet],
-    spec: TdChildSpec,
-    u_l: &VertexSet,
-    ws: &mut PeelWorkspace,
-) -> TdChild {
-    let TdChildSpec { j, child_positions, class1, class2, layers } = spec;
-    let potential = refine_u(ws, index, d, s, u_l, &class1, &class2, layer_cores);
-    let mut core = potential.clone();
-    index.peel(ws, &layers, d, &mut core);
-    TdChild { positions: child_positions, core, potential, removed: j }
 }
 
 #[cfg(test)]

@@ -2,17 +2,17 @@
 //!
 //! The determinism contract of `dccs::engine` is that the worker count is
 //! invisible in everything but wall-clock time: BU and TD (whose search
-//! trees run as subtree-level task graphs with spawn-time bound snapshots
-//! and pre-order commits) and the lattice-driven GD must produce the same
+//! trees are walked in pre-order on the driver, each node's children peeled
+//! as one fork-join batch) and the lattice-driven GD must produce the same
 //! cores (layer subsets and vertex sets, in the same order), the same
 //! cover, and the same work counters at 1, 2, 4, and 8 threads — and the
-//! 1-thread engine run (the task graph's inline depth-first fast path)
-//! must equal the plain sequential entry points. Random small multi-layer
-//! graphs exercise the full grid, including the ablation presets whose
-//! pruning interacts with commit order.
+//! 1-thread engine run (every batch inline on the driver) must equal the
+//! plain sequential entry points. Random small multi-layer graphs exercise
+//! the full grid, including the ablation presets whose pruning interacts
+//! with commit order.
 //!
 //! CI additionally runs this suite with `DCCS_FORCE_THREADS=4`, so even a
-//! single-core runner drives the multi-worker queue, slot, and merge paths.
+//! single-core runner drives the multi-worker queue and merge paths.
 
 use dccs::{
     bottom_up_dccs, greedy_dccs, top_down_dccs, Algorithm, DccsOptions, DccsParams, DccsResult,

@@ -2,8 +2,9 @@
 //! (`dccs::fault::site`) is armed in turn and the session must convert the
 //! injected panic into [`DccsError::TaskPanicked`], keep its worker crew
 //! alive, and answer the next query **bit-identically to a fresh session**.
-//! Delay injection makes the deadline path deterministic, and a panicking
-//! batch spec must stay confined to its own result slot.
+//! Delay injection makes the deadline path deterministic, in the lattice
+//! and in the BU/TD search trees, and a panicking batch spec must stay
+//! confined to its own result slot.
 //!
 //! Each test arms a fault plan on its own session or service, which no
 //! other test's queries see, so the tests run in parallel; the last test
@@ -134,6 +135,53 @@ fn delay_injection_trips_the_deadline_deterministically() {
         .run()
         .unwrap();
     assert_identical(&after, &fresh, "post-deadline rerun");
+}
+
+/// A deadline that passes inside BU's or TD's search tree: every child job
+/// sleeps 20 ms against a 5 ms deadline, at every width. The query must
+/// stop with a flagged partial holding only exact d-CCs — no probe-aborted
+/// superset may reach the result set — and leave the session answering
+/// bit-identically to a fresh one.
+#[test]
+fn delay_injection_trips_the_deadline_inside_the_search_trees() {
+    let g = test_graph();
+    let delay = FaultMode::Delay(Duration::from_millis(20));
+    let deadline = Duration::from_millis(5);
+    for (fault_site, algorithm, params) in [
+        (site::BU_EVAL, Algorithm::BottomUp, DccsParams::new(2, 2, 3)),
+        (site::TD_EVAL, Algorithm::TopDown, DccsParams::new(2, 3, 3)),
+    ] {
+        for threads in [1usize, 2, 4] {
+            let label = format!("{fault_site} threads={threads}");
+            let opts = DccsOptions::with_threads(threads);
+            let mut session = DccsSession::with_options(&g, opts);
+            session.set_fault_plan(Some(FaultPlan::new(fault_site, delay, 50)));
+            let err = session
+                .query(params)
+                .algorithm(algorithm)
+                .limits(QueryLimits::none().with_deadline(deadline))
+                .run()
+                .expect_err(&format!("{label}: a blown deadline must fail the query"));
+            let DccsError::DeadlineExceeded { partial, .. } = err else {
+                panic!("{label}: expected DeadlineExceeded, got: {err}");
+            };
+            assert!(!partial.stats.complete, "{label}: partial results are flagged incomplete");
+            assert_eq!(partial.stats.limit_hit, Some(LimitKind::Deadline), "{label}");
+            for core in &partial.cores {
+                let full = coreness::d_coherent_core_full(&g, &core.layers, params.d);
+                assert_eq!(core.vertices, full, "{label}: layers {:?}", core.layers);
+            }
+            session.set_fault_plan(None);
+            let after = session.query(params).algorithm(algorithm).run().unwrap();
+            assert!(after.stats.complete, "{label}");
+            let fresh = DccsSession::with_options(&g, opts)
+                .query(params)
+                .algorithm(algorithm)
+                .run()
+                .unwrap();
+            assert_identical(&after, &fresh, &label);
+        }
+    }
 }
 
 #[test]

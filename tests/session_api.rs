@@ -274,3 +274,33 @@ fn index_override_is_recorded_and_bit_identical() {
         }
     }
 }
+
+/// A candidate budget trips BU's and TD's search trees at the same point at
+/// every width: the walk charges candidates and checks the monitor on the
+/// driver, before and after each node's batch, so the candidate count the
+/// error reports is a pure function of the tree's pre-order.
+#[test]
+fn candidate_budget_trips_the_search_trees_at_the_same_count_at_every_width() {
+    use dccs::{DccsOptions, QueryLimits};
+    let ds = generate(DatasetId::German, Scale::Tiny);
+    let params = DccsParams::new(2, 3, 5);
+    for (algorithm, expected) in [(Algorithm::BottomUp, 12), (Algorithm::TopDown, 9)] {
+        for threads in [1usize, 2, 4] {
+            let err = DccsSession::with_options(&ds.graph, DccsOptions::with_threads(threads))
+                .query(params)
+                .algorithm(algorithm)
+                .limits(QueryLimits::none().with_candidate_budget(7))
+                .run()
+                .expect_err("a budget of 7 must trip");
+            match err {
+                DccsError::BudgetExceeded { candidates, limit } => assert_eq!(
+                    (candidates, limit),
+                    (expected, 7),
+                    "{} threads={threads}",
+                    algorithm.name()
+                ),
+                other => panic!("{} threads={threads}: got {other:?}", algorithm.name()),
+            }
+        }
+    }
+}
