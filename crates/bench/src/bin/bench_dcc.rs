@@ -18,7 +18,10 @@
 //! geometric-mean speedup are printed and written as JSON. The
 //! `index_regret` group times GD's, BU's and TD's search at each
 //! engine-vs-naive configuration under forced CSR, forced dense and `Auto`,
-//! recording `Auto`'s pick and its regret against the fastest.
+//! recording `Auto`'s pick and its regret against the fastest. The
+//! `paper_figures` group runs last: the paper's Section VI queries on the
+//! registry analogues at `--scale` itself, one cold one-thread query per
+//! row, with a time and cover summary per figure.
 //!
 //! `--scale large` keeps the standard comparison groups at `Tiny` (so
 //! the recorded `geomean_speedup` stays comparable run over run) and
@@ -37,6 +40,7 @@ use dccs_bench::dcc_baseline::{
     ThreadScaling,
 };
 use dccs_bench::large_scale::{install_alloc_probe, large_scale_suite, AllocProbe};
+use dccs_bench::paper_figures::{paper_figures_suite, PaperFigures};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -51,7 +55,11 @@ static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 fn track_add(size: usize) {
     let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    // Most allocations set no new peak: a plain load skips the second
+    // read-modify-write, which allocation-heavy searches would pay per call.
+    if live > PEAK_BYTES.load(Ordering::Relaxed) {
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
 }
 
 fn track_sub(size: usize) {
@@ -333,12 +341,15 @@ fn main() {
             m.peak_alloc_bytes,
         );
     }
-    // The search-tree group runs last: its German-large and Wiki-full
-    // sessions leave the process heap in a state that slowed the
-    // `large_scale` commits timed after them from about 28 to 40 ms, though
-    // the commit path itself runs as fast after a fresh start.
+    // The search-tree and paper-figure groups run last, after every group
+    // their heap use could disturb: the search-tree group's German-large
+    // and Wiki-full sessions left the process heap in a state that slowed
+    // the `large_scale` commits timed after them from about 28 to 40 ms,
+    // though the commit path itself runs as fast after a fresh start.
     let subtree = if skip_scaling { Vec::new() } else { subtree_scaling_suite(runs, threads) };
     print_scaling(&subtree);
+    let figures = paper_figures_suite(scale);
+    print_figures(&figures);
     let suites = SuiteResults {
         comparisons,
         scaling,
@@ -352,6 +363,7 @@ fn main() {
         concurrent,
         incremental,
         large,
+        figures: Some(figures),
     };
     let text = serde_json::to_string_pretty(&suite_to_json(scale, runs, &suites));
     if let Err(err) = std::fs::write(&out_path, text + "\n") {
@@ -376,6 +388,38 @@ fn print_scaling(rows: &[ThreadScaling]) {
             t.secs_n,
             t.speedup(),
             t.search_speedup(),
+        );
+    }
+}
+
+/// Prints the paper-figure group's query rows and its per-figure summaries.
+fn print_figures(figures: &PaperFigures) {
+    for (row, q) in figures.rows.iter().filter_map(|r| Some((r, r.query.as_ref()?))) {
+        println!(
+            "fig {:<5} {:>8} {:<7} d={} s={:<2} k={:<2}  total {:>10.6}s  cover {:>5}  candidates {:>6}  dCC {:>8}  pruned {:>6}",
+            row.figure,
+            row.dataset,
+            q.algorithm,
+            q.d,
+            q.s,
+            q.k,
+            q.total_secs,
+            q.cover,
+            q.candidates,
+            q.dcc_calls,
+            q.pruned,
+        );
+    }
+    let ratio = |r: Option<f64>| r.map_or_else(|| "-".to_string(), |r| format!("{r:.2}"));
+    for s in figures.summaries() {
+        let covers: Vec<String> =
+            s.cover_over_gd.iter().map(|&(name, r)| format!("{name} {r:.2}")).collect();
+        println!(
+            "fig {:<5} summary  BU/GD time {}  TD/GD time {}  cover/GD: {}",
+            s.figure,
+            ratio(s.bu_over_gd_secs),
+            ratio(s.td_over_gd_secs),
+            covers.join(", "),
         );
     }
 }

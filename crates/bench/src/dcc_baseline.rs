@@ -51,6 +51,7 @@
 //! ~0.9× "speedups" it produces would be read as regressions.
 
 use crate::large_scale::LargeScaleMeasurement;
+use crate::paper_figures::PaperFigures;
 use crate::runner::{run_algorithm, Algorithm};
 use coreness::PeelWorkspace;
 use datasets::{generate, Dataset, DatasetId, Scale};
@@ -1313,6 +1314,9 @@ pub struct SuiteResults {
     pub incremental: Vec<IncrementalMaintenance>,
     /// The large-scale tier ([`crate::large_scale::large_scale_suite`]).
     pub large: Vec<LargeScaleMeasurement>,
+    /// The paper's Section VI figures
+    /// ([`crate::paper_figures::paper_figures_suite`]); `null` when absent.
+    pub figures: Option<PaperFigures>,
 }
 
 /// Geometric mean of `values`, 1 for none.
@@ -1379,6 +1383,7 @@ pub fn suite_to_json(scale: Scale, runs: usize, suites: &SuiteResults) -> Value 
         ),
         ("incremental_maintenance", array(&suites.incremental, IncrementalMaintenance::to_json)),
         ("large_scale", array(&suites.large, LargeScaleMeasurement::to_json)),
+        ("paper_figures", suites.figures.as_ref().map_or(Value::Null, PaperFigures::to_json)),
     ])
 }
 

@@ -1,31 +1,23 @@
 //! # dccs-bench — experiment harness
 //!
-//! Reusable pieces shared by the experiment binaries in `src/bin/`, each of
-//! which regenerates one group of tables/figures from the paper's Section VI
-//! (see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
-//! recorded outputs).
+//! The pieces the `bench_dcc` binary records as `BENCH_dcc.json`:
 //!
-//! * [`sweeps`] — the parameter grid of Fig. 13.
 //! * [`dcc_baseline`] — engine-vs-naive measurement of the peeling engine,
-//!   recorded as `BENCH_dcc.json` by the `bench_dcc` binary.
+//!   plus the executor, `Auto`, index, phase, service and maintenance
+//!   groups.
 //! * [`large_scale`] — the million-vertex tier: generation, preprocessing,
 //!   and warm-session query throughput with memory accounting.
+//! * [`paper_figures`] — the paper's Section VI evaluation (Figs. 12 and
+//!   14–32) on the registry analogues, as one group.
 //! * [`runner`] — uniform invocation of the three DCCS algorithms with
 //!   timing and search statistics.
-//! * [`table`] — plain-text table rendering and CSV emission.
-//! * [`cli`] — the tiny flag parser shared by the experiment binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod dcc_baseline;
 pub mod large_scale;
+pub mod paper_figures;
 pub mod runner;
-pub mod sweeps;
-pub mod table;
 
-pub use cli::ExperimentArgs;
-pub use runner::{run_algorithm, run_sweep, Algorithm, RunOutcome};
-pub use sweeps::ParameterGrid;
-pub use table::Table;
+pub use runner::{run_algorithm, Algorithm, RunOutcome};

@@ -1,6 +1,6 @@
 //! Uniform invocation of the DCCS algorithms through the session API.
 
-use dccs::{DccsOptions, DccsParams, DccsResult, DccsSession, QuerySpec};
+use dccs::{DccsOptions, DccsParams, DccsResult, DccsSession};
 use mlgraph::MultiLayerGraph;
 use std::time::Duration;
 
@@ -30,22 +30,9 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Seconds as a float, convenient for tables.
+    /// Wall-clock seconds as a float.
     pub fn seconds(&self) -> f64 {
         self.elapsed.as_secs_f64()
-    }
-
-    fn from_result(spec: QuerySpec, result: DccsResult) -> Self {
-        RunOutcome {
-            algorithm: result.stats.algorithm.unwrap_or(spec.algorithm),
-            params: spec.params,
-            elapsed: result.elapsed,
-            cover_size: result.cover_size(),
-            candidates: result.stats.candidates_generated,
-            dcc_calls: result.stats.dcc_calls,
-            pruned: result.stats.subtrees_pruned,
-            result,
-        }
     }
 }
 
@@ -66,37 +53,21 @@ pub fn run_algorithm(
     params: &DccsParams,
     opts: &DccsOptions,
 ) -> RunOutcome {
-    let spec = QuerySpec::new(*params).with_algorithm(algorithm);
     let result = DccsSession::with_options(g, *opts)
         .query(*params)
         .algorithm(algorithm)
         .run()
         .unwrap_or_else(|err| panic!("bench query {params:?} failed: {err}"));
-    RunOutcome::from_result(spec, result)
-}
-
-/// Runs a whole sweep through one reused [`DccsSession`] (and, with
-/// `opts.threads > 1`, one worker crew via [`DccsSession::run_batch`]),
-/// returning one outcome per spec in order.
-///
-/// # Panics
-///
-/// Panics when any spec is invalid for the graph.
-pub fn run_sweep(g: &MultiLayerGraph, specs: &[QuerySpec], opts: &DccsOptions) -> Vec<RunOutcome> {
-    let mut session = DccsSession::with_options(g, *opts);
-    let results =
-        session.run_batch(specs).unwrap_or_else(|err| panic!("bench sweep failed: {err}"));
-    specs
-        .iter()
-        .zip(results)
-        .map(|(&spec, result)| {
-            // The bench harness runs no limits, so every per-spec slot
-            // succeeds unless the engine itself is broken.
-            let result =
-                result.unwrap_or_else(|err| panic!("bench query {:?} failed: {err}", spec.params));
-            RunOutcome::from_result(spec, result)
-        })
-        .collect()
+    RunOutcome {
+        algorithm: result.stats.algorithm.unwrap_or(algorithm),
+        params: *params,
+        elapsed: result.elapsed,
+        cover_size: result.cover_size(),
+        candidates: result.stats.candidates_generated,
+        dcc_calls: result.stats.dcc_calls,
+        pruned: result.stats.subtrees_pruned,
+        result,
+    }
 }
 
 #[cfg(test)]
@@ -141,22 +112,6 @@ mod tests {
         let fixed = run_algorithm(auto.algorithm, &ds.graph, &params, &DccsOptions::default());
         assert_eq!(auto.cover_size, fixed.cover_size);
         assert_eq!(auto.result.stats, fixed.result.stats);
-    }
-
-    #[test]
-    fn run_sweep_matches_individual_runs() {
-        let ds = generate(DatasetId::German, Scale::Tiny);
-        let opts = DccsOptions::default();
-        let specs: Vec<QuerySpec> = (1..=3)
-            .map(|s| QuerySpec::new(DccsParams::new(2, s, 5)).with_algorithm(Algorithm::BottomUp))
-            .collect();
-        let swept = run_sweep(&ds.graph, &specs, &opts);
-        assert_eq!(swept.len(), specs.len());
-        for (outcome, spec) in swept.iter().zip(&specs) {
-            let single = run_algorithm(spec.algorithm, &ds.graph, &spec.params, &opts);
-            assert_eq!(outcome.cover_size, single.cover_size);
-            assert_eq!(outcome.result.stats, single.result.stats);
-        }
     }
 
     #[test]

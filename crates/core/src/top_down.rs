@@ -111,25 +111,22 @@ pub(crate) fn top_down_dccs_on(
     let cores_ix = index.compress_layer_cores(&pre.layer_cores);
     let layer_cores: &[VertexSet] = cores_ix.as_deref().unwrap_or(&pre.layer_cores);
 
-    // Root: C_{[l]} computed over the active vertex set, under the query's
-    // probe — the root peel is the single largest cascade of the search.
-    let all_positions: Vec<usize> = (0..l).collect();
-    let all_layers: Vec<Layer> = order.clone();
-    stats.dcc_calls += 1;
-    let mut root_core = active.clone();
-    driver_ws.set_probe(mon.map(QueryMonitor::probe));
-    index.peel(driver_ws, &all_layers, params.d, &mut root_core);
-    driver_ws.set_probe(None);
-
     if params.s == l {
-        // An aborted root peel leaves `root_core` a superset of the true
-        // d-CC — report nothing rather than a wrong core.
+        // The root C_{[l]} is the only candidate, so only this query peels
+        // it: over the active vertex set, under the query's probe. An
+        // aborted peel leaves `root_core` a superset of the true d-CC —
+        // report nothing rather than a wrong core.
+        stats.dcc_calls += 1;
+        let mut root_core = active;
+        driver_ws.set_probe(mon.map(QueryMonitor::probe));
+        index.peel(driver_ws, &order, params.d, &mut root_core);
+        driver_ws.set_probe(None);
         if !tripped() {
             stats.candidates_generated += 1;
             if let Some(m) = mon {
                 m.charge_candidates(1);
             }
-            topk.try_update(CoherentCore::new(all_layers, index.emit_owned(root_core)));
+            topk.try_update(CoherentCore::new(order, index.emit_owned(root_core)));
         }
         stats.phase.search = search_start.elapsed();
         if let Some(kind) = mon.and_then(QueryMonitor::hit) {
@@ -146,7 +143,7 @@ pub(crate) fn top_down_dccs_on(
 
     // `TD-Gen` (Fig. 8), depth-first in pre-order: the top of the stack is
     // the next node to expand.
-    let mut stack = vec![TdNode { positions: all_positions, potential: active }];
+    let mut stack = vec![TdNode { positions: (0..l).collect(), potential: active }];
     let mut expanded = VertexSet::new(g.num_vertices());
     while let Some(node) = stack.pop() {
         // Once a limit trips, expand and commit nothing more: `topk`

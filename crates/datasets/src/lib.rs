@@ -14,9 +14,10 @@
 //!   used by the Fig. 32 experiment.
 //!
 //! The vertex counts of the four large datasets are scaled down so that the
-//! full experiment suite runs on a laptop; see `DESIGN.md` for the
-//! substitution rationale. All generators are deterministic given the seed
-//! recorded in the dataset spec.
+//! full experiment suite runs on a laptop; `bench_dcc`'s `paper_figures`
+//! group records each analogue's statistics beside the paper's (Fig. 12).
+//! All generators are deterministic given the seed recorded in the dataset
+//! spec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -99,7 +99,7 @@ pub fn all_datasets() -> [DatasetId; 6] {
 /// * `Full` — the default experiment scale (large datasets are scaled down
 ///   from the paper's millions of vertices to tens of thousands).
 /// * `Small` — one quarter of `Full`, for quick experiment runs.
-/// * `Tiny` — a few hundred vertices, for tests and Criterion benchmarks.
+/// * `Tiny` — a few hundred vertices, for tests and smoke runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Four times the default scale.

@@ -5,13 +5,9 @@
 //! * [`binary`] — a compact little-endian binary snapshot built on
 //!   [`bytes`], suitable for caching generated datasets between experiment
 //!   runs.
-//! * [`dot`] — Graphviz DOT export of an induced subgraph, used to produce
-//!   the Fig. 31-style qualitative pictures.
 
 pub mod binary;
-pub mod dot;
 pub mod edge_list;
 
 pub use binary::{checksum64, frame, read_binary, unframe, write_binary};
-pub use dot::{induced_subgraph_dot, DotOptions};
 pub use edge_list::{parse_edge_list, read_edge_list, write_edge_list};

@@ -62,6 +62,43 @@ fn all_algorithms_agree_on_core_validity_for_a_module_dataset() {
     assert!(gd.cover_size() * 5 >= max * 3); // greedy is at least (1 - 1/e)
 }
 
+/// Lemma 3's cut of BU's ordered children skips whole subtrees of a real
+/// analogue, and the cores it answers are those of the uncut walk.
+#[test]
+fn bottom_up_order_pruning_cuts_calls_but_not_cores() {
+    let g = &generate(DatasetId::Author, Scale::Small).graph;
+    let params = DccsParams::new(3, 5, 5);
+    let pruned = bottom_up_dccs(g, &params);
+    let opts = DccsOptions { order_pruning: false, ..DccsOptions::default() };
+    let unpruned = DccsSession::with_options(g, opts)
+        .query(params)
+        .algorithm(Algorithm::BottomUp)
+        .run()
+        .unwrap();
+    assert!(pruned.cover_size() > 0);
+    assert_eq!(pruned.cores, unpruned.cores);
+    assert!(
+        pruned.stats.dcc_calls < unpruned.stats.dcc_calls,
+        "{} dCC calls with the cut, {} without",
+        pruned.stats.dcc_calls,
+        unpruned.stats.dcc_calls
+    );
+}
+
+/// Below s = l no query reads the root's d-CC, so TD does not peel it: at
+/// s = l − 1 the root's l children are its only peels.
+#[test]
+fn top_down_one_below_l_peels_only_the_roots_children() {
+    for (id, scale) in [(DatasetId::Author, Scale::Small), (DatasetId::Ppi, Scale::Tiny)] {
+        let g = &generate(id, scale).graph;
+        let l = g.num_layers();
+        for (d, k) in [(2, 5), (3, 5), (3, 10)] {
+            let result = top_down_dccs(g, &DccsParams::new(d, l - 1, k));
+            assert_eq!(result.stats.dcc_calls, l, "{id:?} d={d} k={k}");
+        }
+    }
+}
+
 #[test]
 fn top_down_reports_exact_d_ccs_across_a_parameter_sweep() {
     // TD-DCCS extracts each child's core from its refined potential set; a
