@@ -54,7 +54,7 @@ use crate::large_scale::LargeScaleMeasurement;
 use crate::paper_figures::PaperFigures;
 use crate::runner::{run_algorithm, Algorithm};
 use coreness::PeelWorkspace;
-use datasets::{generate, Dataset, DatasetId, Scale};
+use datasets::{generate, temporal_config, Dataset, DatasetId, Scale};
 use dccs::{DccsOptions, DccsParams, IndexChoice, IndexPath};
 use mlgraph::MultiLayerGraph;
 use serde_json::Value;
@@ -1163,19 +1163,6 @@ pub fn concurrent_service_suite(
         out.push(many);
     }
     out
-}
-
-/// The temporal generator configuration matching the bench scale (the same
-/// shape the CLI's `dccs apply --stream` drives).
-fn temporal_config(scale: Scale) -> mlgraph::generators::TemporalConfig {
-    use mlgraph::generators::TemporalConfig;
-    let (num_vertices, num_layers, edges_per_layer, core_size) = match scale {
-        Scale::Tiny => (150, 4, 450, 24),
-        Scale::Small => (600, 6, 2400, 48),
-        Scale::Full => (2000, 8, 8000, 80),
-        Scale::Large => (8000, 8, 32000, 160),
-    };
-    TemporalConfig { num_vertices, num_layers, edges_per_layer, core_size, ..Default::default() }
 }
 
 /// Measures one incremental-maintenance configuration: `num_batches`

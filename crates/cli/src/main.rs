@@ -16,7 +16,7 @@
 //! [`DccsSession`], so invalid parameters and malformed inputs surface as
 //! one-line errors with a nonzero exit code — never a panic backtrace.
 
-use datasets::{generate, DatasetId, Scale};
+use datasets::{generate, temporal_config, DatasetId, Scale};
 use dccs::fault::FaultPlan;
 use dccs::{
     Algorithm, DccIndex, DccsError, DccsOptions, DccsParams, DccsSession, IndexChoice,
@@ -745,23 +745,6 @@ fn cmd_apply(opts: &Options) -> Result<(), CliError> {
                 .map_err(|e| CliError::Runtime(e.to_string()))?;
             apply_and_query(opts, &g, &batches)
         }
-    }
-}
-
-/// The temporal-generator shape backing `apply --stream`, sized by --scale.
-fn temporal_config(scale: Scale) -> mlgraph::generators::TemporalConfig {
-    let (num_vertices, num_layers, edges_per_layer, core_size) = match scale {
-        Scale::Tiny => (150, 4, 450, 24),
-        Scale::Small => (600, 6, 2400, 48),
-        Scale::Full => (2000, 8, 8000, 80),
-        Scale::Large => (8000, 8, 32000, 160),
-    };
-    mlgraph::generators::TemporalConfig {
-        num_vertices,
-        num_layers,
-        edges_per_layer,
-        core_size,
-        ..Default::default()
     }
 }
 

@@ -140,11 +140,6 @@ impl DccsOptions {
         DccsOptions { threads, ..DccsOptions::default() }
     }
 
-    /// Default options with the dense-vs-CSR cost model overridden.
-    pub fn with_index(index: IndexChoice) -> Self {
-        DccsOptions { index, ..DccsOptions::default() }
-    }
-
     /// Default options with query limits attached.
     pub fn with_limits(limits: QueryLimits) -> Self {
         DccsOptions { limits, ..DccsOptions::default() }

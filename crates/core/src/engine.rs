@@ -243,11 +243,13 @@ type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 ///   only the search;
 /// * the dense-vs-CSR cost-model decisions per candidate universe.
 ///
-/// Each [`crate::service::GraphSnapshot`] owns one tier, behind an `Arc`,
+/// Each [`crate::service::GraphSnapshot`] holds one tier, behind an `Arc`,
 /// and every context checked out for that snapshot reads it — so N worker
 /// contexts answering N queries share one copy of the preprocessing work
-/// instead of each recomputing it. The snapshot's epoch is the tier's
-/// identity: a mutation commit publishes a new snapshot with a new tier.
+/// instead of each recomputing it. A tier belongs to one graph version: a
+/// mutation commit publishes a new snapshot with a new tier, while
+/// attaching an index publishes one that keeps the tier (same graph, fresh
+/// epoch).
 /// Entries are built **once under a once-style guard**: concurrent first
 /// queries for the same key block on one computation
 /// ([`OnceLock::get_or_init`]), and a computation that panics (e.g. under
@@ -496,19 +498,31 @@ impl SearchContext {
         opts: &DccsOptions,
         stats: &mut SearchStats,
     ) -> Arc<Preprocessed> {
-        let tier = &self.shared;
-        let monitor = self.monitor.as_deref();
-        let ws = &mut self.ws;
+        let tier = self.shared.clone();
         let key = (params.d, params.s, opts.vertex_deletion);
-        let (pre, hit) = tier.fixpoint(key, monitor.is_some(), || {
-            let initial = tier
-                .layer_cores(params.d, || initial_layer_cores_on(g, params.d, ws, pool, monitor));
-            preprocess_from_monitored(g, params, opts, ws, initial.to_vec(), pool, monitor)
+        let (pre, hit) = tier.fixpoint(key, self.monitor.is_some(), || {
+            let initial = self.layer_cores(pool, g, params.d).to_vec();
+            let (ws, monitor) = (&mut self.ws, self.monitor.as_deref());
+            preprocess_from_monitored(g, params, opts, ws, initial, pool, monitor)
         });
         stats.vertices_deleted = pre.vertices_deleted;
         stats.fixpoint_rounds = pre.fixpoint_rounds;
         stats.preprocess_memo_hit = hit;
         pre
+    }
+
+    /// Every layer's full-universe d-core for `d`, from the bound tier's
+    /// per-`d` memo: peeled as a fork-join batch on `pool` by the first
+    /// caller, shared by every later one. Preprocessing and the index build
+    /// both read layer cores here.
+    pub(crate) fn layer_cores(
+        &mut self,
+        pool: &PoolRef<'_>,
+        g: &MultiLayerGraph,
+        d: u32,
+    ) -> Arc<Vec<VertexSet>> {
+        let (ws, monitor) = (&mut self.ws, self.monitor.as_deref());
+        self.shared.layer_cores(d, || initial_layer_cores_on(g, d, ws, pool, monitor))
     }
 
     /// Split borrow of the `InitTopK` scratch: the driver workspace, the

@@ -99,24 +99,13 @@ pub enum DccsError {
         message: String,
     },
     /// The query could not be served from the precomputed index even though
-    /// [`crate::Serve::Index`] demanded it: no index attached, the index
+    /// [`crate::Serve::Index`] demanded it: no index attached to the graph
+    /// version (a mutation commit drops the index it outdates), the index
     /// was built for a different graph, it has no entry for the requested
     /// `(d, s)`, or the query forces a non-greedy algorithm.
     IndexUnavailable {
         /// One-line description of why the index cannot serve the query.
         message: String,
-    },
-    /// A [`crate::Serve::Index`] query found the attached [`crate::DccIndex`]
-    /// outdated: a committed mutation batch
-    /// ([`crate::QueryService::commit`]) advanced the graph past the epoch
-    /// the index was built against, auto-detaching it. Rebuild the index on
-    /// the current graph and re-attach, or query with
-    /// [`crate::Serve::Auto`]/[`crate::Serve::Peel`] to answer by peeling.
-    IndexStale {
-        /// Epoch of the graph version the index was valid for.
-        index_epoch: u64,
-        /// Epoch of the graph version the query ran against.
-        graph_epoch: u64,
     },
     /// A mutation batch submitted to [`crate::QueryService::commit`] (or
     /// `dccs apply`) failed validation — an out-of-range layer or vertex, a
@@ -160,10 +149,6 @@ impl PartialEq for DccsError {
             | (IndexCorrupt { message: a }, IndexCorrupt { message: b })
             | (IndexUnavailable { message: a }, IndexUnavailable { message: b })
             | (BatchInvalid { message: a }, BatchInvalid { message: b }) => a == b,
-            (
-                IndexStale { index_epoch: a, graph_epoch: b },
-                IndexStale { index_epoch: c, graph_epoch: d },
-            ) => a == c && b == d,
             _ => false,
         }
     }
@@ -251,13 +236,6 @@ impl fmt::Display for DccsError {
             DccsError::IndexUnavailable { message } => {
                 write!(f, "cannot serve the query from the index: {message}")
             }
-            DccsError::IndexStale { index_epoch, graph_epoch } => {
-                write!(
-                    f,
-                    "the attached index was built for graph epoch {index_epoch} but the \
-                     graph is now at epoch {graph_epoch}; rebuild and re-attach it"
-                )
-            }
             DccsError::BatchInvalid { message } => {
                 write!(f, "mutation batch rejected: {message}")
             }
@@ -290,7 +268,6 @@ mod tests {
             DccsError::TaskPanicked { message: "injected fault at bu.eval".into() },
             DccsError::IndexCorrupt { message: "checksum mismatch".into() },
             DccsError::IndexUnavailable { message: "no index attached".into() },
-            DccsError::IndexStale { index_epoch: 3, graph_epoch: 7 },
             DccsError::BatchInvalid { message: "vertex 99 out of range".into() },
         ];
         for err in errors {
@@ -313,7 +290,6 @@ mod tests {
         assert!(!DccsError::TaskPanicked { message: "x".into() }.is_limit());
         assert!(!DccsError::IndexCorrupt { message: "x".into() }.is_limit());
         assert!(!DccsError::IndexUnavailable { message: "x".into() }.is_limit());
-        assert!(!DccsError::IndexStale { index_epoch: 1, graph_epoch: 2 }.is_limit());
         assert!(!DccsError::BatchInvalid { message: "x".into() }.is_limit());
         let err = DccsError::Cancelled { partial: partial() };
         assert!(err.is_limit());

@@ -13,13 +13,16 @@
 //! the dense-vs-CSR representation is chosen by the [`crate::engine`] cost
 //! model, and with `threads > 1` the lattice's depth-1 branches fan out
 //! over the shared executor — with results (and work counters) identical
-//! to the sequential walk.
+//! to the sequential walk. A query served from a [`crate::DccIndex`] reads
+//! the same candidate list from the index entry instead, and the rest of
+//! the run is shared.
 
 use crate::algorithm::Algorithm;
 use crate::config::{DccsOptions, DccsParams};
 use crate::engine::{PoolRef, SearchContext};
 use crate::fault::{self, site};
 use crate::lattice::collect_subset_cores;
+use crate::limits::QueryMonitor;
 use crate::result::{CoherentCore, DccsResult, SearchStats};
 use crate::session::DccsSession;
 use mlgraph::{MultiLayerGraph, VertexSet};
@@ -39,38 +42,68 @@ pub fn greedy_dccs(g: &MultiLayerGraph, params: &DccsParams) -> DccsResult {
 /// `GD-DCCS` on a query's context and executor crew: preprocessing and
 /// candidate generation share `pool`, so neither phase pays its own worker
 /// spawn/join.
+///
+/// `stored` is a [`crate::DccIndex`] entry for `(d, s)`: the candidate set
+/// the walk would generate, saved. With it the query skips preprocessing
+/// and the walk, and charges the monitor once per stored candidate as the
+/// walk charges once per emitted one.
 pub(crate) fn greedy_dccs_on(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,
     params: &DccsParams,
     opts: &DccsOptions,
+    stored: Option<&[CoherentCore]>,
 ) -> DccsResult {
     params.validate(g.num_layers()).expect("invalid DCCS parameters");
     let start = Instant::now();
     let mut stats = SearchStats { algorithm: Some(Algorithm::Greedy), ..SearchStats::default() };
 
-    let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
-    stats.phase.preprocess = start.elapsed();
-
     // Lines 2–7 of Fig. 2: the full candidate set F_{d,s}(G).
-    let search_start = Instant::now();
-    let (candidates, lattice) =
-        collect_subset_cores(ctx, pool, g, params.d, params.s, &pre.layer_cores);
-    stats.candidates_generated += lattice.candidates;
-    stats.dcc_calls += lattice.peels;
-    stats.index_path = Some(lattice.index_path);
-    stats.index_bytes = lattice.index_bytes;
-    stats.peel_scratch_bytes = ctx.ws.scratch_bytes();
-    stats.phase.search = search_start.elapsed();
+    let candidates = match stored {
+        Some(stored) => {
+            let search_start = Instant::now();
+            let monitor = ctx.monitor().map(|m| m.as_ref());
+            let mut candidates = Vec::with_capacity(stored.len());
+            for core in stored {
+                if let Some(m) = monitor {
+                    m.charge_candidates(1);
+                }
+                candidates.push(core.clone());
+                if let Some(kind) = monitor.and_then(QueryMonitor::check) {
+                    stats.limit_hit = Some(kind);
+                    stats.complete = false;
+                    break;
+                }
+            }
+            stats.candidates_generated += candidates.len();
+            stats.phase.search = search_start.elapsed();
+            candidates
+        }
+        None => {
+            let pre = ctx.preprocess_into(pool, g, params, opts, &mut stats);
+            stats.phase.preprocess = start.elapsed();
+            let search_start = Instant::now();
+            let (candidates, lattice) =
+                collect_subset_cores(ctx, pool, g, params.d, params.s, &pre.layer_cores);
+            stats.candidates_generated += lattice.candidates;
+            stats.dcc_calls += lattice.peels;
+            stats.index_path = Some(lattice.index_path);
+            stats.index_bytes = lattice.index_bytes;
+            stats.peel_scratch_bytes = ctx.ws.scratch_bytes();
+            stats.phase.search = search_start.elapsed();
+            candidates
+        }
+    };
 
-    // A tripped limit stopped the walk early; everything already emitted is
-    // a valid d-CC, so select over it and return the flagged partial — the
-    // dispatch layer converts the flag into the matching typed error. This final
-    // poll must be `check`, not the latched-byte read: a deadline that
-    // latches only in the cascade probe after the walk's last checkpoint
-    // (e.g. on the checkpoint-free `s == 1` path) would otherwise go
-    // unobserved and the run would be declared complete.
+    // A tripped limit stopped the candidates early; everything already
+    // emitted is a valid d-CC, so select over it and return the flagged
+    // partial — the dispatch layer converts the flag into the matching
+    // typed error. This final poll must be `check`, not the latched-byte
+    // read: a deadline that latches only in the cascade probe after the
+    // last checkpoint (e.g. on the checkpoint-free `s == 1` path, or an
+    // empty index entry) would otherwise go unobserved and the run would
+    // be declared complete. A kind latched earlier reads back unchanged.
     if let Some(kind) = ctx.monitor().and_then(|m| m.check()) {
         stats.limit_hit = Some(kind);
         stats.complete = false;
@@ -228,7 +261,8 @@ mod tests {
         let mut ctx = SearchContext::default();
         for (d, s, k) in [(2, 2, 2), (3, 2, 2), (2, 3, 1), (2, 2, 3)] {
             let params = DccsParams::new(d, s, k);
-            let swept = with_pool(1, |pool| greedy_dccs_on(&mut ctx, pool, &g, &params, &opts));
+            let swept =
+                with_pool(1, |pool| greedy_dccs_on(&mut ctx, pool, &g, &params, &opts, None));
             let fresh = greedy_with(&g, params, opts);
             assert_eq!(swept.cores, fresh.cores, "d={d} s={s} k={k}");
             assert_eq!(swept.stats, fresh.stats, "d={d} s={s} k={k}");
@@ -260,7 +294,7 @@ mod tests {
         monitor.probe().cancel(); // the clock latch, without the clock
         ctx.set_monitor(Some(Arc::clone(&monitor)));
         let params = DccsParams::new(3, 1, 3);
-        let result = with_pool(1, |pool| greedy_dccs_on(&mut ctx, pool, &g, &params, &opts));
+        let result = with_pool(1, |pool| greedy_dccs_on(&mut ctx, pool, &g, &params, &opts, None));
         assert!(!result.stats.complete);
         assert_eq!(result.stats.limit_hit, Some(LimitKind::Deadline));
         // The memoized per-layer cores emitted before the trip are valid:

@@ -1,45 +1,41 @@
-//! Serve-from-index: a persistent d-CC hierarchy answering repeat queries.
+//! Serve-from-index: saved GD candidate sets answering repeat queries.
 //!
-//! The paper's Section V observation is that the expensive part of a DCCS
-//! query — deriving the candidate d-CC for every layer subset — depends only
-//! on `(d, s)`, never on `k`. A [`DccIndex`] precomputes those candidate
-//! lists once (in parallel on an executor crew, through the same
-//! subset-lattice engine the peel path uses) and stores them verbatim, so a
-//! later query is **hierarchy lookups + greedy coverage selection with no
-//! re-peeling**. The artifact is serialized through the versioned,
-//! checksummed frame of [`mlgraph::io::binary`], so it survives across
-//! processes and a corrupt or truncated file fails with a typed
-//! [`DccsError::IndexCorrupt`] instead of panicking.
+//! The expensive part of a GD-DCCS query — deriving the candidate d-CC for
+//! every layer subset, `F_{d,s}(G)` (Fig. 2, lines 2–7) — depends only on
+//! `(d, s)`, never on `k`. A [`DccIndex`] computes those candidate lists
+//! once (in parallel on an executor crew, through the same subset-lattice
+//! walk the peel path uses, from the snapshot's memoized layer cores) and
+//! stores them verbatim, so a later GD query takes its candidates from the
+//! index entry and goes straight to selection, with **no re-peeling**. The
+//! artifact is serialized through the versioned, checksummed frame of
+//! [`mlgraph::io::binary`], so it survives across processes and a corrupt
+//! or truncated file fails with a typed [`DccsError::IndexCorrupt`] instead
+//! of panicking.
 //!
 //! Bit-identity is by construction: the stored candidate list for `(d, s)`
 //! is exactly what the query path's lattice walk ([`crate::lattice`]) emits
 //! — same cores, same lexicographic subset order, empty subsets included — so
-//! feeding it to the shared greedy selection engine reproduces the peel
-//! path's answer (and hence the frozen `naive_subset_cores` oracle) for
-//! every `k`. Preprocessing (vertex deletion) cannot perturb this: it only
-//! removes vertices that belong to no candidate core, and a peel converges
-//! to the same maximal d-CC from any superset seed.
+//! GD's one selection step reproduces the peel path's answer (and hence the
+//! frozen `naive_subset_cores` oracle) for every `k`. Preprocessing (vertex
+//! deletion) cannot perturb this: it only removes vertices that belong to
+//! no candidate core, and a peel converges to the same maximal d-CC from
+//! any superset seed.
 //!
 //! The index is **static**: it fingerprints the graph it was built for
 //! (vertex/layer counts, per-layer edge counts, an FNV-1a edge hash) and
-//! refuses to serve any other graph. Incremental maintenance under edge
-//! updates is the ROADMAP's dynamic-graph follow-up.
+//! refuses to serve any other graph. Attaching one publishes a successor
+//! [`crate::GraphSnapshot`] under a fresh epoch
+//! ([`crate::QueryService::attach_index`]); a mutation commit publishes the
+//! next graph version without it.
 
-use crate::algorithm::Algorithm;
-use crate::config::DccsParams;
 use crate::engine::{PoolRef, SearchContext};
 use crate::error::DccsError;
-use crate::fault::{self, site};
-use crate::greedy::select_greedy;
 use crate::lattice::collect_subset_cores;
-use crate::limits::QueryMonitor;
-use crate::result::{CoherentCore, DccsResult, SearchStats};
+use crate::result::CoherentCore;
 use crate::session::DccsSession;
-use coreness::CoreHierarchy;
 use mlgraph::io::binary::{frame, unframe};
 use mlgraph::{MultiLayerGraph, VertexSet};
 use std::path::Path;
-use std::time::Instant;
 
 /// Magic prefix of serialized [`DccIndex`] artifacts.
 pub const INDEX_MAGIC: &[u8; 8] = b"DCCINDEX";
@@ -82,7 +78,7 @@ impl Serve {
 }
 
 /// Which path actually answered a query, recorded in
-/// [`SearchStats::serve`] by the session.
+/// [`crate::SearchStats::serve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServePath {
     /// Candidates were derived by peeling the graph.
@@ -145,9 +141,11 @@ impl DccIndex {
         DccsSession::new(g).build_index(ds, max_s)
     }
 
-    /// Builds the index on a query's context and executor crew: the
-    /// subset-lattice walk for each `(d, s)` fans its depth-1 branches out
-    /// over `pool`, exactly as a live query would.
+    /// Builds the index on a query's context and executor crew: each `d`'s
+    /// layer cores come from the bound snapshot's per-`d` memo (peeled on
+    /// first use, as a query's preprocessing would), and the subset-lattice
+    /// walk for each `(d, s)` fans its depth-1 branches out over `pool`,
+    /// exactly as a live query would.
     pub(crate) fn build_on(
         ctx: &mut SearchContext,
         pool: &PoolRef<'_>,
@@ -161,11 +159,9 @@ impl DccIndex {
         ds.sort_unstable();
         ds.dedup();
 
-        let hierarchy = CoreHierarchy::build(g);
         let mut entries = Vec::with_capacity(ds.len() * max_s);
         for &d in &ds {
-            let layer_cores: Vec<VertexSet> =
-                (0..l).map(|layer| hierarchy.d_core(layer, d)).collect();
+            let layer_cores = ctx.layer_cores(pool, g, d);
             for s in 1..=max_s {
                 let (candidates, _) = collect_subset_cores(ctx, pool, g, d, s, &layer_cores);
                 entries.push(IndexEntry { d, s, candidates });
@@ -431,73 +427,11 @@ impl Reader<'_> {
     }
 }
 
-/// Answers a greedy DCCS query from the precomputed index: clone the stored
-/// candidate list for `(d, s)` and run the shared greedy selection engine —
-/// no preprocessing, no peeling, no lattice walk.
-///
-/// Limits are honoured at the same coarse granularity as the peel path:
-/// each emitted candidate is charged against the budget and the cooperative
-/// checkpoint is polled once per candidate plus a final time, so a tripped
-/// deadline/token/budget yields the same flagged partial (selection over
-/// everything emitted so far) the dispatch layer converts into a typed
-/// error.
-///
-/// The caller (the service's serve routing) has already validated the parameters
-/// and checked [`DccIndex::covers`].
-pub(crate) fn serve_from_index_on(
-    ctx: &mut SearchContext,
-    g: &MultiLayerGraph,
-    index: &DccIndex,
-    params: &DccsParams,
-) -> DccsResult {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        algorithm: Some(Algorithm::Greedy),
-        serve: Some(ServePath::Index),
-        ..SearchStats::default()
-    };
-
-    let stored = index.entry(params.d, params.s).expect("serve routing checked coverage");
-    let monitor = ctx.monitor().cloned();
-    let monitor = monitor.as_deref();
-
-    let search_start = Instant::now();
-    let mut candidates = Vec::with_capacity(stored.len());
-    for core in stored {
-        if let Some(m) = monitor {
-            m.charge_candidates(1);
-        }
-        candidates.push(core.clone());
-        if let Some(kind) = monitor.and_then(QueryMonitor::check) {
-            stats.limit_hit = Some(kind);
-            stats.complete = false;
-            break;
-        }
-    }
-    stats.candidates_generated += candidates.len();
-    stats.phase.search = search_start.elapsed();
-
-    // Final poll, mirroring `greedy_dccs_on`: a probe-latched trip that no
-    // per-candidate checkpoint observed (e.g. an empty entry) must still
-    // flag the run incomplete.
-    if stats.complete {
-        if let Some(kind) = monitor.and_then(QueryMonitor::check) {
-            stats.limit_hit = Some(kind);
-            stats.complete = false;
-        }
-    }
-
-    fault::fire(monitor, site::SELECT);
-    let select_start = Instant::now();
-    let cores = select_greedy(g.num_vertices(), candidates, params.k, &mut stats, &mut ctx.cover);
-    stats.phase.select = select_start.elapsed();
-    DccsResult::from_cores(g.num_vertices(), cores, stats, start.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DccsOptions;
+    use crate::algorithm::Algorithm;
+    use crate::config::{DccsOptions, DccsParams};
     use crate::engine::with_pool;
     use crate::greedy::greedy_dccs;
     use mlgraph::MultiLayerGraphBuilder;
@@ -539,8 +473,8 @@ mod tests {
     fn stored_candidates_match_a_live_lattice_walk() {
         let g = graph();
         let index = DccIndex::build(&g, &[2], 0);
-        let hierarchy = CoreHierarchy::build(&g);
-        let layer_cores: Vec<VertexSet> = (0..3).map(|i| hierarchy.d_core(i, 2)).collect();
+        let layer_cores: Vec<VertexSet> =
+            g.layers().iter().map(|layer| coreness::d_core(layer, 2)).collect();
         let mut ctx = SearchContext::default();
         for s in 1..=3usize {
             let (live, _) =
@@ -552,14 +486,14 @@ mod tests {
     #[test]
     fn serve_matches_peel_for_every_k() {
         let g = graph();
-        let index = DccIndex::build(&g, &[2, 3], 0);
-        let mut ctx = SearchContext::default();
+        let mut session = DccsSession::new(&g);
+        session.attach_index(DccIndex::build(&g, &[2, 3], 0)).unwrap();
         for d in [2u32, 3] {
             for s in [1usize, 2, 3] {
                 for k in [1usize, 2, 3, 10] {
                     let params = DccsParams::new(d, s, k);
                     let peel = greedy_dccs(&g, &params);
-                    let served = serve_from_index_on(&mut ctx, &g, &index, &params);
+                    let served = session.query(params).serve(Serve::Index).run().unwrap();
                     assert_eq!(served.cores, peel.cores, "d={d} s={s} k={k}");
                     assert_eq!(served.cover, peel.cover, "d={d} s={s} k={k}");
                     assert_eq!(
@@ -571,6 +505,7 @@ mod tests {
                         "d={d} s={s} k={k}"
                     );
                     assert_eq!(served.stats.serve, Some(ServePath::Index));
+                    assert_eq!(served.stats.algorithm, Some(Algorithm::Greedy));
                     assert_eq!(served.stats.dcc_calls, 0, "index path must not peel");
                 }
             }

@@ -14,7 +14,10 @@
 //!   [`SharedSearchState`] (per-`d` layer cores, per-`(d, s)` converged
 //!   deletion fixpoints and dense index plans, each built once on first
 //!   use), and the optionally attached [`DccIndex`]. Published behind an
-//!   `Arc`, read by any number of queries concurrently.
+//!   `Arc`, read by any number of queries concurrently, and never changed:
+//!   a mutation commit and an index attach each publish a successor under
+//!   a fresh epoch, so one epoch names a graph version together with its
+//!   attached index.
 //! * **Cheap per-query tier** — a pooled search context (peel workspace,
 //!   cover/seed buffers, dense-index cache) checked out per query, bound to
 //!   the snapshot the query pinned, and returned on drop, so steady-state
@@ -25,8 +28,9 @@
 //! On top sits the [`QueryService`]: a shared (`&self`) handle answering
 //! [`ServiceQuery`]s either inline on the calling thread or as a batch
 //! fanned over the service's worker crew, with a result cache keyed by
-//! `(graph_epoch, index_generation, d, s, k, algorithm, serve)`. Cache hits
-//! are recorded in
+//! `(epoch, d, s, k, algorithm, serve)`. An answer is stored only while the
+//! snapshot it ran on is still the published one, and publishing drops
+//! every entry of an older epoch. Cache hits are recorded in
 //! [`SearchStats::served_from_cache`](crate::SearchStats::served_from_cache);
 //! only unlimited, token-less service queries consult the cache (a deadline
 //! changes what a query may return, so limited queries always run), and
@@ -72,7 +76,7 @@ use crate::fault::{site, FaultPlan};
 use crate::greedy::greedy_dccs_on;
 use crate::limits::{CancelToken, LimitKind, QueryLimits, QueryMonitor};
 use crate::result::DccsResult;
-use crate::serve::{serve_from_index_on, DccIndex, Serve, ServePath};
+use crate::serve::{DccIndex, Serve, ServePath};
 use crate::session::QuerySpec;
 use crate::top_down::top_down_dccs_on;
 use coreness::PeelWorkspace;
@@ -94,8 +98,8 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 /// the caller's graph for the service lifetime; every snapshot a mutation
 /// commit publishes owns the rebuilt graph, shared by `Arc` so in-flight
 /// queries holding the previous snapshot keep their version alive until
-/// they finish.
-#[derive(Debug)]
+/// they finish. Attaching an index republishes the same handle.
+#[derive(Clone, Debug)]
 enum GraphHandle<'g> {
     /// The caller's graph, borrowed (the pre-mutation snapshot).
     Borrowed(&'g MultiLayerGraph),
@@ -112,32 +116,17 @@ impl GraphHandle<'_> {
     }
 }
 
-/// The attached-index slot of a snapshot: the index, its generation, and —
-/// after a mutation commit auto-detached a previously valid index — the
-/// epoch that index was built for, so [`Serve::Index`] queries can report
-/// the typed [`DccsError::IndexStale`] instead of a generic
-/// unavailability. One lock keeps the triple consistent for readers.
-#[derive(Debug, Default)]
-struct IndexSlot {
-    /// Bumped on every attach/detach — part of the service cache key.
-    generation: u64,
-    index: Option<Arc<DccIndex>>,
-    /// Epoch of the graph version the auto-detached index was valid for;
-    /// cleared when a fresh index is attached.
-    stale_epoch: Option<u64>,
-}
-
 /// The shared immutable tier for one published version of a graph: the
 /// graph reference, a process-unique epoch, the lazily filled
 /// [`SharedSearchState`], and the optionally attached [`DccIndex`].
 ///
-/// A snapshot is read-only from the query path's perspective — attaching or
-/// detaching an index is the one interior mutation, and it bumps the
-/// snapshot's *index generation* so the service cache can tell answers
-/// derived under different index configurations apart (under
-/// [`Serve::Auto`] the same `(d, s, k)` is answered by peeling or by the
-/// index depending on coverage, and the two answers differ in their work
-/// counters).
+/// Nothing in a snapshot changes after it is built. Attaching an index
+/// ([`QueryService::attach_index`]) publishes a successor with the same
+/// graph and shared tier under a fresh epoch, and a mutation commit
+/// publishes one with the next graph version and no index; so an epoch
+/// names a graph version together with its attached index, and every
+/// cache keyed by it tells apart answers that peeled from answers the
+/// index served.
 ///
 /// Snapshots are handed around as `Arc<GraphSnapshot>`: a [`QueryService`]
 /// serves from one (a [`crate::DccsSession`] exposes its service's via
@@ -149,21 +138,24 @@ pub struct GraphSnapshot<'g> {
     g: GraphHandle<'g>,
     epoch: u64,
     state: Arc<SharedSearchState>,
-    /// The attached index, its generation, and the staleness record, under
-    /// one lock so a reader always sees a consistent triple.
-    index: Mutex<IndexSlot>,
+    index: Option<Arc<DccIndex>>,
 }
 
 impl<'g> GraphSnapshot<'g> {
-    /// Publishes a fresh snapshot of `g` with a new epoch and an empty
-    /// shared tier (entries fill on first use).
+    /// Publishes a fresh snapshot of `g` with a new epoch, an empty shared
+    /// tier (entries fill on first use) and no index.
     pub fn new(g: &'g MultiLayerGraph) -> Arc<Self> {
-        Arc::new(GraphSnapshot {
-            g: GraphHandle::Borrowed(g),
-            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
-            state: Arc::default(),
-            index: Mutex::new(IndexSlot::default()),
-        })
+        GraphSnapshot::stamped(GraphHandle::Borrowed(g), Arc::default(), None)
+    }
+
+    /// A snapshot of these parts under the next process-wide epoch.
+    fn stamped(
+        g: GraphHandle<'g>,
+        state: Arc<SharedSearchState>,
+        index: Option<Arc<DccIndex>>,
+    ) -> Arc<Self> {
+        let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
+        Arc::new(GraphSnapshot { g, epoch, state, index })
     }
 
     /// The graph this snapshot publishes. The reference is tied to the
@@ -185,54 +177,9 @@ impl<'g> GraphSnapshot<'g> {
         &self.state
     }
 
-    /// Attaches `index` after validating its fingerprint against the
-    /// snapshot's graph ([`DccIndex::matches`]); a mismatched index is
-    /// rejected and nothing changes. Attaching also clears any staleness
-    /// record a mutation commit left behind. Returns the shared handle.
-    pub fn attach_index(&self, index: DccIndex) -> Result<Arc<DccIndex>, DccsError> {
-        index.matches(self.graph())?;
-        let index = Arc::new(index);
-        self.install_index(Some(index.clone()));
-        Ok(index)
-    }
-
-    /// Detaches the index; subsequent queries always peel.
-    pub fn detach_index(&self) {
-        self.install_index(None);
-    }
-
     /// The attached index, if any.
-    pub fn index(&self) -> Option<Arc<DccIndex>> {
-        lock(&self.index).index.clone()
-    }
-
-    /// How many times the attached index has changed (attach or detach) —
-    /// part of the service cache key.
-    pub fn index_generation(&self) -> u64 {
-        lock(&self.index).generation
-    }
-
-    /// When a mutation commit auto-detached an index, the epoch that index
-    /// was valid for (`None` otherwise) — the provenance behind
-    /// [`DccsError::IndexStale`].
-    pub fn stale_index_epoch(&self) -> Option<u64> {
-        lock(&self.index).stale_epoch
-    }
-
-    /// Stores `index` (already validated by the caller), bumps the
-    /// generation, and clears any staleness record.
-    fn install_index(&self, index: Option<Arc<DccIndex>>) {
-        let mut slot = lock(&self.index);
-        slot.generation += 1;
-        slot.index = index;
-        slot.stale_epoch = None;
-    }
-
-    /// A consistent `(generation, index, stale-epoch)` read for the query
-    /// path.
-    fn indexed(&self) -> (u64, Option<Arc<DccIndex>>, Option<u64>) {
-        let slot = lock(&self.index);
-        (slot.generation, slot.index.clone(), slot.stale_epoch)
+    pub fn index(&self) -> Option<&Arc<DccIndex>> {
+        self.index.as_ref()
     }
 }
 
@@ -399,8 +346,10 @@ pub struct CommitReceipt {
     /// into the new snapshot's shared tier (one per `d` the old tier had
     /// materialized).
     pub repaired_ds: usize,
-    /// Whether a previously attached [`DccIndex`] was auto-detached because
-    /// this commit outdated it ([`DccsError::IndexStale`]).
+    /// Whether a previously attached [`DccIndex`] was dropped because this
+    /// commit outdated it: the new snapshot carries no index, so
+    /// [`Serve::Index`] queries answer [`DccsError::IndexUnavailable`]
+    /// until one built for the new graph is attached.
     pub index_detached: bool,
 }
 
@@ -412,12 +361,12 @@ impl CommitReceipt {
     }
 }
 
-/// The result-cache key: everything that can change an answer. Epoch and
-/// index generation pin the graph version and index configuration;
-/// `(d, s, k)`, the algorithm, and the serve mode are the query itself.
-/// The service's ablation toggles and index-choice override are fixed at
-/// construction, so they need no slot.
-type CacheKey = (u64, u64, u32, usize, usize, Algorithm, Serve);
+/// The result-cache key: everything that can change an answer. The epoch
+/// pins the graph version and its attached index; `(d, s, k)`, the
+/// algorithm, and the serve mode are the query itself. The service's
+/// ablation toggles and index-choice override are fixed at construction,
+/// so they need no slot.
+type CacheKey = (u64, u32, usize, usize, Algorithm, Serve);
 
 /// A shared (`&self`) query-answering handle over one [`GraphSnapshot`] —
 /// the engine entry point every query path goes through.
@@ -439,8 +388,9 @@ pub struct QueryService<'g> {
     /// — readers finish on the old snapshot while new queries pick up the
     /// new one.
     snapshot: Mutex<Arc<GraphSnapshot<'g>>>,
-    /// Serializes mutation commits (queries are never blocked by this —
-    /// they only take the brief `snapshot` lock to clone the `Arc`).
+    /// Serializes publishing, by commits and index attaches (queries are
+    /// never blocked by this — they only take the brief `snapshot` lock to
+    /// clone the `Arc`).
     commit_serial: Mutex<()>,
     /// Service-wide defaults: ablation toggles and the index-choice
     /// override apply to every query; `threads` sets the batch worker
@@ -519,24 +469,29 @@ impl<'g> QueryService<'g> {
         Some(Arc::new(QueryMonitor::new(&QueryLimits::none(), None, Some(plan))))
     }
 
-    /// Attaches `index` to the current snapshot (fingerprint-validated) and
-    /// clears the result cache — the old entries' keys carry the previous
-    /// index generation and could never be read again.
+    /// Attaches `index` after validating its fingerprint against the
+    /// current graph ([`DccIndex::matches`]; a mismatched index is
+    /// rejected and nothing changes), by publishing a successor snapshot:
+    /// the same graph and shared tier, with `index`, under a fresh epoch.
+    /// Queries that pinned the previous snapshot finish on it, with
+    /// whatever index it carried.
     pub fn attach_index(&self, index: DccIndex) -> Result<(), DccsError> {
-        self.snapshot().attach_index(index)?;
-        self.clear_cache();
+        let _serial = lock(&self.commit_serial);
+        let current = self.snapshot();
+        index.matches(current.graph())?;
+        let state = current.state().clone();
+        self.publish(GraphSnapshot::stamped(current.g.clone(), state, Some(Arc::new(index))));
         Ok(())
     }
 
-    /// Detaches the current snapshot's index and clears the result cache.
-    pub fn detach_index(&self) {
-        self.snapshot().detach_index();
-        self.clear_cache();
-    }
-
-    /// Drops every cached result (the hit/miss counters keep counting).
-    pub fn clear_cache(&self) {
-        lock(&self.cache).clear();
+    /// Swaps `next` in as the published snapshot, then drops every cached
+    /// answer of an older epoch: no query can read those keys again.
+    /// Returns the new epoch. The caller holds `commit_serial`.
+    fn publish(&self, next: Arc<GraphSnapshot<'g>>) -> u64 {
+        let epoch = next.epoch();
+        *lock(&self.snapshot) = next;
+        lock(&self.cache).retain(|key, _| key.0 == epoch);
+        epoch
     }
 
     /// Cache behavior so far: hits, misses, and current entry count.
@@ -591,15 +546,8 @@ impl<'g> QueryService<'g> {
         // only unlimited token-less queries are cache-eligible — in either
         // direction.
         let cacheable = query.limits.is_unlimited() && query.token.is_none();
-        let key: CacheKey = (
-            snapshot.epoch(),
-            snapshot.index_generation(),
-            params.d,
-            params.s,
-            params.k,
-            query.spec.algorithm,
-            query.serve,
-        );
+        let key: CacheKey =
+            (snapshot.epoch(), params.d, params.s, params.k, query.spec.algorithm, query.serve);
         if cacheable {
             if let Some(hit) = lock(&self.cache).get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -612,11 +560,14 @@ impl<'g> QueryService<'g> {
         let opts =
             DccsOptions { threads: 1, serve: query.serve, limits: query.limits, ..self.defaults };
         let result = self.run(snapshot, &query.spec, &opts, query.token.clone())?;
-        // The runner reads the index slot on its own; an attach or detach
-        // in between bumps the generation, and an answer derived under the
-        // new index must not be stored under the old generation's key.
-        if cacheable && result.stats.complete && snapshot.index_generation() == key.1 {
-            lock(&self.cache).entry(key).or_insert_with(|| result.clone());
+        // Store only while `snapshot` is still the published one. The check
+        // runs under the cache lock and `publish` prunes under it after its
+        // swap, so an answer from a superseded snapshot never stays behind.
+        if cacheable && result.stats.complete {
+            let mut cache = lock(&self.cache);
+            if self.epoch() == key.0 {
+                cache.entry(key).or_insert_with(|| result.clone());
+            }
         }
         Ok(result)
     }
@@ -633,14 +584,7 @@ impl<'g> QueryService<'g> {
         opts: &DccsOptions,
         token: Option<CancelToken>,
     ) -> Result<DccsResult, DccsError> {
-        let (_, index, stale_epoch) = snapshot.indexed();
-        let index = match (index.as_deref(), stale_epoch) {
-            (Some(index), _) => IndexState::Ready(index),
-            (None, Some(index_epoch)) => {
-                IndexState::Stale { index_epoch, graph_epoch: snapshot.epoch() }
-            }
-            (None, None) => IndexState::Absent,
-        };
+        let index = snapshot.index().map(Arc::as_ref);
         let result = self.on_engine(snapshot, opts, |ctx, pool| {
             let fault = self.fault.clone();
             run_spec_monitored(ctx, pool, snapshot.graph(), spec, opts, token, fault, index)
@@ -764,14 +708,15 @@ impl<'g> QueryService<'g> {
     ///    dropped, not repaired: the next epoch recomputes each from the
     ///    repaired cores on first use, so a commit does no fixpoint work.
     /// 3. **Publish atomically** — the new snapshot (graph, repaired tier,
-    ///    fresh epoch) swaps in under the snapshot lock. A previously
-    ///    attached [`DccIndex`] is **auto-detached** with its validity epoch
-    ///    recorded, so [`Serve::Index`] queries fail typed
-    ///    ([`DccsError::IndexStale`]) while [`Serve::Auto`] peels. The
-    ///    result cache drops the old epoch's entries (the epoch bump in the
-    ///    cache key makes them unreadable; dropping them bounds memory).
-    ///    Pooled contexts need no invalidation: their caches are keyed by
-    ///    the epoch they were built on.
+    ///    fresh epoch, no index) swaps in under the snapshot lock, through
+    ///    the step [`QueryService::attach_index`] also publishes by. A
+    ///    previously attached [`DccIndex`] is dropped
+    ///    ([`CommitReceipt::index_detached`]), so [`Serve::Index`] queries
+    ///    answer [`DccsError::IndexUnavailable`] while [`Serve::Auto`]
+    ///    peels. The result cache drops the old epoch's entries (the epoch
+    ///    bump in the cache key makes them unreadable; dropping them bounds
+    ///    memory). Pooled contexts need no invalidation: their caches are
+    ///    keyed by the epoch they were built on.
     ///
     /// Commits serialize against each other; a commit that panics (e.g.
     /// fault injection at `batch.commit`) before the swap leaves the old
@@ -824,68 +769,15 @@ impl<'g> QueryService<'g> {
             plan.fire(site::BATCH_COMMIT);
         }
         let state = SharedSearchState::preloaded(entries);
-        let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
-        let (generation, old_index, carried_stale) = snapshot.indexed();
-        let index_detached = old_index.is_some();
-        // An index valid for the old snapshot was (implicitly) built for
-        // that epoch; one already detached by an earlier commit keeps its
-        // original validity epoch.
-        let stale_epoch = if index_detached { Some(snapshot.epoch()) } else { carried_stale };
-        let next_snapshot = Arc::new(GraphSnapshot {
-            g: GraphHandle::Owned(next),
-            epoch,
-            state,
-            index: Mutex::new(IndexSlot {
-                generation: generation + u64::from(index_detached),
-                index: None,
-                stale_epoch,
-            }),
-        });
-        *lock(&self.snapshot) = next_snapshot;
-        // Every cached key carries an older epoch and can never be read
-        // again; drop them rather than letting dead entries accumulate.
-        lock(&self.cache).retain(|key, _| key.0 == epoch);
+        let epoch = self.publish(GraphSnapshot::stamped(GraphHandle::Owned(next), state, None));
         Ok(CommitReceipt {
             epoch,
             inserted: applied.num_inserted(),
             deleted: applied.num_deleted(),
             layers_touched: applied.layers.len(),
             repaired_ds,
-            index_detached,
+            index_detached: snapshot.index().is_some(),
         })
-    }
-}
-
-/// What the dispatch layer knows about the snapshot's [`DccIndex`] —
-/// richer than `Option<&DccIndex>` so serve routing can distinguish "never
-/// attached" from "attached, then outdated by a mutation commit"
-/// ([`QueryService::commit`]) and report the latter as the typed
-/// [`DccsError::IndexStale`] instead of a generic unavailability.
-#[derive(Clone, Copy, Debug)]
-enum IndexState<'a> {
-    /// No index attached; [`Serve::Index`] queries fail unavailable.
-    Absent,
-    /// An index was attached but a committed mutation batch advanced the
-    /// graph past the epoch it was built for, auto-detaching it;
-    /// [`Serve::Index`] queries fail with [`DccsError::IndexStale`] while
-    /// [`Serve::Auto`] silently peels.
-    Stale {
-        /// Epoch of the graph version the index was valid for.
-        index_epoch: u64,
-        /// Epoch of the graph version the query runs against.
-        graph_epoch: u64,
-    },
-    /// A fingerprint-validated index for the current graph version.
-    Ready(&'a DccIndex),
-}
-
-impl<'a> IndexState<'a> {
-    /// The usable index, if any.
-    fn get(&self) -> Option<&'a DccIndex> {
-        match self {
-            IndexState::Ready(index) => Some(index),
-            _ => None,
-        }
     }
 }
 
@@ -894,72 +786,55 @@ impl<'a> IndexState<'a> {
 /// the crew is threaded through preprocessing and the search.
 ///
 /// Serve routing lives here too: per `opts.serve`, a greedy-compatible
-/// query whose `(d, s)` the attached [`DccIndex`] covers is answered by
-/// [`serve_from_index_on`] — hierarchy lookups feeding the same selection
-/// engine, no re-peeling — and every peeled result is stamped
-/// [`ServePath::Peel`]. Only [`Algorithm::Greedy`] (or [`Algorithm::Auto`],
-/// which the index resolves to greedy) can serve: the search-tree
-/// algorithms interleave pruning with candidate generation and have no
-/// precomputed form.
+/// query whose `(d, s)` the snapshot's [`DccIndex`] covers runs GD on the
+/// stored candidates instead of the lattice walk — no preprocessing, no
+/// re-peeling, the same selection — and every result is stamped with the
+/// [`ServePath`] that answered. Only [`Algorithm::Greedy`] (or
+/// [`Algorithm::Auto`], which the index resolves to greedy) can serve: the
+/// search-tree algorithms interleave pruning with candidate generation and
+/// have no precomputed form.
 fn run_spec_on_pool(
     ctx: &mut SearchContext,
     pool: &PoolRef<'_>,
     g: &MultiLayerGraph,
     spec: &QuerySpec,
     opts: &DccsOptions,
-    index: IndexState<'_>,
+    index: Option<&DccIndex>,
 ) -> Result<DccsResult, DccsError> {
+    let (d, s) = (spec.params.d, spec.params.s);
     let greedy_compatible = matches!(spec.algorithm, Algorithm::Auto | Algorithm::Greedy);
-    let serving = match opts.serve {
-        Serve::Peel => false,
-        Serve::Auto => {
-            greedy_compatible
-                && index.get().is_some_and(|ix| ix.covers(spec.params.d, spec.params.s))
-        }
+    let stored = match opts.serve {
+        Serve::Peel => None,
+        Serve::Auto => index.filter(|_| greedy_compatible).and_then(|ix| ix.entry(d, s)),
         Serve::Index => {
-            let ix = match index {
-                IndexState::Ready(ix) => ix,
-                IndexState::Stale { index_epoch, graph_epoch } => {
-                    return Err(DccsError::IndexStale { index_epoch, graph_epoch })
-                }
-                IndexState::Absent => {
-                    return Err(DccsError::IndexUnavailable {
-                        message: "no index attached to the session".into(),
-                    })
-                }
+            let unavailable = |message: String| Err(DccsError::IndexUnavailable { message });
+            let Some(ix) = index else {
+                return unavailable("no index attached to this graph version".into());
             };
             if !greedy_compatible {
-                return Err(DccsError::IndexUnavailable {
-                    message: format!(
-                        "the index serves greedy selection; explicit {} queries must peel",
-                        spec.algorithm.name()
-                    ),
-                });
+                return unavailable(format!(
+                    "the index serves greedy selection; explicit {} queries must peel",
+                    spec.algorithm.name()
+                ));
             }
-            if !ix.covers(spec.params.d, spec.params.s) {
-                return Err(DccsError::IndexUnavailable {
-                    message: format!(
-                        "the index has no entry for (d={}, s={})",
-                        spec.params.d, spec.params.s
-                    ),
-                });
-            }
-            true
+            let Some(stored) = ix.entry(d, s) else {
+                return unavailable(format!("the index has no entry for (d={d}, s={s})"));
+            };
+            Some(stored)
         }
     };
-    if serving {
-        let index = index.get().expect("serving implies a ready index");
-        return Ok(serve_from_index_on(ctx, g, index, &spec.params));
-    }
-    let algorithm = spec.algorithm.resolve(g, &spec.params);
+    let algorithm = match stored {
+        Some(_) => Algorithm::Greedy,
+        None => spec.algorithm.resolve(g, &spec.params),
+    };
     let mut result = match algorithm {
-        Algorithm::Greedy => greedy_dccs_on(ctx, pool, g, &spec.params, opts),
+        Algorithm::Greedy => greedy_dccs_on(ctx, pool, g, &spec.params, opts, stored),
         Algorithm::BottomUp => bottom_up_dccs_on(ctx, pool, g, &spec.params, opts),
         Algorithm::TopDown => top_down_dccs_on(ctx, pool, g, &spec.params, opts),
         Algorithm::Exact => exact_dccs_on(ctx, pool, g, &spec.params, opts)?,
         Algorithm::Auto => unreachable!("resolve never returns Auto"),
     };
-    result.stats.serve = Some(ServePath::Peel);
+    result.stats.serve = Some(if stored.is_some() { ServePath::Index } else { ServePath::Peel });
     Ok(result)
 }
 
@@ -977,7 +852,7 @@ fn run_spec_monitored(
     opts: &DccsOptions,
     token: Option<CancelToken>,
     fault: Option<FaultPlan>,
-    index: IndexState<'_>,
+    index: Option<&DccIndex>,
 ) -> Result<DccsResult, DccsError> {
     let query_start = Instant::now();
     let result = dispatch_limited(ctx, pool, g, spec, opts, token.clone(), fault.clone(), index);
@@ -1020,7 +895,7 @@ fn dispatch_limited(
     opts: &DccsOptions,
     token: Option<CancelToken>,
     fault: Option<FaultPlan>,
-    index: IndexState<'_>,
+    index: Option<&DccIndex>,
 ) -> Result<DccsResult, DccsError> {
     let monitored = !opts.limits.is_unlimited() || token.is_some() || fault.is_some();
     let monitor = monitored.then(|| Arc::new(QueryMonitor::new(&opts.limits, token, fault)));
@@ -1173,6 +1048,8 @@ mod tests {
         assert_eq!(stats, CacheStats::default(), "bypassing queries count nowhere");
     }
 
+    /// Attaching an index and the commit that detaches it each publish a
+    /// new epoch, which drops the cached answers of the old one.
     #[test]
     fn attach_and_detach_invalidate_the_cache() {
         let g = graph();
@@ -1186,12 +1063,79 @@ mod tests {
         // The re-run is served from the index (different work counters than
         // the peel), which is exactly why the attach must invalidate.
         let served = service.query(&query).unwrap();
+        assert_eq!(served.stats.serve, Some(ServePath::Index));
         assert_eq!(served.stats.dcc_calls, 0);
         assert_eq!(served.cores, peeled.cores);
-        service.detach_index();
+        assert_eq!(service.cache_stats().entries, 1);
+        // An edge outside every 2-core: the commit changes no answer, but it
+        // outdates the index, detaches it, and drops the served entry.
+        let mut batch = EdgeBatch::new();
+        batch.insert(0, 8, 9);
+        assert!(service.commit(&batch).unwrap().index_detached);
         assert_eq!(service.cache_stats().entries, 0);
         let repeeled = service.query(&query).unwrap();
+        assert_eq!(repeeled.stats.serve, Some(ServePath::Peel));
+        assert_eq!(repeeled.cores, peeled.cores);
         assert_eq!(repeeled.stats, peeled.stats);
+    }
+
+    #[test]
+    fn attach_publishes_a_new_epoch_over_the_same_shared_tier() {
+        let g = graph();
+        let service = QueryService::new(&g, DccsOptions::default());
+        let query = ServiceQuery::new(DccsParams::new(2, 2, 2));
+        service.query(&query).unwrap();
+        let before = service.snapshot();
+        let memoized = before.state().memoized_ds();
+        assert!(memoized >= 1);
+        service.attach_index(DccIndex::build(&g, &[2], 0)).unwrap();
+        let after = service.snapshot();
+        assert!(after.epoch() > before.epoch());
+        assert!(Arc::ptr_eq(before.state(), after.state()), "attach keeps the shared tier");
+        assert_eq!(after.state().memoized_ds(), memoized);
+        assert!(after.index().is_some());
+        assert!(before.index().is_none(), "a published snapshot never changes");
+        // A service over the pre-attach snapshot still answers by peeling.
+        let pinned = QueryService::over(before.clone(), DccsOptions::default());
+        let peeled = pinned.query(&query).unwrap();
+        assert_eq!(peeled.stats.serve, Some(ServePath::Peel));
+        assert_eq!(peeled.stats.graph_epoch, Some(before.epoch()));
+        let served = service.query(&query).unwrap();
+        assert_eq!(served.stats.serve, Some(ServePath::Index));
+        assert_eq!(served.stats.graph_epoch, Some(after.epoch()));
+        assert_eq!(served.cores, peeled.cores);
+        // A mismatched index publishes nothing.
+        let mut other = MultiLayerGraphBuilder::new(12, 4);
+        clique(&mut other, 0, &[0, 1, 2]);
+        let foreign = DccIndex::build(&other.build(), &[2], 0);
+        let err = service.attach_index(foreign).unwrap_err();
+        assert!(matches!(err, DccsError::IndexUnavailable { .. }), "got {err:?}");
+        assert_eq!(service.epoch(), after.epoch());
+    }
+
+    /// An answer computed on a snapshot that a commit or an attach has
+    /// since replaced is returned but never cached: no later query could
+    /// read its key.
+    #[test]
+    fn run_one_on_a_superseded_snapshot_caches_nothing() {
+        let g = graph();
+        let service = QueryService::new(&g, DccsOptions::default());
+        let query = ServiceQuery::new(DccsParams::new(2, 2, 2));
+        let pinned = service.snapshot();
+        let mut batch = EdgeBatch::new();
+        batch.delete(1, 8, 9);
+        service.commit(&batch).unwrap();
+        let stale = service.run_one(&pinned, &query).unwrap();
+        assert_eq!(stale.stats.graph_epoch, Some(pinned.epoch()));
+        assert_eq!(service.cache_stats().entries, 0);
+        let pinned = service.snapshot();
+        service.attach_index(DccIndex::build(pinned.graph(), &[2], 0)).unwrap();
+        let stale = service.run_one(&pinned, &query).unwrap();
+        assert_eq!(stale.stats.serve, Some(ServePath::Peel));
+        assert_eq!(service.cache_stats().entries, 0);
+        // The published snapshot still fills the cache.
+        service.query(&query).unwrap();
+        assert_eq!(service.cache_stats().entries, 1);
     }
 
     #[test]
@@ -1317,27 +1261,24 @@ mod tests {
         let g = graph();
         let service = QueryService::new(&g, DccsOptions::default());
         let index = DccIndex::build(&g, &[2], 0);
-        service.attach_index(index).unwrap();
-        let index_epoch = service.epoch();
+        service.attach_index(index.clone()).unwrap();
         let mut batch = EdgeBatch::new();
         batch.insert(0, 8, 9);
         let receipt = service.commit(&batch).unwrap();
         assert!(receipt.index_detached);
-        let snapshot = service.snapshot();
-        assert!(snapshot.index().is_none(), "the stale index must not serve");
-        assert_eq!(snapshot.stale_index_epoch(), Some(index_epoch));
+        assert!(service.snapshot().index().is_none(), "the outdated index must not serve");
         // Serve::Index now fails typed; Serve::Auto silently peels.
         let forced = ServiceQuery::new(DccsParams::new(2, 1, 2)).with_serve(Serve::Index);
-        assert_eq!(
-            service.query(&forced).unwrap_err(),
-            DccsError::IndexStale { index_epoch, graph_epoch: receipt.epoch }
-        );
+        let err = service.query(&forced).unwrap_err();
+        assert!(matches!(err, DccsError::IndexUnavailable { .. }), "got {err:?}");
         let auto = service.query(&ServiceQuery::new(DccsParams::new(2, 1, 2))).unwrap();
         assert!(auto.stats.complete);
-        // Re-attaching a freshly built index clears the staleness.
+        assert_eq!(auto.stats.serve, Some(ServePath::Peel));
+        // The outdated index no longer fits the graph; a rebuilt one serves.
+        let err = service.attach_index(index).unwrap_err();
+        assert!(matches!(err, DccsError::IndexUnavailable { .. }), "got {err:?}");
         let rebuilt = DccIndex::build(service.snapshot().graph(), &[2], 0);
         service.attach_index(rebuilt).unwrap();
-        assert_eq!(service.snapshot().stale_index_epoch(), None);
         assert!(service.query(&forced).is_ok());
     }
 

@@ -94,8 +94,8 @@ impl QuerySpec {
 #[derive(Debug)]
 pub struct DccsSession<'g> {
     g: &'g MultiLayerGraph,
-    /// The engine every query runs on: the snapshot with its shared tier
-    /// and attached [`DccIndex`], the context pool, and the worker crew.
+    /// The engine every query runs on: the published snapshot (shared tier
+    /// and attached [`DccIndex`]), the context pool, and the worker crew.
     service: QueryService<'g>,
     opts: DccsOptions,
     /// The externally shared kill switch attached to every query of this
@@ -155,7 +155,9 @@ impl<'g> DccsSession<'g> {
     /// at the session's thread width, covering every requested `d` for
     /// subset sizes `1..=max_s` (`max_s == 0` means all subset sizes). The
     /// index is returned, not attached — save it with [`DccIndex::save`]
-    /// and/or hand it to [`DccsSession::attach_index`].
+    /// and/or hand it to [`DccsSession::attach_index`]. Its layer cores come
+    /// from the snapshot's per-`d` memo, so later queries at those `d`s
+    /// start warm.
     pub fn build_index(&mut self, ds: &[u32], max_s: usize) -> DccIndex {
         let snapshot = self.service.snapshot();
         let g = self.g;
@@ -171,20 +173,17 @@ impl<'g> DccsSession<'g> {
     /// Attaches `index` after validating its fingerprint against the
     /// session's graph ([`DccIndex::matches`]); a mismatched index is
     /// rejected with [`DccsError::IndexUnavailable`] and nothing is
-    /// attached. Subsequent queries consult the index per the [`Serve`]
-    /// knob on their options.
+    /// attached. Attaching publishes a successor snapshot under a fresh
+    /// epoch ([`QueryService::attach_index`]) with the same warm tier.
+    /// Subsequent queries consult the index per the [`Serve`] knob on their
+    /// options; [`Serve::Peel`] keeps peeling.
     pub fn attach_index(&mut self, index: DccIndex) -> Result<(), DccsError> {
         self.service.attach_index(index)
     }
 
-    /// Detaches the index; subsequent queries always peel.
-    pub fn detach_index(&mut self) {
-        self.service.detach_index();
-    }
-
     /// The attached index, if any.
     pub fn index(&self) -> Option<Arc<DccIndex>> {
-        self.service.snapshot().index()
+        self.service.snapshot().index().cloned()
     }
 
     /// Starts building a query for `params`. Nothing runs until
@@ -654,10 +653,11 @@ mod tests {
         let fallback =
             session.query(DccsParams::new(2, 2, 2)).algorithm(Algorithm::Greedy).run().unwrap();
         assert_eq!(fallback.stats.serve, Some(ServePath::Peel));
-        // Detaching restores peel-only behavior.
-        session.detach_index();
-        let detached = session.query(params).algorithm(Algorithm::Greedy).run().unwrap();
-        assert_eq!(detached.stats.serve, Some(ServePath::Peel));
+        // Serve::Peel ignores the attached index.
+        let repeeled =
+            session.query(params).algorithm(Algorithm::Greedy).serve(Serve::Peel).run().unwrap();
+        assert_eq!(repeeled.stats.serve, Some(ServePath::Peel));
+        assert_eq!(repeeled.stats, peeled.stats);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`core_numbers`] — Batagelj–Zaversnik O(m) bin-sort core decomposition
 //!   of one layer.
 //! * [`d_core`] / [`d_core_within`] — the d-core of a layer, optionally
-//!   restricted to a candidate vertex set.
+//!   restricted to a candidate vertex set. A DCCS query and an index build
+//!   both take their layer cores from one threshold peel per layer and `d`,
+//!   memoized by the query engine; no core-number table is kept.
 //! * [`repair_d_core`] and [`PeelWorkspace::repair_d_core_delta`] —
 //!   incremental d-core maintenance after an edge delta, checking only the
 //!   region the delta can affect, with the full peels above kept as the
@@ -44,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod dcc;
-pub mod hierarchy;
 pub mod peel;
 pub mod validate;
 pub mod workspace;
@@ -53,7 +54,6 @@ pub use dcc::{
     d_coherent_core, d_coherent_core_full, d_coherent_core_in, d_coherent_core_naive,
     min_degree_profile,
 };
-pub use hierarchy::CoreHierarchy;
 pub use peel::{
     core_numbers, core_numbers_within, core_numbers_within_into, d_core, d_core_within,
     d_core_within_into, degeneracy, repair_d_core,

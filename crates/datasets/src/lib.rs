@@ -28,5 +28,5 @@ pub mod spec;
 pub mod synthetic;
 
 pub use ground_truth::GroundTruth;
-pub use registry::{all_datasets, generate, Dataset, DatasetId, Scale};
+pub use registry::{all_datasets, generate, temporal_config, Dataset, DatasetId, Scale};
 pub use spec::{DatasetSpec, PaperStats};

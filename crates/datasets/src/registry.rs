@@ -136,6 +136,25 @@ impl Scale {
     }
 }
 
+/// The temporal-generator shape sized by `scale`: the base graph and batch
+/// stream behind `dccs apply --stream` and `bench_dcc`'s
+/// `incremental_maintenance` group.
+pub fn temporal_config(scale: Scale) -> mlgraph::generators::TemporalConfig {
+    let (num_vertices, num_layers, edges_per_layer, core_size) = match scale {
+        Scale::Tiny => (150, 4, 450, 24),
+        Scale::Small => (600, 6, 2400, 48),
+        Scale::Full => (2000, 8, 8000, 80),
+        Scale::Large => (8000, 8, 32000, 160),
+    };
+    mlgraph::generators::TemporalConfig {
+        num_vertices,
+        num_layers,
+        edges_per_layer,
+        core_size,
+        ..Default::default()
+    }
+}
+
 /// A generated dataset: the graph, optional ground truth, and its spec.
 #[derive(Clone, Debug)]
 pub struct Dataset {

@@ -180,13 +180,6 @@ impl Csr {
         crate::kernels::kernel().sorted_and_count(self.neighbors(v), within.words())
     }
 
-    /// Number of common neighbors of `u` and `v` (their adjacency runs
-    /// intersected by [`crate::intersect::sorted_intersect_count`] —
-    /// galloping when one run is much shorter, linear merge otherwise).
-    pub fn common_degree(&self, u: Vertex, v: Vertex) -> usize {
-        crate::intersect::sorted_intersect_count(self.neighbors(u), self.neighbors(v))
-    }
-
     /// Iterates every undirected edge once, as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (Vertex, Vertex)> + '_ {
         (0..self.num_vertices() as Vertex)
@@ -304,15 +297,6 @@ mod tests {
         assert_eq!(g.degree_within(3, &s), 1);
         let empty = VertexSet::new(5);
         assert_eq!(g.degree_within(2, &empty), 0);
-    }
-
-    #[test]
-    fn common_degree_counts_shared_neighbors() {
-        let g = triangle_plus_pendant();
-        assert_eq!(g.common_degree(0, 1), 1); // both adjacent to 2
-        assert_eq!(g.common_degree(0, 2), 1); // both adjacent to 1
-        assert_eq!(g.common_degree(0, 3), 1); // both adjacent to 2
-        assert_eq!(g.common_degree(0, 4), 0);
     }
 
     #[test]

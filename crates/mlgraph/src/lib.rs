@@ -10,8 +10,6 @@
 //!   layer (sorted, deduplicated adjacency lists).
 //! * [`DenseSubgraph`] — a re-indexed subgraph with per-layer adjacency
 //!   bitsets, for word-level peeling over small candidate universes.
-//! * [`intersect`] — sorted-run intersection primitives (linear merge and
-//!   galloping search) behind the CSR run kernels.
 //! * [`kernels`] — the runtime-dispatched bit-kernel layer (scalar /
 //!   4×-unrolled / AVX2) every word-level loop above routes through,
 //!   selected once per process and forceable via `DCCS_FORCE_KERNEL`.
@@ -20,8 +18,7 @@
 //! * [`EdgeBatch`] — validated per-layer insert/delete batches applied
 //!   atomically via [`MultiLayerGraph::apply_batch`], producing the next
 //!   graph version plus the effective [`AppliedBatch`] delta.
-//! * [`io`] — text edge-list and binary snapshot readers/writers plus DOT
-//!   export.
+//! * [`io`] — text edge-list and binary snapshot readers/writers.
 //! * [`generators`] — seeded synthetic multi-layer graph generators
 //!   (planted communities, power-law, temporal snapshots).
 //! * [`sample`] — vertex-fraction / layer-fraction down-sampling used by the
@@ -64,7 +61,6 @@ pub mod dense;
 pub mod error;
 pub mod generators;
 pub mod graph;
-pub mod intersect;
 pub mod io;
 pub mod kernels;
 pub mod sample;
